@@ -163,7 +163,7 @@ def e_gamma_sum(gamma: Mass) -> FCurve:
 
     def eval_at(t: Mass) -> Mass:
         gap = t - gamma
-        return gap if gap > 0 else _zero_like(t)
+        return gap if gap > 0 else _zero_like(gap)
 
     def inverse(T: Mass) -> Mass:
         return gamma + T if T > 0 else _zero_like(T)

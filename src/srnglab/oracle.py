@@ -15,10 +15,18 @@ mode ranges representatives over the whole space, including zero-mass
 outcomes; it is kept deliberately unreduced so the reduction itself can be
 cross-checked on tiny instances.
 
-Values are scanned in floats first, then every plan within a small band of
-the float minimum is re-evaluated in exact arithmetic when the curve and
-the source allow it, so reported minima compare exactly against the
-constructions.
+The plans are scanned once.  Float values come from a per-partition table
+of terms, summed in the same order as a term-by-term evaluation.  When the
+curve is rational and the source exact, the same scan re-evaluates in
+exact arithmetic every plan whose float value lies within a small band of
+the running float minimum, so reported minima compare exactly against the
+constructions.  The running minimum only falls, so every plan within band
+of the final minimum is refined when it is met.  A small Pareto front of
+(float value, exact value, plan) keeps just the refined plans that can
+still win, since ties on symmetric sources would otherwise pile up, and
+the witness is the first strict exact minimum among the plans within band
+of the final minimum: the plan a float scan followed by an exact rescan of
+the band would report.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .construction import MappingPair
 from .divergence import FCurve, _term
@@ -112,51 +120,49 @@ def _set_partitions(
     yield from rec(1, 1)
 
 
+def _partitions(
+    dist: AtomicDistribution, m: int
+) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[Mass, ...]]]:
+    """Yield (blocks, block_masses) for every partition of the support."""
+    support = [x for x, mass in enumerate(dist.masses) if mass > 0]
+    for blocks in _set_partitions(support, min(m, len(support))):
+        yield blocks, tuple(sum(dist.masses[x] for x in block) for block in blocks)
+
+
+def _candidates(dist: AtomicDistribution, k: int, full: bool) -> list[int]:
+    """The atoms k block representatives are drawn from, in order."""
+    if full:
+        return list(range(len(dist.masses)))
+    heaviest = [x for x in sort_descending(dist) if dist.masses[x] > 0]
+    return heaviest[:k]
+
+
 def _iter_plans(
     dist: AtomicDistribution, m: int, full: bool
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[Mass, ...]]]:
     """Yield (blocks, representatives, block_masses) in a fixed order."""
-    support = [x for x, mass in enumerate(dist.masses) if mass > 0]
-    heaviest = [x for x in sort_descending(dist) if dist.masses[x] > 0]
-    size = len(dist.masses)
-    for blocks in _set_partitions(support, min(m, len(support))):
+    for blocks, q_masses in _partitions(dist, m):
         k = len(blocks)
-        q_masses = tuple(sum(dist.masses[x] for x in block) for block in blocks)
-        if full:
-            candidates: Iterator[tuple[int, ...]] = itertools.permutations(range(size), k)
-        else:
-            candidates = itertools.permutations(heaviest[:k])
-        for reps in candidates:
+        for reps in itertools.permutations(_candidates(dist, k, full), k):
             yield blocks, reps, q_masses
 
 
-def _plan_value(
-    curve: FCurve,
-    dist: AtomicDistribution,
-    reps: Sequence[int],
-    q_masses: Sequence[Mass],
-    support_mass: Mass,
-    as_float: bool,
-) -> Mass:
+def _total(terms: Iterable[Mass], stray: Mass | None) -> Mass:
+    """Sum one plan's terms in order; an infinite term ends the sum."""
     total: Mass = 0
-    covered: Mass = 0
-    for y, q in zip(reps, q_masses):
-        p = dist.masses[y]
-        if p > 0:
-            covered = covered + p
-        if as_float:
-            p, q = float(p), float(q)
-        term = _term(curve, p, q)
+    for term in terms:
         if term == math.inf:
             return math.inf
         total = total + term
-    uncovered = support_mass - covered
-    if uncovered > 0:
-        stray = _term(curve, float(uncovered) if as_float else uncovered, 0)
+    if stray is not None:
         if stray == math.inf:
             return math.inf
         total = total + stray
     return total
+
+
+def _is_rational(curve: FCurve) -> bool:
+    return isinstance(curve.eval_at(Fraction(1, 2)), (int, Fraction))
 
 
 def _search(
@@ -167,45 +173,100 @@ def _search(
     band: float,
 ) -> dict[str, OracleResult]:
     support_mass = sum(mass for mass in dist.masses if mass > 0)
-    best_float: dict[str, float] = {}
-    best_plan: dict[str, PartitionPlan] = {}
-    for blocks, reps, q_masses in _iter_plans(dist, m, full):
-        plan = None
-        for curve in curves:
-            value = float(_plan_value(curve, dist, reps, q_masses, support_mass, True))
-            if curve.name not in best_float or value < best_float[curve.name]:
-                if plan is None:
-                    plan = PartitionPlan(blocks, reps, m)
-                best_float[curve.name] = value
-                best_plan[curve.name] = plan
+    floats = [float(mass) for mass in dist.masses]
+    positive = [mass > 0 for mass in dist.masses]
+    exact = [dist.exact and _is_rational(curve) for curve in curves]
 
-    results: dict[str, OracleResult] = {}
-    refine = [
-        curve
-        for curve in curves
-        if dist.exact and isinstance(curve.eval_at(Fraction(1, 2)), (int, Fraction))
+    # Per-curve stray terms, float and exact (None when nothing is
+    # uncovered), keyed by the covered atoms in representative order, since
+    # float sums depend on it.  That is one entry per representative tuple
+    # in reduced mode and at most the ordered support subsets in full mode.
+    strays: dict[tuple[int, ...], tuple[list, list]] = {}
+
+    def stray_terms(covered_atoms: tuple[int, ...]) -> tuple[list, list]:
+        covered: Mass = 0
+        for y in covered_atoms:
+            covered = covered + dist.masses[y]
+        uncovered = support_mass - covered
+        if not uncovered > 0:
+            return [None] * len(curves), [None] * len(curves)
+        loose = float(uncovered)
+        return (
+            [_term(curve, loose, 0) for curve in curves],
+            [_term(c, uncovered, 0) if x else None for c, x in zip(curves, exact)],
+        )
+
+    best: list[float] = [math.inf] * len(curves)
+    best_plan: list[PartitionPlan | None] = [None] * len(curves)
+    # Per rational curve on an exact source, the Pareto front of
+    # (float value, exact value, plan) in enumeration order: an entry stays
+    # while no later plan has both a float value as low and a smaller exact
+    # value, and while its float value is within band of the running best.
+    fronts: list[list[tuple[float, Mass, PartitionPlan]] | None] = [
+        [] if x else None for x in exact
     ]
-    best_exact: dict[str, Mass] = {}
-    if refine:
-        for blocks, reps, q_masses in _iter_plans(dist, m, full):
-            for curve in refine:
-                coarse = float(_plan_value(curve, dist, reps, q_masses, support_mass, True))
-                if coarse > best_float[curve.name] + band:
+    pools: dict[int, list[int]] = {}
+    for blocks, q_masses in _partitions(dist, m):
+        k = len(blocks)
+        if k not in pools:
+            pools[k] = _candidates(dist, k, full)
+        atoms = pools[k]
+        # Float terms per curve, block and candidate representative: each
+        # plan's value is then the same sum, in the same order, as a
+        # term-by-term evaluation.
+        q_floats = [float(q) for q in q_masses]
+        tables = [
+            [{y: _term(curve, floats[y], q) for y in atoms} for q in q_floats]
+            for curve in curves
+        ]
+        for reps in itertools.permutations(atoms, k):
+            covered_atoms = tuple(y for y in reps if positive[y])
+            if covered_atoms not in strays:
+                strays[covered_atoms] = stray_terms(covered_atoms)
+            loose, tight = strays[covered_atoms]
+            plan = None
+            for i, table in enumerate(tables):
+                value = float(_total([table[j][y] for j, y in enumerate(reps)], loose[i]))
+                front = fronts[i]
+                if best_plan[i] is None or value < best[i]:
+                    plan = plan or PartitionPlan(blocks, reps, m)
+                    best[i], best_plan[i] = value, plan
+                    if front:
+                        front[:] = [entry for entry in front if not entry[0] > value + band]
+                if front is None or value > best[i] + band:
                     continue
-                value = _plan_value(curve, dist, reps, q_masses, support_mass, False)
-                if curve.name not in best_exact or value < best_exact[curve.name]:
-                    best_exact[curve.name] = value
-                    best_plan[curve.name] = PartitionPlan(blocks, reps, m)
-    for curve in curves:
-        if curve.name in best_exact:
-            results[curve.name] = OracleResult(
-                curve.name, best_exact[curve.name], best_plan[curve.name], True
-            )
+                terms = [_term(curves[i], dist.masses[y], q) for y, q in zip(reps, q_masses)]
+                refined = _total(terms, tight[i])
+                if any(v <= value and e <= refined for v, e, _ in front):
+                    continue
+                plan = plan or PartitionPlan(blocks, reps, m)
+                front[:] = [e for e in front if not (value <= e[0] and refined < e[1])]
+                front.append((value, refined, plan))
+
+    # The first strict exact minimum among the plans within band of the
+    # final float best.  Every such plan was within band of the running best
+    # when it was met, and a refined plan left the front, or never joined
+    # it, only for another that is eligible whenever it is and would be
+    # reported before it.
+    results: dict[str, OracleResult] = {}
+    for i, curve in enumerate(curves):
+        eligible = [entry for entry in fronts[i] or () if not entry[0] > best[i] + band]
+        if eligible:
+            _, value, plan = min(eligible, key=lambda entry: entry[1])
+            results[curve.name] = OracleResult(curve.name, value, plan, True)
         else:
-            results[curve.name] = OracleResult(
-                curve.name, best_float[curve.name], best_plan[curve.name], False
-            )
+            results[curve.name] = OracleResult(curve.name, best[i], best_plan[i], False)
     return results
+
+
+def _check_caps(dist: AtomicDistribution, m: int, support_cap: int, search: str) -> None:
+    support = sum(1 for mass in dist.masses if mass > 0)
+    if support > support_cap:
+        raise CapExceeded(f"support of {support} atoms exceeds the {search} cap {support_cap}")
+    if m > CODEBOOK_CAP:
+        raise CapExceeded(f"codebook of {m} exceeds the search cap {CODEBOOK_CAP}")
+    if m < 1:
+        raise OutOfRange(f"codebook size must be positive, got {m}")
 
 
 def min_fdiv_bruteforce(
@@ -220,13 +281,7 @@ def min_fdiv_bruteforce(
     is lossless for nonincreasing curves with zero slope at infinity; pass
     curves outside that class to min_fdiv_bruteforce_full instead.
     """
-    support = sum(1 for mass in dist.masses if mass > 0)
-    if support > SUPPORT_CAP:
-        raise CapExceeded(f"support of {support} atoms exceeds the search cap {SUPPORT_CAP}")
-    if m > CODEBOOK_CAP:
-        raise CapExceeded(f"codebook of {m} exceeds the search cap {CODEBOOK_CAP}")
-    if m < 1:
-        raise OutOfRange(f"codebook size must be positive, got {m}")
+    _check_caps(dist, m, SUPPORT_CAP, "search")
     return _search(dist, m, curves, full=False, band=band)
 
 
@@ -242,13 +297,7 @@ def min_fdiv_bruteforce_full(
     with positive slope at infinity, where uncovered support costs mass.
     Tightly capped, since the assignment count grows factorially.
     """
-    support = sum(1 for mass in dist.masses if mass > 0)
-    if support > FULL_SUPPORT_CAP:
-        raise CapExceeded(f"support of {support} atoms exceeds the full-search cap {FULL_SUPPORT_CAP}")
-    if m > CODEBOOK_CAP:
-        raise CapExceeded(f"codebook of {m} exceeds the search cap {CODEBOOK_CAP}")
-    if m < 1:
-        raise OutOfRange(f"codebook size must be positive, got {m}")
+    _check_caps(dist, m, FULL_SUPPORT_CAP, "full-search")
     return _search(dist, m, curves, full=True, band=band)
 
 

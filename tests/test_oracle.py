@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,12 +13,14 @@ import pytest
 from srnglab import (
     AtomicDistribution,
     CapExceeded,
+    FCurve,
     IID,
     SourceModel,
     apply_mapping,
     build_mapping,
     curve_from_name,
     divergence,
+    e_gamma_sum,
     expand,
     hellinger,
     kl,
@@ -27,6 +30,8 @@ from srnglab import (
     smooth_max_entropy,
     variational,
 )
+from srnglab.divergence import _term
+from srnglab.oracle import _iter_plans
 
 F = Fraction
 
@@ -105,6 +110,98 @@ def test_full_search_handles_curves_outside_the_reduction() -> None:
     d = single_letter(F(1, 2), F(1, 4), F(1, 4))
     res = min_fdiv_bruteforce_full(d, 3, [kl()])["kl"]
     assert res.value == 0
+
+
+# ---------------------------------------------------------------------------
+# the single pass agrees with a float scan followed by an exact rescan
+
+
+def two_pass_search(dist, m, curves, full, band):
+    """Reference: scan every plan in floats, then rescan every plan within
+    band of the float minimum in exact arithmetic, keeping the first strict
+    exact minimum.  Returns name -> (value, exact, blocks, representatives).
+    """
+    support_mass = sum(mass for mass in dist.masses if mass > 0)
+
+    def value(curve, reps, q_masses, as_float):
+        total = covered = 0
+        for y, q in zip(reps, q_masses):
+            p = dist.masses[y]
+            if p > 0:
+                covered = covered + p
+            term = _term(curve, float(p), float(q)) if as_float else _term(curve, p, q)
+            if term == math.inf:
+                return math.inf
+            total = total + term
+        uncovered = support_mass - covered
+        if uncovered > 0:
+            stray = _term(curve, float(uncovered) if as_float else uncovered, 0)
+            if stray == math.inf:
+                return math.inf
+            total = total + stray
+        return float(total) if as_float else total
+
+    best, plans, exact = {}, {}, {}
+    for blocks, reps, q_masses in _iter_plans(dist, m, full):
+        for curve in curves:
+            v = value(curve, reps, q_masses, True)
+            if curve.name not in best or v < best[curve.name]:
+                best[curve.name], plans[curve.name] = v, (blocks, reps)
+    refine = [c for c in curves if dist.exact and isinstance(c.eval_at(F(1, 2)), (int, Fraction))]
+    for blocks, reps, q_masses in _iter_plans(dist, m, full) if refine else ():
+        for curve in refine:
+            if value(curve, reps, q_masses, True) > best[curve.name] + band:
+                continue
+            v = value(curve, reps, q_masses, False)
+            if curve.name not in exact or v < exact[curve.name]:
+                exact[curve.name], plans[curve.name] = v, (blocks, reps)
+    return {name: (exact.get(name, best[name]), name in exact) + plans[name] for name in best}
+
+
+def test_single_pass_matches_the_two_pass_reference() -> None:
+    fast = [curve_from_name(c) for c in ("variational", "reverse_kl", "hellinger", "e_gamma:2")]
+    slow = fast + [curve_from_name("e_gamma_sum:3/2"), kl()]
+    bands = (0.0, 1e-12, 1e-9, 1e-2, 0.5)
+    rng = random.Random(20231126)
+    instances = [expand(SourceModel(IID((F(1, 4), F(3, 4))), 2))]
+    while len(instances) < 100:
+        weights = [rng.choice((0, 1, 1, 2, 3, 3, 5)) for _ in range(rng.randint(1, 4))]
+        if sum(weights):
+            masses = [F(w, sum(weights)) for w in weights]
+            if rng.random() < 0.4:
+                masses = [float(x) for x in masses]
+            instances.append(AtomicDistribution.from_masses(masses, 1, len(masses)))
+    compared = infinite = 0
+    for index, dist in enumerate(instances):
+        m = 1 + index % 3
+        band = bands[index % len(bands)]
+        for full, curves in ((False, fast), (True, slow)):
+            search = min_fdiv_bruteforce_full if full else min_fdiv_bruteforce
+            got = search(dist, m, curves, band=band)
+            for name, want in two_pass_search(dist, m, curves, full, band).items():
+                res = got[name]
+                assert (res.value, res.exact, res.plan.blocks, res.plan.representatives) == want, (
+                    dist.masses, m, band, full, name,
+                )
+                compared += 1
+                infinite += want[0] == math.inf
+    assert compared == 1000
+    assert infinite > 0
+
+
+def test_exact_refinement_follows_the_curve_arithmetic() -> None:
+    d = single_letter(F(4, 10), F(3, 10), F(2, 10), F(1, 10))
+    custom = FCurve("half_l1", variational().eval_at, F(1), F(0))
+    res = min_fdiv_bruteforce(d, 2, [custom])["half_l1"]
+    assert res.exact and res.value == F(3, 10)
+    # A float gamma keeps e_gamma_sum in floats even below the kink, so its
+    # minimum is reported as a float, not as an exact value.
+    loose, tight = e_gamma_sum(1.5), e_gamma_sum(F(3, 2))
+    assert isinstance(loose.eval_at(F(1, 2)), float)
+    got = min_fdiv_bruteforce_full(d, 2, [loose, tight])
+    assert not got[loose.name].exact and isinstance(got[loose.name].value, float)
+    assert got[tight.name].exact
+    assert got[loose.name].value == pytest.approx(float(got[tight.name].value))
 
 
 # ---------------------------------------------------------------------------
@@ -214,3 +311,4 @@ def test_frozen_fixture_results_replay() -> None:
             assert float(res.value) == pytest.approx(expected, abs=1e-15), record
         assert res.exact == record["exact"]
         assert list(res.plan.representatives) == record["representatives"], record
+        assert [list(b) for b in res.plan.blocks] == record["blocks"], record
