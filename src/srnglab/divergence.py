@@ -73,6 +73,17 @@ def _zero_like(t: Mass) -> Mass:
     return t - t
 
 
+def _float_gamma(gamma: Mass) -> Mass:
+    # Fraction arithmetic with a float converts the Fraction to float first,
+    # so converting once gives the same floats without the per-call detour.
+    # A gamma beyond the float range stays as given and fails, as before, at
+    # its first float evaluation rather than when the curve is built.
+    try:
+        return float(gamma)
+    except OverflowError:
+        return gamma
+
+
 def variational() -> FCurve:
     """f(t) = (1 - t)^+, whose divergence is half the L1 distance."""
 
@@ -131,11 +142,13 @@ def e_gamma(gamma: Mass) -> FCurve:
     gamma = Fraction(gamma) if isinstance(gamma, int) else gamma
     if gamma < 1:
         raise OutOfRange(f"gamma must be at least 1, got {gamma}")
+    gamma_f = _float_gamma(gamma)
 
     def eval_at(t: Mass) -> Mass:
-        gap = gamma - t
+        g = gamma_f if isinstance(t, float) else gamma
+        gap = g - t
         pos = gap if gap > 0 else _zero_like(t)
-        return pos + 1 - gamma
+        return pos + 1 - g
 
     return FCurve(
         name=f"e_gamma:{gamma}",
@@ -161,8 +174,10 @@ def e_gamma_sum(gamma: Mass) -> FCurve:
     if gamma < 1:
         raise OutOfRange(f"gamma must be at least 1, got {gamma}")
 
+    gamma_f = _float_gamma(gamma)
+
     def eval_at(t: Mass) -> Mass:
-        gap = t - gamma
+        gap = t - (gamma_f if isinstance(t, float) else gamma)
         return gap if gap > 0 else _zero_like(gap)
 
     def inverse(T: Mass) -> Mass:

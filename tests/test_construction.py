@@ -18,6 +18,8 @@ from srnglab import (
     IID,
     InvalidModel,
     MappingPair,
+    Markov,
+    Mixture,
     OutOfRange,
     SourceModel,
     achievability_bound,
@@ -36,6 +38,7 @@ from srnglab import (
     rate_window,
     reverse_kl,
     smooth_max_entropy,
+    sort_descending,
     spectrum_cdf,
     trace_to_jsonable,
     variational,
@@ -346,3 +349,100 @@ def test_reverse_kl_achievability_is_infinite_when_clamped() -> None:
     ach = achievability_bound(trace, reverse_kl())
     assert ach.clamped
     assert ach.value == math.inf
+
+
+# ---------------------------------------------------------------------------
+# run-wise greedy against the per-atom greedy it replaced
+
+
+def per_atom_greedy(dist, core, pool, core_mass):
+    """The greedy as first written: every remaining atom rescanned per step."""
+    remaining = list(pool)
+    allocations = []
+    stop = len(core) - 1
+    stopped = False
+    for idx, rep in enumerate(core):
+        if stopped:
+            allocations.append(())
+            continue
+        capacity = dist.masses[rep] / core_mass - dist.masses[rep]
+        taken, kept, load = [], [], 0
+        for atom in remaining:
+            mass = dist.masses[atom]
+            if load + mass <= capacity:
+                taken.append(atom)
+                load = load + mass
+            else:
+                kept.append(atom)
+        remaining = kept
+        if idx == len(core) - 1 and remaining:
+            taken.extend(remaining)
+            remaining = []
+        if not remaining:
+            stop, stopped = idx, True
+        allocations.append(tuple(taken))
+    return tuple(allocations), stop
+
+
+def test_run_wise_greedy_matches_the_per_atom_greedy() -> None:
+    import random
+
+    from srnglab.construction import _greedy_allocate
+
+    rng = random.Random(20231)
+    seen = {"zero_mass": 0, "mid_run": 0, "dump": 0, "empty_pool": 0, "early_stop": 0}
+    for trial in range(300):
+        # Few distinct weights, so runs of equal mass are long; some zeros.
+        palette = [0] + [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
+        weights = [rng.choice(palette) for _ in range(rng.randint(2, 40))]
+        weights[0] = weights[0] or 1
+        total = sum(weights)
+        for exact in (True, False):
+            dist = AtomicDistribution.from_masses(
+                [F(w, total) for w in weights], 1, len(weights), exact=exact
+            )
+            order = sort_descending(dist)
+            cut = rng.randint(1, min(6, len(order)))
+            core = order[:cut]
+            start = rng.choice([cut, cut, rng.randint(cut, len(order))])
+            pool = order[start:] if trial % 5 else ()
+            core_mass = sum(dist.masses[x] for x in core)
+            got = _greedy_allocate(dist, core, pool, core_mass)
+            assert got == per_atom_greedy(dist, core, pool, core_mass)
+            allocations, stop = got
+            masses = [dist.masses[x] for x in pool]
+            seen["zero_mass"] += 0 in masses
+            seen["mid_run"] += 0 < start < len(order) and dist.masses[order[start - 1]] == dist.masses[order[start]]
+            seen["empty_pool"] += not pool
+            seen["early_stop"] += bool(pool) and stop < len(core) - 1
+            last = core[-1]
+            capacity = dist.masses[last] / core_mass - dist.masses[last]
+            seen["dump"] += sum(dist.masses[x] for x in allocations[-1]) > capacity
+    assert all(count > 10 for count in seen.values()), seen
+
+
+def test_constructions_match_the_per_atom_greedy_on_benchmark_sources(monkeypatch) -> None:
+    from srnglab import construction
+
+    sources = (
+        IID((F(9, 10), F(1, 10))),
+        IID((F(3, 4), F(1, 4))),
+        Markov((F(1, 2), F(1, 2)), ((F(9, 10), F(1, 10)), (F(1, 5), F(4, 5)))),
+        Mixture((F(1, 2), F(1, 2)), (IID((F(9, 10), F(1, 10))), IID((F(1, 5), F(4, 5))))),
+    )
+    for variant in sources:
+        exact_dist = expand(SourceModel(variant, 10))
+        float_dist = AtomicDistribution.from_masses(exact_dist.masses, 10, 2, exact=False)
+        for dist in (exact_dist, float_dist):
+            built = [
+                build_mapping(dist, 1024, F(1, 20)),
+                build_smooth_entropy_mapping(dist, variational(), F(1, 10), F(1, 20)),
+            ]
+            with monkeypatch.context() as patch:
+                patch.setattr(construction, "_greedy_allocate", per_atom_greedy)
+                expected = [
+                    build_mapping(dist, 1024, F(1, 20)),
+                    build_smooth_entropy_mapping(dist, variational(), F(1, 10), F(1, 20)),
+                ]
+            assert built == expected
+            assert all(trace.pool and not trace.flags for _, trace in built)

@@ -164,6 +164,43 @@ def test_e_gamma_forms_agree_with_zero_masses() -> None:
         assert divergence(p, q, e_gamma(gamma)) == divergence(p, q, e_gamma_sum(gamma))
 
 
+def test_e_gamma_float_inputs_match_the_fraction_fallback() -> None:
+    import random
+
+    rng = random.Random(1729)
+    for gamma in (F(3, 2), F(7, 3), F(10**20 + 1, 10**20), 1.5, 2.3):
+        g = float(gamma)
+        points = [rng.uniform(0, 4) for _ in range(1500)]
+        points += [0.0, 1.0, g, math.nextafter(g, 0), math.nextafter(g, 5), 1e-300, 1e300]
+        curve, twin = e_gamma(gamma), e_gamma_sum(gamma)
+        for t in points:
+            # The expressions as written before the float path, with gamma
+            # as given, so a Fraction gamma goes through Fraction's fallback.
+            gap = gamma - t
+            expected = (gap if gap > 0 else t - t) + 1 - gamma
+            got = curve.eval_at(t)
+            assert type(got) is float and got == expected
+            gap = t - gamma
+            expected = gap if gap > 0 else gap - gap
+            got = twin.eval_at(t)
+            assert type(got) is float and got == expected
+        if isinstance(gamma, Fraction):
+            for t in (F(1, 2), F(1), gamma, gamma + F(1, 3)):
+                assert curve.eval_at(t) == (gamma - t if gamma > t else 0) + 1 - gamma
+                assert twin.eval_at(t) == (t - gamma if t > gamma else 0)
+                assert type(curve.eval_at(t)) is Fraction and type(twin.eval_at(t)) is Fraction
+        else:
+            assert type(twin.eval_at(F(1, 2))) is float
+    # A gamma beyond the float range still builds and evaluates exactly;
+    # only a float argument fails, as it does through Fraction's fallback.
+    for name, at_half in (("e_gamma:1e400", F(1, 2)), ("e_gamma_sum:1e400", 0)):
+        curve = curve_from_name(name)
+        assert curve.eval_at(F(1, 2)) == at_half
+        assert type(curve.eval_at(F(1, 2))) is Fraction
+        with pytest.raises(OverflowError):
+            curve.eval_at(0.5)
+
+
 def test_e_gamma_requires_gamma_at_least_one() -> None:
     with pytest.raises(OutOfRange):
         e_gamma(F(1, 2))
