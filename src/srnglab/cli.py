@@ -9,7 +9,8 @@ Every output is reproducible byte for byte in exact mode: JSON is dumped
 with sorted keys, exact masses appear as num/den strings, CSV rows come
 out in generation order, and nothing stamps time or machine state into a
 file.  The construct command exits nonzero when any computed divergence
-escapes its proved bracket, which makes it usable as a self-check.
+escapes its proved bracket, which makes it usable as a self-check, and
+names each escaping record on stderr, never in its output file.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .construction import (
     entropy_mapping_bound,
     trace_to_jsonable,
 )
-from .divergence import check_conditions, divergence, f_inverse
+from .divergence import _budget_threshold, check_conditions, divergence
 from .errors import SrnglabError
 from .oracle import min_fdiv_bruteforce, min_fdiv_bruteforce_full
 from .probability import IID, Markov, Mass, expand
@@ -120,8 +121,7 @@ def _run_analyze(cfg: RunConfig) -> int:
             continue
         for delta in cfg.deltas:
             kf = k_f_rate(summary, curve, delta)
-            thr = 0 if delta >= curve.f_at_zero else f_inverse(curve, delta)
-            eps = 1 - thr
+            eps = 1 - _budget_threshold(curve, delta)
             quant = sup_entropy_quantile(summary, eps)
             h0, chosen = smooth_max_entropy(dist, eps)
             payload["rates"].append(
@@ -138,6 +138,18 @@ def _run_analyze(cfg: RunConfig) -> int:
             )
     _write_json(Path(cfg.out_dir) / "analyze.json", payload)
     return 0
+
+
+def _within(where: str, exact: Mass, lower: float, upper: float) -> bool:
+    """Whether exact lies in [lower, upper], with 1e-10 slack for floats; an
+    escape is named on stderr (never in construct.json), exact as in the file."""
+    slack = 0 if isinstance(exact, Fraction) else 1e-10
+    if lower <= exact + slack and exact <= upper + slack:
+        return True
+    gap = float(max(lower - exact, exact - upper))
+    print(f"out of bounds: {where}: divergence {_num(exact, 'nats')} outside "
+          f"[{lower!r}, {upper!r}], gap {gap!r}", file=sys.stderr)
+    return False
 
 
 def _run_construct(cfg: RunConfig) -> int:
@@ -166,8 +178,8 @@ def _run_construct(cfg: RunConfig) -> int:
                 if check_conditions(curve).nonincreasing:
                     ach = achievability_bound(trace, curve)
                     con = converse_bound(summary, m, gamma, curve)
-                    slack = 0 if isinstance(exact, Fraction) else 1e-10
-                    within = (con.value <= exact + slack) and (exact <= ach.value + slack)
+                    where = f"m={m} gamma={gamma} curve={curve.name}"
+                    within = _within(where, exact, con.value, ach.value)
                     all_within = all_within and within
                     entry.update(
                         {
@@ -192,8 +204,8 @@ def _run_construct(cfg: RunConfig) -> int:
                 mapped = apply_mapping(dist, mapping)
                 exact = divergence(dist, mapped, curve)
                 bound = entropy_mapping_bound(trace, curve)
-                slack = 0 if isinstance(exact, Fraction) else 1e-10
-                within = exact <= bound.value + slack
+                where = f"entropy prefix m={trace.m} gamma={gamma} curve={curve.name} delta={delta}"
+                within = _within(where, exact, -math.inf, bound.value)
                 all_within = all_within and within
                 entropy_records.append(
                     {

@@ -18,7 +18,8 @@ guarantees lean on.  The greedy walks the pool as runs of equal mass: once
 one atom of a run misfits, every later atom of that run misfits too, so a
 step takes a prefix of each run and costs O(#runs) rather than O(|pool|).
 
-Classification thresholds are computed through the same expressions the
+The spectrum-split construction and its collapse baseline share one
+classification (_classify), computed through the same expressions the
 spectrum module uses, which keeps the probability of the core once it is
 compared against a cdf bit-identical between construction and bounds.
 """
@@ -30,10 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .divergence import FCurve, check_conditions, f_inverse
+from .divergence import FCurve, _budget_threshold, check_conditions
 from .errors import DimensionMismatch, InvalidModel, OutOfRange
 from .probability import AtomicDistribution, Mass, self_information, sort_descending
-from .spectrum import SpectrumSummary, cdf_at
+from .spectrum import SpectrumSummary, _descending_prefix, cdf_at
 
 __all__ = [
     "BoundReport",
@@ -104,9 +105,11 @@ class ConstructionTrace:
                      where the whole pool collapses onto representative 0
     stop_index       position at which the pool ran dry, or the last position
                      when the remainder was dumped there
-    conditional      source conditioned on the core, None when the core is
-                     empty
     core_mass        exact total source mass of the core
+    source           the distribution the construction was built for
+
+    n and conditional (the source conditioned on the core, None when the
+    core is empty) are read-only, derived from source, core and core_mass.
     """
 
     kind: str
@@ -119,11 +122,23 @@ class ConstructionTrace:
     stop_index: int
     gamma: Mass
     m: int
-    n: int
     core_mass: Mass
-    conditional: AtomicDistribution | None
     flags: tuple[str, ...]
     source: AtomicDistribution
+
+    @property
+    def n(self) -> int:
+        return self.source.n
+
+    @property
+    def conditional(self) -> AtomicDistribution | None:
+        if not self.core:
+            return None
+        dist = self.source
+        masses = [_zero(dist)] * len(dist.masses)
+        for x in self.core:
+            masses[x] = dist.masses[x] / self.core_mass
+        return AtomicDistribution.from_masses(masses, dist.n, dist.alphabet_size, exact=dist.exact)
 
 
 @dataclass(frozen=True)
@@ -212,13 +227,6 @@ def _greedy_allocate(
     return tuple(allocations), stop
 
 
-def _conditional(dist: AtomicDistribution, core: Sequence[int], core_mass: Mass) -> AtomicDistribution:
-    masses = [_zero(dist)] * len(dist.masses)
-    for x in core:
-        masses[x] = dist.masses[x] / core_mass
-    return AtomicDistribution.from_masses(masses, dist.n, dist.alphabet_size, exact=dist.exact)
-
-
 def _trace(
     kind: str,
     dist: AtomicDistribution,
@@ -235,7 +243,7 @@ def _trace(
     core_mass: Mass,
     flags: tuple[str, ...] = (),
 ) -> ConstructionTrace:
-    """Trace whose n, source and conditional follow from dist and core."""
+    """Trace of a construction on dist, every id collection as a tuple."""
     return ConstructionTrace(
         kind=kind,
         core=tuple(core),
@@ -247,12 +255,31 @@ def _trace(
         stop_index=stop,
         gamma=gamma,
         m=m,
-        n=dist.n,
         core_mass=core_mass,
-        conditional=_conditional(dist, core, core_mass) if core else None,
         flags=flags,
         source=dist,
     )
+
+
+def _check_window(m: int, gamma: Mass) -> None:
+    if m < 1:
+        raise OutOfRange(f"codebook size must be positive, got {m}")
+    if gamma <= 0:
+        raise OutOfRange(f"slack exponent must be positive, got {gamma}")
+
+
+def _classify(
+    dist: AtomicDistribution, m: int, gamma: Mass
+) -> tuple[tuple[int, ...], list[int], list[int]]:
+    """Descending order, heavy outcomes (exactly mass >= 1/m) and the core:
+    the heavy outcomes at or below the rate_window low line."""
+    _check_window(m, gamma)
+    r_low, _ = rate_window(m, dist.n, gamma)
+    cut = Fraction(1, m)
+    order = sort_descending(dist)
+    heavy = [x for x in order if dist.masses[x] >= cut]
+    core = [x for x in heavy if self_information(dist, x) <= r_low]
+    return order, heavy, core
 
 
 def _encode(
@@ -293,19 +320,11 @@ def build_mapping(
     element, and with nothing heavy at all every outcome collapses onto
     the mode.
     """
-    if m < 1:
-        raise OutOfRange(f"codebook size must be positive, got {m}")
-    if gamma <= 0:
-        raise OutOfRange(f"slack exponent must be positive, got {gamma}")
-    n = dist.n
     size = len(dist.masses)
-    r_low, _ = rate_window(m, n, gamma)
-    cut = Fraction(1, m)
-    order = sort_descending(dist)
-    heavy = [x for x in order if dist.masses[x] >= cut]
-    light = [x for x in order if 0 < dist.masses[x] < cut]
-    off = tuple(x for x in order if dist.masses[x] == 0)
-    core = [x for x in heavy if self_information(dist, x) <= r_low]
+    order, heavy, core = _classify(dist, m, gamma)
+    rest = order[len(heavy):]  # heavy is a prefix of the descending order
+    light = [x for x in rest if dist.masses[x] > 0]
+    off = tuple(x for x in rest if dist.masses[x] == 0)
     in_core = set(core)
     band = [x for x in heavy if x not in in_core]
 
@@ -350,37 +369,21 @@ def build_smooth_entropy_mapping(
         raise OutOfRange(f"slack exponent must be positive, got {gamma}")
     if delta < 0:
         raise OutOfRange(f"divergence budget must be nonnegative, got {delta}")
-    n = dist.n
     size = len(dist.masses)
-    thr: Mass = 0 if delta >= curve.f_at_zero else f_inverse(curve, delta)
     order = sort_descending(dist)
-    core: list[int] = []
-    core_mass: Mass = _zero(dist)
-    for x in order:
-        mass = dist.masses[x]
-        if mass == 0:
-            break
-        core.append(x)
-        core_mass = core_mass + mass
-        if core_mass >= thr:
-            break
-    m = math.ceil(len(core) * math.exp(n * float(gamma)))
+    core, core_mass = _descending_prefix(dist, order, _budget_threshold(curve, delta))
+    m = math.ceil(len(core) * math.exp(dist.n * float(gamma)))
 
     if m > size:
-        in_core = set(core)
-        band = [x for x in order if x not in in_core]
-        trace = _trace(
-            "entropy_prefix", dist, core=core, band=band, pool=(), off=(),
-            representatives=order, allocations=((),) * len(core), stop=0,
-            gamma=gamma, m=m, core_mass=core_mass, flags=("size_exceeds_space",),
-        )
         # The demanded codebook does not fit in the space, so the pair is
         # the identity on all of it; m_n is the space size, not m, which
         # could be astronomically large.
-        phi = [0] * size
-        for j, x in enumerate(order):
-            phi[x] = j
-        return MappingPair(tuple(phi), tuple(order), size), trace
+        trace = _trace(
+            "entropy_prefix", dist, core=core, band=order[len(core):], pool=(), off=(),
+            representatives=order, allocations=((),) * len(core), stop=0,
+            gamma=gamma, m=m, core_mass=core_mass, flags=("size_exceeds_space",),
+        )
+        return _encode(size, order, (), (), size), trace
 
     representatives = order[:m]
     band = representatives[len(core):]
@@ -402,25 +405,9 @@ def baseline_collapse_mapping(dist: AtomicDistribution, m: int, gamma: Mass) -> 
     shaping: everything outside the core encodes to index 0.  Its
     divergence shows what the greedy allocation buys.
     """
-    if m < 1:
-        raise OutOfRange(f"codebook size must be positive, got {m}")
-    if gamma <= 0:
-        raise OutOfRange(f"slack exponent must be positive, got {gamma}")
-    r_low, _ = rate_window(m, dist.n, gamma)
-    cut = Fraction(1, m)
-    order = sort_descending(dist)
-    core = [
-        x
-        for x in order
-        if dist.masses[x] >= cut and self_information(dist, x) <= r_low
-    ]
-    if not core:
-        core = [order[0]]
-    phi = [0] * len(dist.masses)
-    for j, x in enumerate(core):
-        phi[x] = j
-    psi = tuple(core) + (core[-1],) * (m - len(core))
-    return MappingPair(tuple(phi), psi, m)
+    order, _, core = _classify(dist, m, gamma)
+    core = core or [order[0]]
+    return _encode(len(dist.masses), core, core, (), m)
 
 
 def apply_mapping(dist: AtomicDistribution, mapping: MappingPair) -> AtomicDistribution:
@@ -476,10 +463,7 @@ def converse_bound(
     sources contribute exact probabilities.  Clamping records that f went
     negative, which happens once the cdf argument passes 1.
     """
-    if m < 1:
-        raise OutOfRange(f"codebook size must be positive, got {m}")
-    if gamma <= 0:
-        raise OutOfRange(f"slack exponent must be positive, got {gamma}")
+    _check_window(m, gamma)
     _require_nonincreasing(curve, "the converse")
     n = summary.n
     v_star = math.log(m) / n + float(gamma)
@@ -535,6 +519,7 @@ def entropy_mapping_bound(trace: ConstructionTrace, curve: FCurve) -> BoundRepor
 
 def trace_to_jsonable(trace: ConstructionTrace) -> dict:
     """Plain-dict view of a trace for JSON export; exact masses as strings."""
+    conditional = trace.conditional
     return {
         "kind": trace.kind,
         "m": trace.m,
@@ -548,10 +533,6 @@ def trace_to_jsonable(trace: ConstructionTrace) -> dict:
         "allocations": [list(atoms) for atoms in trace.allocations],
         "stop_index": trace.stop_index,
         "core_mass": str(trace.core_mass),
-        "conditional": (
-            None
-            if trace.conditional is None
-            else [str(v) for v in trace.conditional.masses]
-        ),
+        "conditional": None if conditional is None else [str(v) for v in conditional.masses],
         "flags": list(trace.flags),
     }

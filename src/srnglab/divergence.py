@@ -291,6 +291,11 @@ def f_inverse(curve: FCurve, T: Mass) -> Mass:
     return hi
 
 
+def _budget_threshold(curve: FCurve, delta: Mass) -> Mass:
+    """f^{-1}(delta), or 0 once delta reaches f(0+) and any level will do."""
+    return 0 if delta >= curve.f_at_zero else f_inverse(curve, delta)
+
+
 def log_sum_check(
     curve: FCurve,
     numerators: Sequence[Mass],

@@ -11,6 +11,9 @@ sources give exact tails; values are per-symbol nats computed through
 integer logarithms and therefore immune to underflow even when individual
 sequence probabilities are far below double-precision range.
 
+Every tail is summed from the top point down by one helper, so a float
+tail does not depend on which function asked for it.
+
 For IID and mixture sources the spectrum depends on a sequence only through
 its symbol counts, so large blocklengths are handled by enumerating type
 classes instead of outcomes: binomially many terms for a binary alphabet
@@ -19,12 +22,13 @@ instead of 2**n.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .divergence import FCurve, check_conditions, f_inverse
+from .divergence import FCurve, _budget_threshold, check_conditions
 from .errors import InvalidModel, OutOfRange
 from .probability import (
     DEFAULT_ATOM_CAP,
@@ -97,36 +101,29 @@ def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
     return SpectrumSummary(points=tuple(sorted(acc.items())), n=dist.n)
 
 
-def _suffix_tails(summary: SpectrumSummary) -> list[Mass]:
-    # tails[i] = mass strictly above the i-th value; tails[last] = 0 exactly.
-    tails: list[Mass] = [0] * len(summary.points)
-    running: Mass = 0
-    for i in range(len(summary.points) - 1, 0, -1):
-        running = running + summary.points[i][1]
-        tails[i - 1] = running
-    return tails
+def _top_sums(points: Sequence[tuple[float, Mass]]) -> list[Mass]:
+    # sums[j] = mass of the j highest points, added from the top down, so
+    # every tail is summed in one order and the empty tail is exactly 0.
+    sums: list[Mass] = [0]
+    for _, mass in reversed(points):
+        sums.append(sums[-1] + mass)
+    return sums
+
+
+def _tails(summary: SpectrumSummary) -> Iterator[tuple[float, Mass]]:
+    # (v, Pr{V > v}) for every point v in ascending order; no such tail
+    # holds the lowest point, so its mass is never added.
+    return zip(summary.values(), reversed(_top_sums(summary.points[1:])))
 
 
 def tail_above(summary: SpectrumSummary, v: float) -> Mass:
     """Pr{V > v}, accumulated from the top so the largest value has tail 0."""
-    total: Mass = 0
-    for value, mass in reversed(summary.points):
-        if value > v:
-            total = total + mass
-        else:
-            break
-    return total
+    return _top_sums(summary.points[bisect.bisect_right(summary.values(), v):])[-1]
 
 
 def tail_from(summary: SpectrumSummary, v: float) -> Mass:
     """Pr{V >= v}."""
-    total: Mass = 0
-    for value, mass in reversed(summary.points):
-        if value >= v:
-            total = total + mass
-        else:
-            break
-    return total
+    return _top_sums(summary.points[bisect.bisect_left(summary.values(), v):])[-1]
 
 
 def cdf_at(summary: SpectrumSummary, v: float) -> Mass:
@@ -160,16 +157,13 @@ def sup_entropy_quantile(summary: SpectrumSummary, eps: Mass) -> RateReport:
     """
     if eps < 0:
         raise OutOfRange(f"tail level must be nonnegative, got {eps}")
-    tails = _suffix_tails(summary)
-    for (value, _), tail in zip(summary.points, tails):
-        if tail <= eps:
-            return RateReport(
-                quantity="sup_entropy_quantile",
-                value=value,
-                n=summary.n,
-                detail=(("eps", str(eps)),),
-            )
-    raise AssertionError("unreachable: the top spectrum point has tail zero")
+    value = next(v for v, tail in _tails(summary) if tail <= eps)
+    return RateReport(
+        quantity="sup_entropy_quantile",
+        value=value,
+        n=summary.n,
+        detail=(("eps", str(eps)),),
+    )
 
 
 def k_f_rate(summary: SpectrumSummary, curve: FCurve, delta: Mass) -> RateReport:
@@ -185,17 +179,14 @@ def k_f_rate(summary: SpectrumSummary, curve: FCurve, delta: Mass) -> RateReport
         raise OutOfRange(f"divergence budget must be nonnegative, got {delta}")
     if not check_conditions(curve).nonincreasing:
         raise OutOfRange(f"{curve.name} is not nonincreasing; its rate is undefined here")
-    thr: Mass = 0 if delta >= curve.f_at_zero else f_inverse(curve, delta)
-    tails = _suffix_tails(summary)
-    for (value, _), tail in zip(summary.points, tails):
-        if 1 - tail >= thr:
-            return RateReport(
-                quantity="k_f_rate",
-                value=value,
-                n=summary.n,
-                detail=(("curve", curve.name), ("delta", str(delta))),
-            )
-    raise AssertionError("unreachable: the top spectrum point has cdf one")
+    thr = _budget_threshold(curve, delta)
+    value = next(v for v, tail in _tails(summary) if 1 - tail >= thr)
+    return RateReport(
+        quantity="k_f_rate",
+        value=value,
+        n=summary.n,
+        detail=(("curve", curve.name), ("delta", str(delta))),
+    )
 
 
 def smooth_max_entropy(dist: AtomicDistribution, delta: Mass) -> tuple[float, frozenset[int]]:
@@ -210,17 +201,25 @@ def smooth_max_entropy(dist: AtomicDistribution, delta: Mass) -> tuple[float, fr
     if delta < 0 or delta > 1:
         raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
     target: Mass = 1 - Fraction(delta) if dist.exact else 1.0 - float(delta)
-    chosen: list[int] = []
-    cum: Mass = 0
-    for oid in sort_descending(dist):
-        mass = dist.masses[oid]
-        if mass == 0:
-            break
-        chosen.append(oid)
-        cum = cum + mass
-        if cum >= target:
-            break
+    chosen, _ = _descending_prefix(dist, sort_descending(dist), target)
     return math.log(len(chosen)), frozenset(chosen)
+
+
+def _descending_prefix(
+    dist: AtomicDistribution, order: Sequence[int], target: Mass
+) -> tuple[list[int], Mass]:
+    """Shortest prefix of the descending order whose mass reaches target,
+    and that mass; never empty, and never past the last positive mass."""
+    ids: list[int] = []
+    mass: Mass = 0
+    for x in order:
+        if dist.masses[x] == 0:
+            break
+        ids.append(x)
+        mass = mass + dist.masses[x]
+        if mass >= target:
+            break
+    return ids, mass
 
 
 def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
@@ -240,37 +239,34 @@ def _multinomial(n: int, counts: Sequence[int]) -> int:
     return out
 
 
-def _weighted_exact_pmfs(
-    variant: IID | Mixture, n: int
-) -> tuple[tuple[Fraction, tuple[Fraction, ...]], ...]:
+def _types(variant: IID | Mixture, n: int) -> Iterator[tuple[Fraction, int]]:
+    """(per-sequence mass, class size) of every positive-mass type class.
+
+    Sequence probability depends on the symbol counts alone, so one exact
+    term per composition of n stands for its whole class.
+    """
     if not SourceModel(variant, n).exact:
         raise InvalidModel("type-class enumeration needs rational source parameters")
-    if isinstance(variant, IID):
-        return ((Fraction(1), tuple(Fraction(p) for p in variant.pmf)),)
-    if isinstance(variant, Mixture):
-        return tuple(
-            (Fraction(w), tuple(Fraction(p) for p in c.pmf))
-            for w, c in zip(variant.weights, variant.components)
-        )
-    raise InvalidModel("type classes need an IID or mixture source")
+    if not isinstance(variant, (IID, Mixture)):
+        raise InvalidModel("type classes need an IID or mixture source")
+    parts = ((1, variant),) if isinstance(variant, IID) else zip(variant.weights, variant.components)
+    weighted = tuple((Fraction(w), tuple(Fraction(p) for p in c.pmf)) for w, c in parts)
+    for counts in _compositions(n, variant.alphabet_size):
+        seq_mass = sum(w * _iid_type_mass(pmf, counts) for w, pmf in weighted)
+        if seq_mass != 0:
+            yield seq_mass, _multinomial(n, counts)
 
 
 def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:
     """Spectrum of an IID or mixture source without materializing X^n.
 
-    Sequence probability is a function of the symbol counts alone, so one
-    term per composition of n suffices.  Masses are exact fractions with
+    One term per type class suffices.  Masses are exact fractions with
     denominators far outside float range; values go through integer logs.
     """
-    weighted = _weighted_exact_pmfs(variant, n)
-    k = variant.alphabet_size
     acc: dict[float, Fraction] = {}
-    for counts in _compositions(n, k):
-        seq_mass = sum(w * _iid_type_mass(pmf, counts) for w, pmf in weighted)
-        if seq_mass == 0:
-            continue
+    for seq_mass, size in _types(variant, n):
         value = self_information_value(seq_mass, n)
-        acc[value] = acc.get(value, Fraction(0)) + _multinomial(n, counts) * seq_mass
+        acc[value] = acc.get(value, 0) + size * seq_mass
     return SpectrumSummary(points=tuple(sorted(acc.items())), n=n)
 
 
@@ -286,14 +282,8 @@ def typeclass_smooth_max_entropy(
     """
     if delta < 0 or delta > 1:
         raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
-    weighted = _weighted_exact_pmfs(variant, n)
     target = 1 - Fraction(delta)
-    types: list[tuple[Fraction, int]] = []
-    for counts in _compositions(n, variant.alphabet_size):
-        seq_mass = sum(w * _iid_type_mass(pmf, counts) for w, pmf in weighted)
-        if seq_mass > 0:
-            types.append((seq_mass, _multinomial(n, counts)))
-    types.sort(key=lambda item: item[0], reverse=True)
+    types = sorted(_types(variant, n), key=lambda item: item[0], reverse=True)
     if target <= 0:
         return 0.0, 1
     cum = Fraction(0)
@@ -332,11 +322,10 @@ def rate_convergence_sweep(
 
     For each n two rows are produced: the resolution rate at budget delta
     and the normalized smooth max entropy at the matching tail level
-    nu = 1 - f^{-1}(delta).  Small outcome spaces are expanded directly;
-    larger ones go through the type-class route.
+    nu = 1 - f^{-1}(delta) (1 once delta reaches f(0+)).  Small outcome
+    spaces are expanded directly; larger ones go through the type-class route.
     """
-    thr = f_inverse(curve, delta)
-    eps = 1 - thr
+    eps = 1 - _budget_threshold(curve, delta)
     rows: list[SweepRow] = []
     for n in ns:
         if variant.alphabet_size**n <= direct_limit:

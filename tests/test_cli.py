@@ -171,6 +171,60 @@ def test_construct_exits_3_when_a_bound_is_violated(tmp_path, monkeypatch):
     assert payload["all_within_bounds"] is False
 
 
+def test_construct_names_each_escaping_record_on_stderr(tmp_path, monkeypatch, capsys):
+    import srnglab.cli as cli_module
+
+    code, out = run(tmp_path, "construct", outname="good")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    good = json.loads((out / "construct.json").read_text())
+
+    def broken_bound(trace, curve):
+        return SimpleNamespace(value=-1.0, clamped=False)
+
+    monkeypatch.setattr(cli_module, "achievability_bound", broken_bound)
+    monkeypatch.setattr(cli_module, "entropy_mapping_bound", broken_bound)
+    code, out = run(tmp_path, "construct", outname="bad")
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    expected = []
+    for name in ("variational", "reverse_kl"):
+        entry = good["mappings"][0]["curves"][name]
+        exact = entry["divergence"]
+        expected.append(
+            f"out of bounds: m=2 gamma=1/10 curve={name}: divergence {exact} "
+            f"outside [{entry['converse']!r}, -1.0], gap {float(F(exact)) + 1.0!r}"
+        )
+    for rec in good["entropy_mappings"]:
+        exact = rec["divergence"]
+        expected.append(
+            f"out of bounds: entropy prefix m={rec['m']} gamma=1/10 curve={rec['curve']} "
+            f"delta=1/10: divergence {exact} outside [-inf, -1.0], gap {float(F(exact)) + 1.0!r}"
+        )
+    assert len(expected) == 4
+    assert lines == expected
+
+    # The diagnostics stay on stderr: the file differs from a passing run
+    # only in the fields the patched bounds feed.
+    bad = json.loads((out / "construct.json").read_text())
+    for record in bad["mappings"]:
+        for entry in record["curves"].values():
+            assert entry.pop("achievability") == -1.0
+            assert entry.pop("achievability_clamped") is False
+            assert entry.pop("within_bounds") is False
+    for rec in bad["entropy_mappings"]:
+        assert rec.pop("bound") == -1.0
+        assert rec.pop("within_bounds") is False
+    for record in good["mappings"]:
+        for entry in record["curves"].values():
+            del entry["achievability"], entry["achievability_clamped"], entry["within_bounds"]
+    for rec in good["entropy_mappings"]:
+        del rec["bound"], rec["within_bounds"]
+    assert bad.pop("all_within_bounds") is False
+    assert good.pop("all_within_bounds") is True
+    assert bad == good
+
+
 def test_oracle_matches_a_direct_search(tmp_path):
     code, out = run(tmp_path, "oracle")
     assert code == 0

@@ -279,13 +279,17 @@ def test_sweep_rows_cover_both_quantities() -> None:
 
 def test_sweep_values_match_direct_computation() -> None:
     pmf = (F(1, 4), F(3, 4))
-    rows = rate_convergence_sweep(IID(pmf), (3,), variational(), F(1, 5))
     d = expand(SourceModel(IID(pmf), 3))
-    expect_kf = k_f_rate(spectrum_cdf(d), variational(), F(1, 5)).value
-    smooth_value, _ = smooth_max_entropy(d, F(1, 5))
-    by_quantity = {r.quantity: r.value for r in rows}
-    assert by_quantity["k_f_rate"] == expect_kf
-    assert by_quantity["smooth_max_entropy_rate"] == pytest.approx(smooth_value / 3)
+    # A budget of 3/2 lies above f(0+) = 1: every cdf level qualifies and
+    # the matching tail level is 1, as in k_f_rate.
+    for delta in (F(1, 5), F(3, 2)):
+        rows = rate_convergence_sweep(IID(pmf), (3,), variational(), delta)
+        expect_kf = k_f_rate(spectrum_cdf(d), variational(), delta).value
+        smooth_value, _ = smooth_max_entropy(d, min(delta, 1))
+        by_quantity = {r.quantity: r.value for r in rows}
+        assert by_quantity["k_f_rate"] == expect_kf
+        assert by_quantity["smooth_max_entropy_rate"] == pytest.approx(smooth_value / 3)
+        assert all(r.nu == float(min(delta, 1)) for r in rows)
 
 
 def test_sweep_tail_budget_comes_from_the_inverse() -> None:
