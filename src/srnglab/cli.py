@@ -10,7 +10,8 @@ with sorted keys, exact masses appear as num/den strings, CSV rows come
 out in generation order, and nothing stamps time or machine state into a
 file.  The construct command exits nonzero when any computed divergence
 escapes its proved bracket, which makes it usable as a self-check, and
-names each escaping record on stderr, never in its output file.
+names each escaping record on stderr, never in its output file; rdp
+likewise names each report whose floor exceeds its ceiling on stderr.
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ from .oracle import min_fdiv_bruteforce, min_fdiv_bruteforce_full
 from .probability import IID, Markov, Mass, expand
 from .rdp import d_threshold, mapping_distortion, rd_function_iid, rdp_lower_bound
 from .spectrum import (
+    _sweep_pairs,
     k_f_rate,
-    rate_convergence_sweep,
     smooth_max_entropy,
     spectrum_cdf,
     sup_entropy_quantile,
@@ -288,6 +289,11 @@ def _run_rdp(cfg: RunConfig) -> int:
             threshold = d_threshold(summary, curve, delta, cfg.distortion)
             for d in cfg.ds:
                 report = rdp_lower_bound(pmf, cfg.distortion, d, summary, curve, delta)
+                lower = _num(report.lower, units)
+                upper = None if report.upper is None else _num(report.upper, units)
+                if not report.consistent:
+                    print(f"inconsistent: curve={curve.name} delta={delta} d={d}: "
+                          f"lower {lower!r} > upper {upper!r}", file=sys.stderr)
                 reports.append(
                     {
                         "curve": curve.name,
@@ -296,8 +302,8 @@ def _run_rdp(cfg: RunConfig) -> int:
                         "threshold": _num(threshold, units),
                         "rd": _num(report.rd_value, units),
                         "k_f_rate": _num(report.kf_value, units),
-                        "lower": _num(report.lower, units),
-                        "upper": None if report.upper is None else _num(report.upper, units),
+                        "lower": lower,
+                        "upper": upper,
                         "consistent": report.consistent,
                     }
                 )
@@ -318,17 +324,17 @@ def _run_sweep(cfg: RunConfig) -> int:
         raise SrnglabError("the sweep command needs an iid or mixture source")
     variant = cfg.source().variant
     scale = _LN2 if cfg.units == "bits" else 1.0
-    rows: list[list[Any]] = []
+    pairs = []
     for curve in cfg.curves():
         if not check_conditions(curve).nonincreasing:
             print(f"skipping {curve.name}: not nonincreasing", file=sys.stderr)
             continue
-        for delta in cfg.deltas:
-            for row in rate_convergence_sweep(variant, cfg.sweep_ns, curve, delta, cfg.cap):
-                rows.append(
-                    [row.n, repr(row.nu), repr(row.delta), row.quantity,
-                     repr(row.value / scale), row.curve]
-                )
+        pairs += [(curve, delta) for delta in cfg.deltas]
+    rows: list[list[Any]] = [
+        [row.n, repr(row.nu), repr(row.delta), row.quantity, repr(row.value / scale), row.curve]
+        for pair_rows in _sweep_pairs(variant, cfg.sweep_ns, pairs, cfg.cap)
+        for row in pair_rows
+    ]
     _write_csv(
         Path(cfg.out_dir) / "sweep.csv",
         ["n", "nu", "delta", "quantity", "value", "curve"],

@@ -146,6 +146,7 @@ def _blahut(
     active = [a for a in range(len(p)) if p[a] > 0]
     kernels = [[math.exp(-beta * g[a][b]) for b in range(k)] for a in range(len(p))]
     q = [1.0 / k] * k
+    drift = math.inf
     for _ in range(max_iter):
         new_q = [0.0] * k
         for a in active:
@@ -160,7 +161,10 @@ def _blahut(
         if drift < tol:
             break
     else:
-        raise NoConvergence(f"output law not stable after {max_iter} iterations")
+        raise NoConvergence(
+            f"output law not stable after max_iter = {max_iter} iterations at "
+            f"beta = {beta!r}: last drift {drift!r}, tolerance {tol!r}"
+        )
     value = 0.0
     distortion = 0.0
     for a in active:
@@ -218,7 +222,10 @@ def rd_function_iid(
             break
         hi *= 2.0
     else:
-        raise NoConvergence("no multiplier meets the distortion target")
+        raise NoConvergence(
+            f"no multiplier meets the distortion target d = {d!r}; "
+            f"the last one tried was beta = {hi / 2.0!r}"
+        )
 
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     lo = 0.0

@@ -17,7 +17,15 @@ tail does not depend on which function asked for it.
 For IID and mixture sources the spectrum depends on a sequence only through
 its symbol counts, so large blocklengths are handled by enumerating type
 classes instead of outcomes: binomially many terms for a binary alphabet
-instead of 2**n.
+instead of 2**n.  The enumeration works on integer numerators over one
+shared denominator (the lcm of the weight denominators times the n-th
+power of the lcm of the pmf denominators); a Fraction is made once per
+type, for its value, and once per spectrum point, for its mass.
+
+A convergence sweep computes each blocklength once for all of its
+(curve, budget) pairs: one descending type list serves every smooth max
+entropy and is dropped before the spectrum is built, and one cumulative
+list serves every resolution rate.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
@@ -85,6 +94,9 @@ class SpectrumSummary:
     def values(self) -> tuple[float, ...]:
         return tuple(v for v, _ in self.points)
 
+    def masses(self) -> tuple[Mass, ...]:
+        return tuple(m for _, m in self.points)
+
 
 def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
     """Summarize a materialized distribution into its information spectrum.
@@ -101,29 +113,35 @@ def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
     return SpectrumSummary(points=tuple(sorted(acc.items())), n=dist.n)
 
 
-def _top_sums(points: Sequence[tuple[float, Mass]]) -> list[Mass]:
+def _top_sums(masses: Sequence[Mass]) -> list[Mass]:
     # sums[j] = mass of the j highest points, added from the top down, so
     # every tail is summed in one order and the empty tail is exactly 0.
     sums: list[Mass] = [0]
-    for _, mass in reversed(points):
+    for mass in reversed(masses):
         sums.append(sums[-1] + mass)
     return sums
 
 
-def _tails(summary: SpectrumSummary) -> Iterator[tuple[float, Mass]]:
-    # (v, Pr{V > v}) for every point v in ascending order; no such tail
-    # holds the lowest point, so its mass is never added.
-    return zip(summary.values(), reversed(_top_sums(summary.points[1:])))
+def _tails(masses: Sequence[Mass]) -> list[Mass]:
+    # Pr{V > v} at every point in ascending order; no such tail holds the
+    # lowest point, so its mass is never added.
+    return _top_sums(masses[1:])[::-1]
+
+
+def _cdfs(masses: Sequence[Mass]) -> list[Mass]:
+    # Pr{V <= v} = 1 - Pr{V > v} at every point: nondecreasing, since each
+    # tail only adds masses to the one above it, and exactly 1 at the top.
+    return [1 - tail for tail in _tails(masses)]
 
 
 def tail_above(summary: SpectrumSummary, v: float) -> Mass:
     """Pr{V > v}, accumulated from the top so the largest value has tail 0."""
-    return _top_sums(summary.points[bisect.bisect_right(summary.values(), v):])[-1]
+    return _top_sums(summary.masses()[bisect.bisect_right(summary.values(), v):])[-1]
 
 
 def tail_from(summary: SpectrumSummary, v: float) -> Mass:
     """Pr{V >= v}."""
-    return _top_sums(summary.points[bisect.bisect_left(summary.values(), v):])[-1]
+    return _top_sums(summary.masses()[bisect.bisect_left(summary.values(), v):])[-1]
 
 
 def cdf_at(summary: SpectrumSummary, v: float) -> Mass:
@@ -157,13 +175,21 @@ def sup_entropy_quantile(summary: SpectrumSummary, eps: Mass) -> RateReport:
     """
     if eps < 0:
         raise OutOfRange(f"tail level must be nonnegative, got {eps}")
-    value = next(v for v, tail in _tails(summary) if tail <= eps)
+    tails = _tails(summary.masses())
+    value = next(v for v, tail in zip(summary.values(), tails) if tail <= eps)
     return RateReport(
         quantity="sup_entropy_quantile",
         value=value,
         n=summary.n,
         detail=(("eps", str(eps)),),
     )
+
+
+def _check_budget(curve: FCurve, delta: Mass) -> None:
+    if delta < 0:
+        raise OutOfRange(f"divergence budget must be nonnegative, got {delta}")
+    if not check_conditions(curve).nonincreasing:
+        raise OutOfRange(f"{curve.name} is not nonincreasing; its rate is undefined here")
 
 
 def k_f_rate(summary: SpectrumSummary, curve: FCurve, delta: Mass) -> RateReport:
@@ -175,12 +201,9 @@ def k_f_rate(summary: SpectrumSummary, curve: FCurve, delta: Mass) -> RateReport
     tails inside exact comparisons.  The top point always qualifies since
     its cdf is exactly one and f(1) = 0.
     """
-    if delta < 0:
-        raise OutOfRange(f"divergence budget must be nonnegative, got {delta}")
-    if not check_conditions(curve).nonincreasing:
-        raise OutOfRange(f"{curve.name} is not nonincreasing; its rate is undefined here")
+    _check_budget(curve, delta)
     thr = _budget_threshold(curve, delta)
-    value = next(v for v, tail in _tails(summary) if 1 - tail >= thr)
+    value = summary.values()[bisect.bisect_left(_cdfs(summary.masses()), thr)]
     return RateReport(
         quantity="k_f_rate",
         value=value,
@@ -200,9 +223,13 @@ def smooth_max_entropy(dist: AtomicDistribution, delta: Mass) -> tuple[float, fr
     """
     if delta < 0 or delta > 1:
         raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
-    target: Mass = 1 - Fraction(delta) if dist.exact else 1.0 - float(delta)
-    chosen, _ = _descending_prefix(dist, sort_descending(dist), target)
+    chosen = _smooth_set(dist, sort_descending(dist), delta)
     return math.log(len(chosen)), frozenset(chosen)
+
+
+def _smooth_set(dist: AtomicDistribution, order: Sequence[int], delta: Mass) -> list[int]:
+    target: Mass = 1 - Fraction(delta) if dist.exact else 1.0 - float(delta)
+    return _descending_prefix(dist, order, target)[0]
 
 
 def _descending_prefix(
@@ -239,35 +266,70 @@ def _multinomial(n: int, counts: Sequence[int]) -> int:
     return out
 
 
-def _types(variant: IID | Mixture, n: int) -> Iterator[tuple[Fraction, int]]:
-    """(per-sequence mass, class size) of every positive-mass type class.
+def _types(variant: IID | Mixture, n: int) -> tuple[int, Iterator[tuple[int, int]]]:
+    """Shared denominator, and (per-sequence mass times it, class size) of
+    every positive-mass type class.
 
-    Sequence probability depends on the symbol counts alone, so one exact
-    term per composition of n stands for its whole class.
+    Sequence probability depends on the symbol counts alone, so one term per
+    composition of n stands for its whole class.  The denominator is the
+    lcm of the weight denominators times the n-th power of the lcm of the
+    pmf denominators, so every sequence mass is an integer over it.
     """
     if not SourceModel(variant, n).exact:
         raise InvalidModel("type-class enumeration needs rational source parameters")
     if not isinstance(variant, (IID, Mixture)):
         raise InvalidModel("type classes need an IID or mixture source")
     parts = ((1, variant),) if isinstance(variant, IID) else zip(variant.weights, variant.components)
-    weighted = tuple((Fraction(w), tuple(Fraction(p) for p in c.pmf)) for w, c in parts)
-    for counts in _compositions(n, variant.alphabet_size):
-        seq_mass = sum(w * _iid_type_mass(pmf, counts) for w, pmf in weighted)
-        if seq_mass != 0:
-            yield seq_mass, _multinomial(n, counts)
+    weighted = [(Fraction(w), [Fraction(p) for p in c.pmf]) for w, c in parts]
+    w_den = math.lcm(*(w.denominator for w, _ in weighted))
+    p_den = math.lcm(*(p.denominator for _, pmf in weighted for p in pmf))
+    scaled = [(int(w * w_den), [int(p * p_den) for p in pmf]) for w, pmf in weighted]
+
+    def classes() -> Iterator[tuple[int, int]]:
+        for counts in _compositions(n, variant.alphabet_size):
+            num = sum(w * _iid_type_mass(pmf, counts) for w, pmf in scaled)
+            if num:
+                yield num, _multinomial(n, counts)
+
+    return w_den * p_den**n, classes()
 
 
 def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:
     """Spectrum of an IID or mixture source without materializing X^n.
 
     One term per type class suffices.  Masses are exact fractions with
-    denominators far outside float range; values go through integer logs.
+    denominators far outside float range; values go through integer logs
+    of each type's reduced mass.
     """
-    acc: dict[float, Fraction] = {}
-    for seq_mass, size in _types(variant, n):
-        value = self_information_value(seq_mass, n)
-        acc[value] = acc.get(value, 0) + size * seq_mass
-    return SpectrumSummary(points=tuple(sorted(acc.items())), n=n)
+    den, classes = _types(variant, n)
+    acc: dict[float, int] = {}
+    for num, size in classes:
+        value = self_information_value(Fraction(num, den), n)
+        acc[value] = acc.get(value, 0) + size * num
+    points = tuple((v, Fraction(s, den)) for v, s in sorted(acc.items()))
+    return SpectrumSummary(points=points, n=n)
+
+
+def _typeclass_set_size(descending: Sequence[tuple[int, int]], den: int, target: Fraction) -> int:
+    """Fewest sequences, heaviest first, whose mass reaches target.
+
+    descending holds (sequence mass times den, class size) by descending
+    mass.  Whole classes enter in that order and the last one partially,
+    with the ceiling count it takes; comparisons and ceiling are integer
+    cross-multiplications.  A target of zero or less still takes one.
+    """
+    if target <= 0:
+        return 1
+    need = target.numerator * den
+    scale = target.denominator
+    cum = size = 0
+    for num, count in descending:
+        block = count * num
+        if (cum + block) * scale >= need:
+            return size - (cum * scale - need) // (num * scale)
+        cum += block
+        size += count
+    return size
 
 
 def typeclass_smooth_max_entropy(
@@ -282,19 +344,8 @@ def typeclass_smooth_max_entropy(
     """
     if delta < 0 or delta > 1:
         raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
-    target = 1 - Fraction(delta)
-    types = sorted(_types(variant, n), key=lambda item: item[0], reverse=True)
-    if target <= 0:
-        return 0.0, 1
-    cum = Fraction(0)
-    size = 0
-    for seq_mass, count in types:
-        block = count * seq_mass
-        if cum + block >= target:
-            size += math.ceil((target - cum) / seq_mass)
-            return math.log(size), size
-        cum += block
-        size += count
+    den, classes = _types(variant, n)
+    size = _typeclass_set_size(sorted(classes, reverse=True), den, 1 - Fraction(delta))
     return math.log(size), size
 
 
@@ -323,19 +374,75 @@ def rate_convergence_sweep(
     For each n two rows are produced: the resolution rate at budget delta
     and the normalized smooth max entropy at the matching tail level
     nu = 1 - f^{-1}(delta) (1 once delta reaches f(0+)).  Small outcome
-    spaces are expanded directly; larger ones go through the type-class route.
+    spaces are expanded directly; larger ones go through the type-class
+    route, which needs rational parameters: a float source with some
+    k**n above direct_limit is rejected before any blocklength is computed.
     """
-    eps = 1 - _budget_threshold(curve, delta)
-    rows: list[SweepRow] = []
+    return _sweep_pairs(variant, ns, [(curve, delta)], cap, direct_limit)[0]
+
+
+def _sweep_pairs(
+    variant: IID | Mixture,
+    ns: Sequence[int],
+    pairs: Sequence[tuple[FCurve, Mass]],
+    cap: int = DEFAULT_ATOM_CAP,
+    direct_limit: int = 1 << 14,
+) -> list[tuple[SweepRow, ...]]:
+    """rate_convergence_sweep for every (curve, delta) pair, one row tuple
+    per pair, computing each blocklength once for all of them.
+
+    Every pair is checked before any work starts.
+    """
+    for curve, delta in pairs:
+        _check_budget(curve, delta)
+    if not pairs:
+        return []
+    k = variant.alphabet_size
+    big = next((n for n in ns if k**n > direct_limit), None)
+    if big is not None and not SourceModel(variant, big).exact:
+        raise InvalidModel(
+            f"float sweep cannot reach n = {big}: {k}^{big} outcomes exceed the direct "
+            f"limit {direct_limit} and the type-class route needs exact arithmetic (use --exact)"
+        )
+    thresholds = [_budget_threshold(curve, delta) for curve, delta in pairs]
+    levels = [1 - thr for thr in thresholds]
+    rows: list[list[SweepRow]] = [[] for _ in pairs]
     for n in ns:
-        if variant.alphabet_size**n <= direct_limit:
-            dist = expand(SourceModel(variant, n), cap)
-            summary = spectrum_cdf(dist)
-            h0 = smooth_max_entropy(dist, eps)[0] / n
-        else:
-            summary = typeclass_spectrum(variant, n)
-            h0 = typeclass_smooth_max_entropy(variant, n, eps)[0] / n
-        kf = k_f_rate(summary, curve, delta).value
-        rows.append(SweepRow(n, float(eps), float(delta), "k_f_rate", kf, curve.name))
-        rows.append(SweepRow(n, float(eps), float(delta), "smooth_max_entropy_rate", h0, curve.name))
-    return tuple(rows)
+        kfs, h0s = _sweep_point(variant, n, thresholds, levels, cap, direct_limit)
+        for out, (curve, delta), eps, kf, h0 in zip(rows, pairs, levels, kfs, h0s):
+            out.append(SweepRow(n, float(eps), float(delta), "k_f_rate", kf, curve.name))
+            out.append(SweepRow(n, float(eps), float(delta), "smooth_max_entropy_rate", h0, curve.name))
+    return [tuple(out) for out in rows]
+
+
+def _sweep_point(
+    variant: IID | Mixture,
+    n: int,
+    thresholds: Sequence[Mass],
+    levels: Sequence[Mass],
+    cap: int,
+    direct_limit: int,
+) -> tuple[list[float], list[float]]:
+    """k_f_rate at every cdf threshold f^{-1}(delta), and the normalized
+    smooth max entropy at every matching tail level, at blocklength n."""
+    if variant.alphabet_size**n <= direct_limit:
+        dist = expand(SourceModel(variant, n), cap)
+        order = sort_descending(dist)
+        h0s = [math.log(len(_smooth_set(dist, order, eps))) / n for eps in levels]
+        summary = spectrum_cdf(dist)
+        cdfs, keys = _cdfs(summary.masses()), thresholds
+    else:
+        den, classes = _types(variant, n)
+        descending = sorted(classes, reverse=True)
+        sizes = [_typeclass_set_size(descending, den, 1 - Fraction(eps)) for eps in levels]
+        h0s = [math.log(size) / n for size in sizes]
+        # The type list and the summary are each the largest object of a
+        # blocklength; holding one at a time keeps the peak at one of them.
+        del descending
+        summary = typeclass_spectrum(variant, n)
+        # Cumulative mass numerators over den: integer sums are exact, so
+        # summing from the bottom gives the same cdf as den minus the tail.
+        cdfs = list(accumulate(m.numerator * (den // m.denominator) for m in summary.masses()))
+        keys = [math.ceil(Fraction(thr) * den) for thr in thresholds]
+    values = summary.values()
+    return [values[bisect.bisect_left(cdfs, key)] for key in keys], h0s

@@ -259,6 +259,40 @@ def test_rdp_reports_are_internally_consistent(tmp_path):
             assert report["upper"] >= lower
 
 
+def test_rdp_names_each_inconsistent_report_on_stderr(tmp_path, monkeypatch, capsys):
+    import srnglab.cli as cli_module
+
+    code, out = run(tmp_path, "rdp", outname="good")
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    good = json.loads((out / "rdp.json").read_text())
+
+    real = cli_module.rdp_lower_bound
+
+    def inverted_bound(*args):
+        report = real(*args)
+        return SimpleNamespace(rd_value=report.rd_value, kf_value=report.kf_value,
+                               lower=0.75, upper=0.5, consistent=False)
+
+    monkeypatch.setattr(cli_module, "rdp_lower_bound", inverted_bound)
+    code, out = run(tmp_path, "rdp", outname="bad")
+    assert code == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"inconsistent: curve={name} delta=1/10 d=1/20: lower 0.75 > upper 0.5"
+        for name in ("variational", "reverse_kl")
+    ]
+
+    # rdp.json differs from a consistent run only in the patched fields.
+    bad = json.loads((out / "rdp.json").read_text())
+    assert len(bad["reports"]) == 2
+    for report in bad["reports"]:
+        patched = (report.pop("lower"), report.pop("upper"), report.pop("consistent"))
+        assert patched == (0.75, 0.5, False)
+    for report in good["reports"]:
+        del report["lower"], report["upper"], report["consistent"]
+    assert bad == good
+
+
 def test_rdp_rejects_markov_sources(tmp_path, capsys):
     text = BASE.replace("command = analyze", "command = rdp").replace(
         "variant = iid\nalphabet = 2\nn = 2\npmf = 3/4, 1/4", MARKOV_SOURCE
@@ -306,6 +340,24 @@ def test_sweep_rejects_markov_sources(tmp_path, capsys):
     code, _ = run(tmp_path, "sweep", text)
     assert code == 2
     assert "needs an iid or mixture source" in capsys.readouterr().err
+
+
+def test_float_sweep_beyond_the_direct_limit_exits_2_before_any_work(tmp_path, capsys):
+    text = (
+        BASE.replace("command = analyze", "command = sweep")
+        .replace("pmf = 3/4, 1/4", "pmf = 0.25, 0.75")
+        .replace("n_sweep = 1, 2, 3", "n_sweep = 1, 2, 3, 20")
+    )
+    code, out = run(tmp_path, "sweep", text, extra=["--float"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: float sweep cannot reach n = 20: 2^20 outcomes exceed the direct limit 16384 "
+        "and the type-class route needs exact arithmetic (use --exact)\n"
+    )
+    assert not (out / "sweep.csv").exists()
+    code, out = run(tmp_path, "sweep", text, extra=["--exact"], outname="exact")
+    assert code == 0
+    assert (out / "sweep.csv").read_text().count("\n") == 1 + 2 * 4 * 2
 
 
 def test_units_bits_divides_by_log_two(tmp_path):

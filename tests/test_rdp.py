@@ -151,9 +151,26 @@ def test_solver_rejects_table_specs() -> None:
         rd_function_iid((F(1, 2), F(1, 2)), DistortionSpec("table", ((0, 1), (1, 0))), 0.1)
 
 
-def test_solver_reports_non_convergence() -> None:
-    with pytest.raises(NoConvergence):
+def test_solver_reports_non_convergence(monkeypatch) -> None:
+    with pytest.raises(NoConvergence) as inner:
         rd_function_iid((F(7, 10), F(3, 10)), HAMMING2, 0.1, max_iter=1)
+    message = str(inner.value)
+    assert message.startswith("output law not stable after max_iter = 1 iterations at beta = 1.0: ")
+    drift = float(message.split("last drift ")[1].split(",")[0])
+    assert drift > 1e-9
+    assert message.endswith("tolerance 1e-09")
+
+    # A solver whose distortion never drops below the target exhausts the
+    # doubling search: the error names the target and the last multiplier.
+    import srnglab.rdp as rdp_module
+
+    monkeypatch.setattr(rdp_module, "_blahut", lambda p, g, beta, tol, max_iter: (0.0, 1.0))
+    with pytest.raises(NoConvergence) as outer:
+        rd_function_iid((F(7, 10), F(3, 10)), HAMMING2, 0.1)
+    assert str(outer.value) == (
+        "no multiplier meets the distortion target d = 0.1; "
+        f"the last one tried was beta = {2.0**199!r}"
+    )
 
 
 def test_rd_is_nonincreasing_in_distortion() -> None:

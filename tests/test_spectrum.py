@@ -28,6 +28,7 @@ from srnglab import (
     e_gamma,
     expand,
     f_inverse,
+    hellinger,
     k_f_rate,
     kl,
     rate_convergence_sweep,
@@ -41,6 +42,7 @@ from srnglab import (
     typeclass_spectrum,
     variational,
 )
+from srnglab.spectrum import _sweep_pairs
 
 F = Fraction
 
@@ -278,18 +280,73 @@ def test_sweep_rows_cover_both_quantities() -> None:
 
 
 def test_sweep_values_match_direct_computation() -> None:
-    pmf = (F(1, 4), F(3, 4))
-    d = expand(SourceModel(IID(pmf), 3))
-    # A budget of 3/2 lies above f(0+) = 1: every cdf level qualifies and
-    # the matching tail level is 1, as in k_f_rate.
-    for delta in (F(1, 5), F(3, 2)):
-        rows = rate_convergence_sweep(IID(pmf), (3,), variational(), delta)
-        expect_kf = k_f_rate(spectrum_cdf(d), variational(), delta).value
-        smooth_value, _ = smooth_max_entropy(d, min(delta, 1))
-        by_quantity = {r.quantity: r.value for r in rows}
-        assert by_quantity["k_f_rate"] == expect_kf
-        assert by_quantity["smooth_max_entropy_rate"] == pytest.approx(smooth_value / 3)
-        assert all(r.nu == float(min(delta, 1)) for r in rows)
+    # A budget of 3/2 lies above f(0+) = 1 for the bounded curves: every cdf
+    # level qualifies and the matching tail level is 1, as in k_f_rate.  At
+    # 73/128 the variational threshold 55/128 sits half a 1/64 step above
+    # the lowest cdf level 27/64 of iid (1/4, 3/4) at n = 3.
+    budgets = (F(1, 5), F(3, 2), F(73, 128))
+    pairs = [(c, d) for c in (variational(), hellinger(), reverse_kl()) for d in budgets]
+    mixture = Mixture((F(1, 3), F(2, 3)), (IID((F(1, 4), F(3, 4))), IID((F(1, 2), F(1, 2)))))
+    for source in (IID((F(1, 4), F(3, 4))), mixture, IID((0.25, 0.75))):
+        exact = SourceModel(source, 1).exact
+        # The default limit expands every n; a limit of 4 sends n = 3 and 5
+        # through the type-class route, which float sources cannot take.
+        for limit in (1 << 14, 4) if exact else (1 << 14,):
+            ns = (1, 2, 3, 5)
+            together = _sweep_pairs(source, ns, pairs, direct_limit=limit)
+            assert len(together) == len(pairs)
+            for (curve, delta), rows in zip(pairs, together):
+                assert rows == rate_convergence_sweep(source, ns, curve, delta, direct_limit=limit)
+                eps = 1 if delta >= curve.f_at_zero else 1 - f_inverse(curve, delta)
+                for n, (kf_row, h0_row) in zip(ns, zip(rows[::2], rows[1::2])):
+                    d = expand(SourceModel(source, n))
+                    assert (kf_row.n, kf_row.quantity, h0_row.n, h0_row.quantity) == (
+                        n, "k_f_rate", n, "smooth_max_entropy_rate"
+                    )
+                    assert kf_row.value == k_f_rate(spectrum_cdf(d), curve, delta).value
+                    smooth_value, _ = smooth_max_entropy(d, eps)
+                    assert h0_row.value == pytest.approx(smooth_value / n)
+                    assert kf_row.nu == h0_row.nu == float(eps)
+                    assert kf_row.delta == float(delta)
+
+
+def test_float_sweep_beyond_the_direct_limit_is_rejected_up_front(monkeypatch) -> None:
+    import srnglab.spectrum as spectrum_module
+
+    def no_expand(*args):
+        raise AssertionError("expanded a blocklength before rejecting the sweep")
+
+    monkeypatch.setattr(spectrum_module, "expand", no_expand)
+    source = IID((0.25, 0.75))
+    with pytest.raises(InvalidModel) as err:
+        rate_convergence_sweep(source, (1, 2, 3, 20), variational(), F(1, 5))
+    assert str(err.value) == (
+        "float sweep cannot reach n = 20: 2^20 outcomes exceed the direct limit 16384 "
+        "and the type-class route needs exact arithmetic (use --exact)"
+    )
+    with pytest.raises(InvalidModel, match=r"^float sweep cannot reach n = 3: 2\^3 outcomes "
+                       r"exceed the direct limit 4 "):
+        rate_convergence_sweep(source, (1, 2, 3, 20), variational(), F(1, 5), direct_limit=4)
+
+
+def test_sweep_checks_every_pair_before_any_work(monkeypatch) -> None:
+    import srnglab.spectrum as spectrum_module
+
+    def no_work(*args):
+        raise AssertionError("computed a blocklength before checking every pair")
+
+    monkeypatch.setattr(spectrum_module, "expand", no_work)
+    monkeypatch.setattr(spectrum_module, "typeclass_spectrum", no_work)
+    source = IID((F(1, 4), F(3, 4)))
+    good = (variational(), F(1, 5))
+    with pytest.raises(OutOfRange, match="^divergence budget must be nonnegative, got -1/5$"):
+        _sweep_pairs(source, (1, 200), [good, (hellinger(), F(-1, 5))])
+    with pytest.raises(OutOfRange, match="^kl is not nonincreasing; its rate is undefined here$"):
+        _sweep_pairs(source, (1, 200), [good, (kl(), F(1, 5))])
+    with pytest.raises(OutOfRange, match="^divergence budget must be nonnegative"):
+        rate_convergence_sweep(source, (200,), variational(), F(-1, 5))
+    # No pair, no work: nothing is computed and nothing is rejected.
+    assert _sweep_pairs(IID((0.25, 0.75)), (1, 200), []) == []
 
 
 def test_sweep_tail_budget_comes_from_the_inverse() -> None:

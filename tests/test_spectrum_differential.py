@@ -1,11 +1,13 @@
 """The shared spectrum helpers against the loops they replaced.
 
 Tails, quantile scans, descending prefixes and type-class enumeration
-each had hand-written copies before they went behind one helper apiece.
-The copies live on here as test-local references, and the public
-functions must agree with them under ==, with the same result type, on
-seeded exact and float spectra: float masses are summed in one fixed
-order, so float results are expected to be bit-identical, not close.
+each had hand-written copies before they went behind one helper apiece,
+and the type-class route summed Fraction masses before it moved to
+integer numerators over one shared denominator.  The copies live on here
+as test-local references, and the public functions must agree with them
+under ==, with the same result type, on seeded exact and float spectra:
+float masses are summed in one fixed order, so float results are
+expected to be bit-identical, not close.
 """
 
 from __future__ import annotations
@@ -227,6 +229,31 @@ def same(new, old):
     return new == old and type(new) is type(old)
 
 
+#: Type-class inputs beyond the seeded ones: pmf denominators that differ
+#: within and across components, mixture weights 1/3 and 2/3, symbols of
+#: probability zero, and blocklengths where denominators run to hundreds
+#: of digits.
+FIXED_TYPE_CLASS_INPUTS = (
+    (IID((F(1, 2), F(1, 3), F(1, 6))), 40),
+    (IID((F(3, 10), F(0), F(7, 10))), 9),
+    (Mixture((F(1, 3), F(2, 3)), (IID((F(1, 4), F(3, 4))), IID((F(2, 5), F(3, 5))))), 300),
+    (
+        Mixture(
+            (F(1, 3), F(2, 3)),
+            (IID((F(1, 2), F(0), F(1, 2))), IID((F(1, 6), F(1, 3), F(1, 2)))),
+        ),
+        20,
+    ),
+)
+
+
+def type_class_inputs(rng):
+    for _ in range(12):
+        variant = random_variant(rng)
+        yield variant, rng.randint(1, 40 if variant.alphabet_size == 2 else 12)
+    yield from FIXED_TYPE_CLASS_INPUTS
+
+
 # ---------------------------------------------------------------------------
 # tests
 
@@ -261,31 +288,34 @@ def test_tails_and_scans_match_the_replaced_loops_on_expanded_spectra() -> None:
 
 def test_tails_and_scans_match_the_replaced_loops_on_type_class_spectra() -> None:
     rng = random.Random(9127)
-    for _ in range(12):
-        variant = random_variant(rng)
-        n = rng.randint(1, 40 if variant.alphabet_size == 2 else 12)
+    for variant, n in type_class_inputs(rng):
         summary = typeclass_spectrum(variant, n)
         assert summary.points == old_typeclass_points(variant, n)
+        assert all(type(v) is float and type(m) is F for v, m in summary.points)
+        for delta in (F(0), F(1, 10), F(1, 2), F(1), F(3, 2)):
+            assert k_f_rate(summary, variational(), delta).value == old_k_f_rate(
+                summary, variational(), delta
+            )
+        for delta in (F(1, 10), 0.3):
+            got = k_f_rate(summary, hellinger(), delta).value
+            assert same(got, old_k_f_rate(summary, hellinger(), delta))
+        if len(summary.points) > 100:
+            continue  # the probes below are quadratic in the point count
         for v in probe_points(summary):
             assert same(tail_above(summary, v), old_tail_above(summary, v))
             assert same(tail_from(summary, v), old_tail_from(summary, v))
         for eps in tail_levels(summary):
             assert sup_entropy_quantile(summary, eps).value == old_quantile(summary, eps)
-        for delta in (F(0), F(1, 10), F(1, 2), F(1), F(3, 2)):
-            assert k_f_rate(summary, variational(), delta).value == old_k_f_rate(
-                summary, variational(), delta
-            )
 
 
 def test_typeclass_smooth_max_entropy_matches_the_replaced_loop() -> None:
     rng = random.Random(2718)
-    for _ in range(12):
-        variant = random_variant(rng)
-        n = rng.randint(1, 40 if variant.alphabet_size == 2 else 12)
+    for variant, n in type_class_inputs(rng):
         for delta in (F(0), F(1, 100), F(1, 5), F(1, 2), F(1), rng.random()):
             got = typeclass_smooth_max_entropy(variant, n, delta)
-            assert got == old_typeclass_smooth(variant, n, delta)
-            assert same(got[0], old_typeclass_smooth(variant, n, delta)[0])
+            old = old_typeclass_smooth(variant, n, delta)
+            assert got == old
+            assert same(got[0], old[0]) and same(got[1], old[1])
 
 
 def test_descending_prefixes_match_the_replaced_loops() -> None:
