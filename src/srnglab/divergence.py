@@ -18,17 +18,30 @@ Curves whose evaluation stays inside rational arithmetic (the variational
 curve and both gamma families) return Fraction values on Fraction inputs,
 so divergences of exact distributions compare exactly.  Logarithmic and
 square-root curves evaluate in floats.
+
+Two exact distributions hold integer numerators, and atoms with the same
+(P, Q) numerator pair contribute the same term, so the term is computed
+once per distinct pair.  The sum then replays the atom-by-atom sum: while
+it is exact (an atom-order prefix of exact terms) it adds each pair's term
+times its count in that prefix, and from the first atom whose term is a
+float on it adds one term per atom in atom order, as float additions do
+not reassociate.  The result is the atom-by-atom sum bit for bit, on any
+curve.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, OutOfRange
-from .probability import AtomicDistribution, Mass
+from .probability import AtomicDistribution, Mass, _is_exact
 
 __all__ = [
     "ConditionReport",
@@ -255,6 +268,8 @@ def divergence(p: AtomicDistribution, q: AtomicDistribution, curve: FCurve) -> M
             f"distributions live on different spaces: "
             f"({p.alphabet_size}**{p.n}) vs ({q.alphabet_size}**{q.n})"
         )
+    if p.exact and q.exact:
+        return _paired_divergence(p, q, curve)
     total: Mass = 0
     for pm, qm in zip(p.masses, q.masses):
         term = _term(curve, pm, qm)
@@ -262,6 +277,34 @@ def divergence(p: AtomicDistribution, q: AtomicDistribution, curve: FCurve) -> M
             return math.inf
         total = total + term
     return total
+
+
+def _paired_divergence(p: AtomicDistribution, q: AtomicDistribution, curve: FCurve) -> Mass:
+    """divergence of two exact distributions, one _term per distinct
+    numerator pair, summed as the atom-by-atom loop sums (module docstring)."""
+    size = len(p._nums)
+    # Each pair's first atom, whose masses its term is computed from; terms
+    # are computed in atom order so the first error or infinity is the same.
+    first = dict(zip(zip(reversed(p._nums), reversed(q._nums)), range(size - 1, -1, -1)))
+    terms: dict[tuple[int, int], Mass] = {}
+    cut = size  # the first atom whose term is not exact
+    for pair, x in sorted(first.items(), key=operator.itemgetter(1)):
+        term = _term(curve, p.masses[x], q.masses[x])
+        if term == math.inf:
+            return math.inf
+        if cut == size and not _is_exact(term):
+            cut = x
+        terms[pair] = term
+    prefix = Counter(zip(islice(p._nums, cut), islice(q._nums, cut)))
+    total = sum(count * terms[pair] for pair, count in prefix.items())
+    if cut == size:
+        return total
+    # Float plus Fraction adds the Fraction's float, so converting each
+    # exact term once leaves every addition of the float suffix unchanged.
+    floats = {pair: float(t) if _is_exact(t) else t for pair, t in terms.items()}
+    suffix = zip(islice(p._nums, cut + 1, None), islice(q._nums, cut + 1, None))
+    start = total + terms[p._nums[cut], q._nums[cut]]
+    return reduce(operator.add, map(floats.__getitem__, suffix), start)
 
 
 def f_inverse(curve: FCurve, T: Mass) -> Mass:

@@ -5,19 +5,31 @@ is materialized at blocklength n as an explicit probability mass function
 over all alphabet_size**n outcomes.  Outcomes are indexed lexicographically
 by their symbol strings, so outcome ids double as base-k integers.
 
-Two arithmetic modes are supported.  In exact mode every mass is a
-`fractions.Fraction` and all comparisons are exact; this is the default
-whenever the model parameters are rational.  In float mode masses are
-doubles and the usual 1e-12 normalization tolerance applies.  Exact mode
-matters because the downstream mapping constructions compare cumulative
-masses against thresholds, and ties must resolve reproducibly.
+Two arithmetic modes are supported.  In exact mode a distribution holds
+integer numerators over one shared denominator, and all comparisons are
+exact; this is the default whenever the model parameters are rational.
+Its public `masses` are `fractions.Fraction`s derived from those integers,
+one shared object per distinct numerator, so sorting, merging and
+summarizing work on ints while every reader of `masses` sees reduced
+fractions.  In float mode masses are doubles and the usual 1e-12
+normalization tolerance applies.  Exact mode matters because the
+downstream mapping constructions compare cumulative masses against
+thresholds, and ties must resolve reproducibly.
+
+Exact expansion extends prefixes one symbol at a time, so each atom costs
+one small-integer product per symbol.  IID and mixture sources use the
+denominator of the type-class enumeration (the lcm of the weight
+denominators times the n-th power of the lcm of the pmf denominators);
+Markov sources use the initial pmf's denominator times the (n-1)-th power
+of the lcm of the transition denominators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import cycle
 from typing import Sequence, Union
 
 from .errors import CapExceeded, InvalidModel, ZeroMassOutcome
@@ -101,19 +113,32 @@ def _validate_pmf(row: Sequence[Mass], what: str) -> tuple[Mass, ...]:
     return row
 
 
+def _common(values: Sequence[Mass]) -> tuple[int, list[int]]:
+    """One denominator for rational values, and every value's numerator over it."""
+    den = math.lcm(*{v.denominator for v in values})
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 @dataclass(frozen=True)
 class AtomicDistribution:
     """An explicit pmf over the enumerated outcome space X^n.
 
     masses[i] is the probability of the outcome with id i.  The tuple has
-    exactly alphabet_size**n entries.  `exact` records the arithmetic mode;
-    in exact mode every entry is a Fraction.
+    exactly alphabet_size**n entries.  `exact` records the arithmetic mode.
+    An exact distribution also holds _nums[i] / _den, integer numerators
+    over one shared denominator, checked in ints to sum to it, and its
+    masses are rationals equal to them.  Built from masses, the numerators
+    are derived over the lcm of the mass denominators; built internally
+    from numerators, each mass is one shared reduced Fraction per distinct
+    numerator.
     """
 
     masses: tuple[Mass, ...]
     n: int
     alphabet_size: int
     exact: bool
+    _nums: tuple[int, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _den: int = field(default=1, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1 or self.alphabet_size < 1:
@@ -123,9 +148,39 @@ class AtomicDistribution:
                 f"mass vector has {len(self.masses)} entries, "
                 f"expected {self.alphabet_size}**{self.n}"
             )
-        _validate_pmf(self.masses, "mass vector")
-        if self.exact and not all(_is_exact(m) for m in self.masses):
-            raise InvalidModel("exact mode requires rational masses")
+        if not self.exact:
+            _validate_pmf(self.masses, "mass vector")
+            return
+        if self._nums is None:
+            if not all(_is_exact(m) for m in self.masses):
+                _validate_pmf(self.masses, "mass vector")
+                raise InvalidModel("exact mode requires rational masses")
+            den, nums = _common(self.masses)
+            object.__setattr__(self, "_nums", tuple(nums))
+            object.__setattr__(self, "_den", den)
+        if min(self._nums) < 0:
+            raise InvalidModel("mass vector contains a negative entry")
+        total = sum(self._nums)
+        if total != self._den:
+            total = Fraction(total, self._den)
+            raise InvalidModel(f"mass vector sums to {total}, expected exactly 1")
+
+    @classmethod
+    def _from_numerators(
+        cls, nums: Sequence[int], den: int, n: int, alphabet_size: int
+    ) -> "AtomicDistribution":
+        """The exact distribution nums[i] / den, checked like any other."""
+        nums = tuple(nums)
+        shared = {num: Fraction(num, den) for num in set(nums)}
+        masses = tuple(map(shared.__getitem__, nums))
+        dist = cls.__new__(cls)
+        for name, value in (
+            ("masses", masses), ("n", n), ("alphabet_size", alphabet_size),
+            ("exact", True), ("_nums", nums), ("_den", den),
+        ):
+            object.__setattr__(dist, name, value)
+        dist.__post_init__()
+        return dist
 
     @classmethod
     def from_masses(
@@ -258,6 +313,53 @@ def _iid_type_mass(pmf: Sequence[Mass], counts: Sequence[int]) -> Mass:
     return mass
 
 
+def _scaled_parts(variant: IID | Mixture) -> tuple[int, int, list[tuple[int, Sequence[int]]]]:
+    """Weight denominator w_den, pmf denominator p_den, and each rational
+    component as (weight * w_den, [p * p_den for p in its pmf]).
+
+    w_den is the lcm of the weight denominators and p_den the lcm of every
+    pmf denominator, so a sequence mass is an integer over w_den * p_den**n.
+    """
+    if isinstance(variant, IID):
+        weights, pmfs = (1,), (variant.pmf,)
+    else:
+        weights, pmfs = variant.weights, [c.pmf for c in variant.components]
+    w_den, w_nums = _common(weights)
+    p_den, flat = _common([p for pmf in pmfs for p in pmf])
+    k = variant.alphabet_size
+    return w_den, p_den, [(w, flat[i * k:(i + 1) * k]) for i, w in enumerate(w_nums)]
+
+
+def _chain_numerators(initial: Sequence[int], rows: Sequence[Sequence[int]], n: int) -> list[int]:
+    """Numerator of every length-n string, in id order: initial[s] for the
+    first symbol times rows[s][t] for each symbol t after an s.
+
+    Strings are extended one symbol at a time; a prefix's last symbol is
+    its index mod k, so cycling through the rows pairs each prefix with its
+    own.  A single row repeats for every prefix, which is the IID case.
+    """
+    nums = list(initial)
+    for _ in range(n - 1):
+        nums = [x * p for x, row in zip(nums, cycle(rows)) for p in row]
+    return nums
+
+
+def _exact_expand(variant: Variant, n: int) -> AtomicDistribution:
+    """expand in exact mode, on integer numerators (module docstring)."""
+    k = variant.alphabet_size
+    if isinstance(variant, Markov):
+        init_den, init = _common(variant.initial)
+        step, flat = _common([p for row in variant.transition for p in row])
+        rows = [flat[i * k:(i + 1) * k] for i in range(k)]
+        return AtomicDistribution._from_numerators(
+            _chain_numerators(init, rows, n), init_den * step ** (n - 1), n, k
+        )
+    w_den, p_den, scaled = _scaled_parts(variant)
+    chains = [_chain_numerators([w * p for p in pmf], [pmf], n) for w, pmf in scaled]
+    nums = chains[0] if len(chains) == 1 else [sum(column) for column in zip(*chains)]
+    return AtomicDistribution._from_numerators(nums, w_den * p_den**n, n, k)
+
+
 def expand(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> AtomicDistribution:
     """Materialize the exact distribution of X^n for a source model.
 
@@ -268,8 +370,9 @@ def expand(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> AtomicDistributio
     if size > cap:
         raise CapExceeded(f"outcome space holds {size} atoms, cap is {cap}")
 
-    exact = model.exact
     variant = model.variant
+    if model.exact:
+        return _exact_expand(variant, model.n)
     masses: list[Mass] = []
     if isinstance(variant, Markov):
         init = variant.initial
@@ -292,16 +395,18 @@ def expand(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> AtomicDistributio
                 counts[s] += 1
             mass = sum(w * _iid_type_mass(pmf, counts) for w, pmf in weighted)
             masses.append(mass)
-    return AtomicDistribution.from_masses(masses, model.n, k, exact=exact)
+    return AtomicDistribution.from_masses(masses, model.n, k, exact=False)
 
 
 def sort_descending(dist: AtomicDistribution) -> tuple[int, ...]:
     """Outcome ids ordered by strictly descending mass, ties by ascending id.
 
     Python's sort is stable, so reversing on the mass key alone keeps equal
-    masses in their original ascending-id order.
+    masses in their original ascending-id order.  Exact distributions sort
+    on their integer numerators.
     """
-    return tuple(sorted(range(len(dist.masses)), key=lambda i: dist.masses[i], reverse=True))
+    keys = dist._nums if dist.exact else dist.masses
+    return tuple(sorted(range(len(keys)), key=keys.__getitem__, reverse=True))
 
 
 def self_information_value(mass: Mass, n: int) -> float:

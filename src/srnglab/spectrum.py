@@ -32,10 +32,11 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
 from .errors import InvalidModel, OutOfRange
@@ -47,6 +48,7 @@ from .probability import (
     Mixture,
     SourceModel,
     _iid_type_mass,
+    _scaled_parts,
     expand,
     self_information,
     self_information_value,
@@ -102,8 +104,13 @@ def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
     """Summarize a materialized distribution into its information spectrum.
 
     Outcomes sharing one computed value are merged, their masses added in
-    the distribution's own arithmetic.
+    the distribution's own arithmetic.  An exact distribution computes one
+    value per distinct numerator and adds numerators in ints.
     """
+    if dist.exact:
+        counts = Counter(dist._nums)
+        counts.pop(0, None)
+        return _integer_spectrum(dist._den, counts.items(), dist.n)
     acc: dict[float, Mass] = {}
     for oid, mass in enumerate(dist.masses):
         if mass == 0:
@@ -259,8 +266,9 @@ def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
 
 
 def _multinomial(n: int, counts: Sequence[int]) -> int:
+    # The last count takes all that remains, a factor comb(c, c) = 1.
     out, rem = 1, n
-    for c in counts:
+    for c in counts[:-1]:
         out *= math.comb(rem, c)
         rem -= c
     return out
@@ -279,11 +287,7 @@ def _types(variant: IID | Mixture, n: int) -> tuple[int, Iterator[tuple[int, int
         raise InvalidModel("type-class enumeration needs rational source parameters")
     if not isinstance(variant, (IID, Mixture)):
         raise InvalidModel("type classes need an IID or mixture source")
-    parts = ((1, variant),) if isinstance(variant, IID) else zip(variant.weights, variant.components)
-    weighted = [(Fraction(w), [Fraction(p) for p in c.pmf]) for w, c in parts]
-    w_den = math.lcm(*(w.denominator for w, _ in weighted))
-    p_den = math.lcm(*(p.denominator for _, pmf in weighted for p in pmf))
-    scaled = [(int(w * w_den), [int(p * p_den) for p in pmf]) for w, pmf in weighted]
+    w_den, p_den, scaled = _scaled_parts(variant)
 
     def classes() -> Iterator[tuple[int, int]]:
         for counts in _compositions(n, variant.alphabet_size):
@@ -301,11 +305,16 @@ def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:
     denominators far outside float range; values go through integer logs
     of each type's reduced mass.
     """
-    den, classes = _types(variant, n)
+    return _integer_spectrum(*_types(variant, n), n)
+
+
+def _integer_spectrum(den: int, classes: Iterable[tuple[int, int]], n: int) -> SpectrumSummary:
+    """Spectrum of (positive numerator over den, how many atoms carry it)
+    pairs: each value from the reduced mass, each point's mass summed in ints."""
     acc: dict[float, int] = {}
-    for num, size in classes:
+    for num, count in classes:
         value = self_information_value(Fraction(num, den), n)
-        acc[value] = acc.get(value, 0) + size * num
+        acc[value] = acc.get(value, 0) + count * num
     points = tuple((v, Fraction(s, den)) for v, s in sorted(acc.items()))
     return SpectrumSummary(points=points, n=n)
 

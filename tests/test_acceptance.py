@@ -23,6 +23,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from statistics import NormalDist
 
 from srnglab import (
     DistortionSpec,
@@ -52,6 +53,7 @@ from srnglab import (
     spectrum_cdf,
     sup_entropy_quantile,
     typeclass_smooth_max_entropy,
+    typeclass_spectrum,
     variational,
 )
 from srnglab.cli import main
@@ -211,11 +213,55 @@ def test_criterion_4_greedy_sets_are_optimal_and_rates_converge(capsys) -> None:
     ok = gap < 0.05
     ns = sorted(points)
     drift_ok = all(points[b] <= points[a] + 0.005 for a, b in zip(ns, ns[1:]))
+    # Second order: every exact type-class quantile sits inside its proved
+    # Berry-Esseen bracket, an extra check next to the 0.05 tolerance.
+    misses, checked = [], 0
+    for pmf in ((F(3, 4), F(1, 4)), (F(9, 10), F(1, 10))):
+        for n in (100, 300, 1000):
+            summary = typeclass_spectrum(IID(pmf), n)
+            for level in (F(1, 10), F(1, 4)):
+                lo, hi = berry_esseen_bracket(pmf, n, level)
+                value = sup_entropy_quantile(summary, level).value
+                if not lo <= value <= hi:
+                    misses.append((pmf, n, level, lo, value, hi))
+                checked += 1
+    bracket_ok = not misses
     announce(
-        capsys, 4, ok and drift_ok,
-        f"rate at n=1000 is {points[1000]:.4f}, within 0.05 of {target}; drift tol 0.005",
+        capsys, 4, ok and drift_ok and bracket_ok,
+        f"rate at n=1000 is {points[1000]:.4f}, within 0.05 of {target}; drift tol 0.005; "
+        f"{checked - len(misses)} of {checked} quantiles in the Berry-Esseen bracket",
     )
     assert ok and drift_ok
+    assert bracket_ok, misses
+
+
+#: Berry-Esseen constant for iid sums (Shevtsova 2011, arXiv:1111.6554).
+BERRY_ESSEEN_C = 0.4748
+
+
+def berry_esseen_bracket(pmf, n: int, eps) -> tuple[float, float]:
+    """Where the eps-quantile of (1/n) log 1/P(X^n) must lie for an iid pmf.
+
+    Berry-Esseen puts the spectrum cdf within D = C rho / (sigma^3 sqrt n)
+    of the normal cdf, so the smallest point v with Pr{V > v} <= eps lies in
+    H + sigma / sqrt(n) * [probit(1 - eps - D), probit(1 - eps + D)], with
+    H, sigma^2 and rho the mean, variance and third absolute central moment
+    of log 1/P(X).  A probit argument outside (0, 1) opens that side.
+    """
+    info = [(float(p), -math.log(p)) for p in pmf if p > 0]
+    h = sum(p * i for p, i in info)
+    sigma = math.sqrt(sum(p * (i - h) ** 2 for p, i in info))
+    rho = sum(p * abs(i - h) ** 3 for p, i in info)
+    gap = BERRY_ESSEEN_C * rho / (sigma**3 * math.sqrt(n))
+
+    def edge(level: float) -> float:
+        if level <= 0:
+            return -math.inf
+        if level >= 1:
+            return math.inf
+        return h + sigma / math.sqrt(n) * NormalDist().inv_cdf(level)
+
+    return edge(float(1 - eps) - gap), edge(float(1 - eps) + gap)
 
 
 def test_criterion_5_e_gamma_forms_agree_and_conditions_hold(capsys) -> None:

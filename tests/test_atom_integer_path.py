@@ -1,0 +1,213 @@
+"""The exact atom path on integer numerators against the Fraction loops it replaced.
+
+An exact distribution holds integer numerators over one shared
+denominator: expand builds them prefix by prefix, sort_descending sorts
+on them, apply_mapping adds them, spectrum_cdf computes one value per
+distinct numerator, and divergence computes one term per distinct
+numerator pair.  The per-atom Fraction loops each of those replaced live
+on here as test-local references, and every result must equal theirs
+under ==, with the same type, floats included: the divergence replays the
+atom-by-atom sum, so float curves are expected to be bit-identical, not
+close.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+import pytest
+
+import srnglab.construction as construction_module
+from srnglab import (
+    IID,
+    AtomicDistribution,
+    Markov,
+    MappingPair,
+    Mixture,
+    SourceModel,
+    apply_mapping,
+    build_mapping,
+    build_smooth_entropy_mapping,
+    curve_from_name,
+    divergence,
+    expand,
+    outcome_from_id,
+    self_information_value,
+    sort_descending,
+    spectrum_cdf,
+    trace_to_jsonable,
+    variational,
+)
+from srnglab.divergence import _term
+from srnglab.probability import _iid_type_mass
+
+F = Fraction
+
+CURVES = ("variational", "reverse_kl", "hellinger", "e_gamma:2", "e_gamma_sum:3/2", "kl")
+
+
+# ---------------------------------------------------------------------------
+# reference copies of the replaced per-atom loops
+
+
+def old_expand_masses(variant, n):
+    k = variant.alphabet_size
+    masses = []
+    for oid in range(k**n):
+        symbols = outcome_from_id(oid, n, k).symbols
+        if isinstance(variant, Markov):
+            mass = variant.initial[symbols[0]]
+            for prev, cur in zip(symbols, symbols[1:]):
+                mass = mass * variant.transition[prev][cur]
+        else:
+            weighted = ((1, variant.pmf),) if isinstance(variant, IID) else tuple(
+                zip(variant.weights, (c.pmf for c in variant.components))
+            )
+            counts = [0] * k
+            for s in symbols:
+                counts[s] += 1
+            mass = sum(w * _iid_type_mass(pmf, counts) for w, pmf in weighted)
+        masses.append(F(mass))
+    return tuple(masses)
+
+
+def old_sort(masses):
+    return tuple(sorted(range(len(masses)), key=lambda i: masses[i], reverse=True))
+
+
+def old_apply(masses, mapping):
+    out = [F(0)] * len(masses)
+    for x, mass in enumerate(masses):
+        if mass != 0:
+            target = mapping.psi[mapping.phi[x]]
+            out[target] = out[target] + mass
+    return tuple(out)
+
+
+def old_spectrum_points(masses, n):
+    acc = {}
+    for mass in masses:
+        if mass == 0:
+            continue
+        value = self_information_value(mass, n)
+        acc[value] = acc.get(value, 0) + mass
+    return tuple(sorted(acc.items()))
+
+
+def old_divergence(p_masses, q_masses, curve):
+    total = 0
+    for pm, qm in zip(p_masses, q_masses):
+        term = _term(curve, pm, qm)
+        if term == math.inf:
+            return math.inf
+        total = total + term
+    return total
+
+
+def same(a, b) -> bool:
+    """Equal in value, in type and, for floats, in every bit."""
+    return type(a) is type(b) and a == b and repr(a) == repr(b)
+
+
+# ---------------------------------------------------------------------------
+# inputs: the benchmark's seed-0 sources plus a drawn Markov row and mixture
+
+
+def markov(stay0, leave1):
+    return Markov((F(1, 2), F(1, 2)), ((stay0, 1 - stay0), (leave1, 1 - leave1)))
+
+
+def mixture(first, second):
+    return Mixture((F(1, 2), F(1, 2)), (IID((first, 1 - first)), IID((second, 1 - second))))
+
+
+SOURCES = (
+    IID((F(9, 10), F(1, 10))),
+    IID((F(3, 4), F(1, 4))),
+    markov(F(9, 10), F(1, 5)),
+    mixture(F(9, 10), F(1, 5)),
+    markov(F(8, 9), F(3, 16)),
+    mixture(F(11, 12), F(4, 19)),
+)
+
+CASES = [(variant, n) for variant in SOURCES for n in (6, 10)]
+
+
+def case_id(case) -> str:
+    variant, n = case
+    return f"{type(variant).__name__.lower()}{SOURCES.index(variant)}-n{n}"
+
+
+def check_divergences(p, q, p_masses, q_masses) -> None:
+    for name in CURVES:
+        curve = curve_from_name(name)
+        got = divergence(p, q, curve)
+        want = old_divergence(p_masses, q_masses, curve)
+        assert same(got, want), (name, got, want)
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_exact_atom_path_matches_the_fraction_loops(case, monkeypatch) -> None:
+    variant, n = case
+    dist = expand(SourceModel(variant, n))
+    masses = old_expand_masses(variant, n)
+    assert dist.masses == masses
+    assert all(type(m) is Fraction for m in dist.masses)
+    assert sort_descending(dist) == old_sort(masses)
+    assert spectrum_cdf(dist).points == old_spectrum_points(masses, n)
+
+    # The reference traces come from the same greedy on a distribution
+    # rebuilt from the reference masses, sorted by the old Fraction key.
+    rebuilt = AtomicDistribution(masses, n, variant.alphabet_size, True)
+    builds = (
+        lambda d: build_mapping(d, 8, F(1, 2)),
+        lambda d: build_mapping(d, 128, F(1, 20)),
+        lambda d: build_smooth_entropy_mapping(d, variational(), F(1, 10), F(1, 20)),
+    )
+    for build in builds:
+        mapping, trace = build(dist)
+        with monkeypatch.context() as patch:
+            patch.setattr(construction_module, "sort_descending", lambda d: old_sort(d.masses))
+            ref_mapping, ref_trace = build(rebuilt)
+        assert mapping == ref_mapping
+        assert trace_to_jsonable(trace) == trace_to_jsonable(ref_trace)
+        decoded = apply_mapping(dist, mapping)
+        decoded_masses = old_apply(masses, mapping)
+        assert decoded.masses == decoded_masses
+        assert all(type(m) is Fraction for m in decoded.masses)
+        # Both orders: the reversed one meets zero source mass under
+        # reverse_kl, and the forward one zero decoded mass under kl.
+        check_divergences(dist, decoded, masses, decoded_masses)
+        check_divergences(decoded, dist, decoded_masses, masses)
+
+
+def test_from_masses_on_mixed_denominators_matches_the_fraction_loops() -> None:
+    inputs = (
+        [F(1, 3), F(1, 6), F(1, 4), F(1, 4)],
+        [F(1, 5), F(0), F(3, 10), F(1, 2)],
+        [F(2, 7), F(3, 11), F(0), F(34, 77)],
+        [F(1), F(0), F(0), F(0)],
+    )
+    dists = [AtomicDistribution.from_masses(masses, 2, 2) for masses in inputs]
+    mapping = MappingPair(phi=(0, 1, 1, 0), psi=(3, 2), m_n=2)
+    for dist, masses in zip(dists, inputs):
+        assert dist.masses == tuple(masses)
+        assert sort_descending(dist) == old_sort(masses)
+        assert spectrum_cdf(dist).points == old_spectrum_points(masses, 2)
+        assert apply_mapping(dist, mapping).masses == old_apply(masses, mapping)
+        for other, other_masses in zip(dists, inputs):
+            check_divergences(dist, other, masses, other_masses)
+
+
+def test_divergence_between_different_denominators_matches_the_term_loop() -> None:
+    sources = (IID((F(9, 10), F(1, 10))), IID((F(3, 4), F(1, 4))), markov(F(8, 9), F(3, 16)))
+    dists = [expand(SourceModel(variant, 6)) for variant in sources]
+    assert len({d._den for d in dists}) == len(dists)
+    for p in dists:
+        for q in dists:
+            check_divergences(p, q, p.masses, q.masses)
