@@ -41,7 +41,7 @@ from .divergence import _budget_threshold, check_conditions, divergence
 from .errors import SrnglabError
 from .oracle import min_fdiv_bruteforce, min_fdiv_bruteforce_full
 from .probability import IID, Markov, Mass, expand
-from .rdp import d_threshold, mapping_distortion, rd_function_iid, rdp_lower_bound
+from .rdp import d_threshold, rd_function_iid, rdp_lower_bound
 from .spectrum import (
     _sweep_pairs,
     k_f_rate,
@@ -367,9 +367,12 @@ def main(argv: list[str] | None = None) -> int:
         group.add_argument("--exact", action="store_true", help="force exact arithmetic")
         group.add_argument("--float", dest="float_mode", action="store_true",
                            help="force float arithmetic")
-        p.add_argument("--cap", "--caps", dest="cap", type=int,
-                       help="override the atom cap")
+        p.add_argument("--cap", type=int, help="override the atom cap")
     args = parser.parse_args(argv)
+    if args.cap is not None and args.cap < 1:
+        sub.choices[args.subcommand].error(
+            f"argument --cap: must be a positive integer, got {args.cap}"
+        )
     try:
         cfg = load_config(args.config, command=args.subcommand)
         updates: dict[str, Any] = {}
@@ -381,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
             updates["mode"] = "exact"
         if args.float_mode:
             updates["mode"] = "float"
-        if args.cap:
+        if args.cap is not None:
             updates["cap"] = args.cap
         if updates:
             cfg = dataclasses.replace(cfg, **updates)

@@ -152,6 +152,13 @@ def _fraction(located: _Located, section: str, key: str, text: str) -> Fraction:
         located.fail(section, key, f"not a number: {text!r}")
 
 
+def _positive_int(located: _Located, section: str, key: str, text: str) -> int:
+    value = _fraction(located, section, key, text)
+    if value.denominator != 1 or value < 1:
+        located.fail(section, key, f"{key} must be a positive integer, got {text!r}")
+    return int(value)
+
+
 def _fraction_list(located: _Located, section: str, key: str, text: str) -> tuple[Fraction, ...]:
     parts = [part.strip() for part in text.split(",") if part.strip()]
     if not parts:
@@ -200,12 +207,8 @@ def _indexed_rows(
 
 def _parse_variant(located: _Located) -> tuple[IID | Markov | Mixture, int]:
     kind = located.require("source", "variant").lower()
-    alphabet = int(_fraction(located, "source", "alphabet", located.require("source", "alphabet")))
-    n = int(_fraction(located, "source", "n", located.require("source", "n")))
-    if alphabet < 1:
-        located.fail("source", "alphabet", "alphabet size must be positive")
-    if n < 1:
-        located.fail("source", "n", "blocklength must be positive")
+    alphabet = _positive_int(located, "source", "alphabet", located.require("source", "alphabet"))
+    n = _positive_int(located, "source", "n", located.require("source", "n"))
     try:
         if kind == "iid":
             pmf = _fraction_list(located, "source", "pmf", located.require("source", "pmf"))
@@ -280,7 +283,7 @@ def load_config(path: str | Path, command: str | None = None) -> RunConfig:
     if units not in ("nats", "bits"):
         located.fail("run", "units", f"units must be nats or bits, got {units!r}")
     cap_text = located.get("run", "cap")
-    cap = int(cap_text) if cap_text else DEFAULT_ATOM_CAP
+    cap = _positive_int(located, "run", "cap", cap_text) if cap_text else DEFAULT_ATOM_CAP
 
     variant, n = _parse_variant(located)
 

@@ -416,15 +416,14 @@ def apply_mapping(dist: AtomicDistribution, mapping: MappingPair) -> AtomicDistr
         raise DimensionMismatch(
             f"mapping covers {len(mapping.phi)} outcomes, source has {len(dist.masses)}"
         )
-    values = dist._nums if dist.exact else dist.masses
+    values = dist._values
+    # One shared zero: float mode would otherwise make one 0.0 per empty atom.
     out = [0 if dist.exact else 0.0] * len(values)
     for x, mass in enumerate(values):
         if mass != 0:
             target = mapping.psi[mapping.phi[x]]
             out[target] = out[target] + mass
-    if dist.exact:
-        return AtomicDistribution._from_numerators(out, dist._den, dist.n, dist.alphabet_size)
-    return AtomicDistribution.from_masses(out, dist.n, dist.alphabet_size, exact=False)
+    return AtomicDistribution._from_values(out, dist._den, dist.n, dist.alphabet_size, dist.exact)
 
 
 def _require_nonincreasing(curve: FCurve, where: str) -> None:

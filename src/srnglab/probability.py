@@ -16,21 +16,26 @@ normalization tolerance applies.  Exact mode matters because the
 downstream mapping constructions compare cumulative masses against
 thresholds, and ties must resolve reproducibly.
 
-Exact expansion extends prefixes one symbol at a time, so each atom costs
-one small-integer product per symbol.  IID and mixture sources use the
-denominator of the type-class enumeration (the lcm of the weight
-denominators times the n-th power of the lcm of the pmf denominators);
-Markov sources use the initial pmf's denominator times the (n-1)-th power
-of the lcm of the transition denominators.
+Both modes share one atom path on a distribution's values: the numerators
+in exact mode, the masses themselves in float mode.  Expansion extends
+prefixes one symbol at a time.  A Markov string multiplies its initial
+and transition entries left to right; an IID or mixture string takes the
+one mass computed for its type, so equal types share float masses bit for
+bit.  Exact IID and mixture numerators are over the type-class
+denominator (the lcm of the weight denominators times the n-th power of
+the lcm of the pmf denominators); Markov ones are over the initial pmf's
+denominator times the (n-1)-th power of the lcm of the transition
+denominators.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import cycle
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import CapExceeded, InvalidModel, ZeroMassOutcome
 
@@ -165,12 +170,20 @@ class AtomicDistribution:
             total = Fraction(total, self._den)
             raise InvalidModel(f"mass vector sums to {total}, expected exactly 1")
 
+    @property
+    def _values(self) -> tuple[Mass, ...]:
+        """What the atom path computes on: the integer numerators over _den
+        in exact mode, the masses themselves (over _den = 1) in float mode."""
+        return self._nums if self.exact else self.masses
+
     @classmethod
-    def _from_numerators(
-        cls, nums: Sequence[int], den: int, n: int, alphabet_size: int
+    def _from_values(
+        cls, values: Sequence[Mass], den: int, n: int, alphabet_size: int, exact: bool
     ) -> "AtomicDistribution":
-        """The exact distribution nums[i] / den, checked like any other."""
-        nums = tuple(nums)
+        """The distribution whose _values are values over den, checked."""
+        if not exact:
+            return cls.from_masses(values, n, alphabet_size, exact=False)
+        nums = tuple(values)
         shared = {num: Fraction(num, den) for num in set(nums)}
         masses = tuple(map(shared.__getitem__, nums))
         dist = cls.__new__(cls)
@@ -313,30 +326,54 @@ def _iid_type_mass(pmf: Sequence[Mass], counts: Sequence[int]) -> Mass:
     return mass
 
 
-def _scaled_parts(variant: IID | Mixture) -> tuple[int, int, list[tuple[int, Sequence[int]]]]:
-    """Weight denominator w_den, pmf denominator p_den, and each rational
-    component as (weight * w_den, [p * p_den for p in its pmf]).
+def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every k-symbol count vector summing to n, the first count descending."""
+    if k == 1:
+        yield (n,)
+        return
+    for first in range(n, -1, -1):
+        for rest in _compositions(n - first, k - 1):
+            yield (first,) + rest
 
-    w_den is the lcm of the weight denominators and p_den the lcm of every
-    pmf denominator, so a sequence mass is an integer over w_den * p_den**n.
+
+def _type_masses(
+    variant: IID | Mixture, n: int, exact: bool
+) -> tuple[int, Iterator[tuple[tuple[int, ...], Mass]]]:
+    """Denominator D, and every type (symbol counts) of length-n strings
+    with the mass times D of one string of that type.
+
+    Exact weights and pmfs are numerators over the lcm w_den of the weight
+    denominators and the lcm p_den of every pmf denominator, so D is
+    w_den * p_den**n; float ones are the model's own values over D = 1.
     """
     if isinstance(variant, IID):
         weights, pmfs = (1,), (variant.pmf,)
     else:
         weights, pmfs = variant.weights, [c.pmf for c in variant.components]
-    w_den, w_nums = _common(weights)
-    p_den, flat = _common([p for pmf in pmfs for p in pmf])
     k = variant.alphabet_size
-    return w_den, p_den, [(w, flat[i * k:(i + 1) * k]) for i, w in enumerate(w_nums)]
+    den = 1
+    if exact:
+        w_den, weights = _common(weights)
+        p_den, flat = _common([p for pmf in pmfs for p in pmf])
+        pmfs = [flat[i * k:(i + 1) * k] for i in range(len(pmfs))]
+        den = w_den * p_den**n
+    parts = list(zip(weights, pmfs))
+    return den, (
+        (counts, sum(w * _iid_type_mass(pmf, counts) for w, pmf in parts))
+        for counts in _compositions(n, k)
+    )
 
 
-def _chain_numerators(initial: Sequence[int], rows: Sequence[Sequence[int]], n: int) -> list[int]:
-    """Numerator of every length-n string, in id order: initial[s] for the
-    first symbol times rows[s][t] for each symbol t after an s.
+def _chain_numerators(
+    initial: Sequence[Mass], rows: Sequence[Sequence[Mass]], n: int
+) -> list[Mass]:
+    """Value of every length-n string, in id order: initial[s] for the
+    first symbol times rows[s][t] for each symbol t after an s, multiplied
+    left to right.
 
     Strings are extended one symbol at a time; a prefix's last symbol is
     its index mod k, so cycling through the rows pairs each prefix with its
-    own.  A single row repeats for every prefix, which is the IID case.
+    own.
     """
     nums = list(initial)
     for _ in range(n - 1):
@@ -344,58 +381,36 @@ def _chain_numerators(initial: Sequence[int], rows: Sequence[Sequence[int]], n: 
     return nums
 
 
-def _exact_expand(variant: Variant, n: int) -> AtomicDistribution:
-    """expand in exact mode, on integer numerators (module docstring)."""
-    k = variant.alphabet_size
-    if isinstance(variant, Markov):
-        init_den, init = _common(variant.initial)
-        step, flat = _common([p for row in variant.transition for p in row])
-        rows = [flat[i * k:(i + 1) * k] for i in range(k)]
-        return AtomicDistribution._from_numerators(
-            _chain_numerators(init, rows, n), init_den * step ** (n - 1), n, k
-        )
-    w_den, p_den, scaled = _scaled_parts(variant)
-    chains = [_chain_numerators([w * p for p in pmf], [pmf], n) for w, pmf in scaled]
-    nums = chains[0] if len(chains) == 1 else [sum(column) for column in zip(*chains)]
-    return AtomicDistribution._from_numerators(nums, w_den * p_den**n, n, k)
-
-
 def expand(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> AtomicDistribution:
-    """Materialize the exact distribution of X^n for a source model.
+    """Materialize the distribution of X^n for a source model, in the
+    model's arithmetic mode.
 
     Raises CapExceeded when the outcome space would exceed `cap` atoms.
     """
-    k = model.alphabet_size
-    size = k**model.n
+    k, n = model.alphabet_size, model.n
+    size = k**n
     if size > cap:
         raise CapExceeded(f"outcome space holds {size} atoms, cap is {cap}")
 
-    variant = model.variant
-    if model.exact:
-        return _exact_expand(variant, model.n)
-    masses: list[Mass] = []
+    variant, exact = model.variant, model.exact
     if isinstance(variant, Markov):
-        init = variant.initial
-        rows = variant.transition
-        for oid in range(size):
-            symbols = outcome_from_id(oid, model.n, k).symbols
-            mass: Mass = init[symbols[0]]
-            for prev, cur in zip(symbols, symbols[1:]):
-                mass = mass * rows[prev][cur]
-            masses.append(mass)
+        den, init, rows = 1, variant.initial, variant.transition
+        if exact:
+            init_den, init = _common(init)
+            step, flat = _common([p for row in rows for p in row])
+            rows = [flat[i * k:(i + 1) * k] for i in range(k)]
+            den = init_den * step ** (n - 1)
+        values = _chain_numerators(init, rows, n)
     else:
-        if isinstance(variant, IID):
-            weighted: tuple[tuple[Mass, tuple[Mass, ...]], ...] = ((1, variant.pmf),)
-        else:
-            weighted = tuple(zip(variant.weights, (c.pmf for c in variant.components)))
-        for oid in range(size):
-            symbols = outcome_from_id(oid, model.n, k).symbols
-            counts = [0] * k
-            for s in symbols:
-                counts[s] += 1
-            mass = sum(w * _iid_type_mass(pmf, counts) for w, pmf in weighted)
-            masses.append(mass)
-    return AtomicDistribution.from_masses(masses, model.n, k, exact=False)
+        # A string's type is its symbol counts written in base n + 1.
+        digits = [(n + 1) ** s for s in range(k)]
+        den, types = _type_masses(variant, n, exact)
+        by_type = {sum(map(operator.mul, counts, digits)): mass for counts, mass in types}
+        index = digits
+        for _ in range(n - 1):
+            index = [x + d for x in index for d in digits]
+        values = list(map(by_type.__getitem__, index))
+    return AtomicDistribution._from_values(values, den, n, k, exact)
 
 
 def sort_descending(dist: AtomicDistribution) -> tuple[int, ...]:
@@ -405,7 +420,7 @@ def sort_descending(dist: AtomicDistribution) -> tuple[int, ...]:
     masses in their original ascending-id order.  Exact distributions sort
     on their integer numerators.
     """
-    keys = dist._nums if dist.exact else dist.masses
+    keys = dist._values
     return tuple(sorted(range(len(keys)), key=keys.__getitem__, reverse=True))
 
 

@@ -47,8 +47,7 @@ from .probability import (
     Mass,
     Mixture,
     SourceModel,
-    _iid_type_mass,
-    _scaled_parts,
+    _type_masses,
     expand,
     self_information,
     self_information_value,
@@ -256,15 +255,6 @@ def _descending_prefix(
     return ids, mass
 
 
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
 def _multinomial(n: int, counts: Sequence[int]) -> int:
     # The last count takes all that remains, a factor comb(c, c) = 1.
     out, rem = 1, n
@@ -287,15 +277,8 @@ def _types(variant: IID | Mixture, n: int) -> tuple[int, Iterator[tuple[int, int
         raise InvalidModel("type-class enumeration needs rational source parameters")
     if not isinstance(variant, (IID, Mixture)):
         raise InvalidModel("type classes need an IID or mixture source")
-    w_den, p_den, scaled = _scaled_parts(variant)
-
-    def classes() -> Iterator[tuple[int, int]]:
-        for counts in _compositions(n, variant.alphabet_size):
-            num = sum(w * _iid_type_mass(pmf, counts) for w, pmf in scaled)
-            if num:
-                yield num, _multinomial(n, counts)
-
-    return w_den * p_den**n, classes()
+    den, types = _type_masses(variant, n, exact=True)
+    return den, ((num, _multinomial(n, counts)) for counts, num in types if num)
 
 
 def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:

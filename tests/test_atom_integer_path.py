@@ -1,14 +1,16 @@
-"""The exact atom path on integer numerators against the Fraction loops it replaced.
+"""The atom path, in both arithmetic modes, against the per-atom loops it replaced.
 
 An exact distribution holds integer numerators over one shared
 denominator: expand builds them prefix by prefix, sort_descending sorts
 on them, apply_mapping adds them, spectrum_cdf computes one value per
 distinct numerator, and divergence computes one term per distinct
-numerator pair.  The per-atom Fraction loops each of those replaced live
-on here as test-local references, and every result must equal theirs
-under ==, with the same type, floats included: the divergence replays the
-atom-by-atom sum, so float curves are expected to be bit-identical, not
-close.
+numerator pair.  A float distribution goes through the same expand and
+divergence on its float masses.  The per-atom loops each of those
+replaced live on here as test-local references, and every result must
+equal theirs under ==, with the same type, floats included: float
+expansion multiplies in the order the per-outcome loop did, and the
+divergence replays the atom-by-atom sum, so floats are expected to be
+bit-identical, not close.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import srnglab.construction as construction_module
 from srnglab import (
     IID,
     AtomicDistribution,
+    InvalidModel,
     Markov,
     MappingPair,
     Mixture,
@@ -68,7 +71,7 @@ def old_expand_masses(variant, n):
             for s in symbols:
                 counts[s] += 1
             mass = sum(w * _iid_type_mass(pmf, counts) for w, pmf in weighted)
-        masses.append(F(mass))
+        masses.append(mass)
     return tuple(masses)
 
 
@@ -76,8 +79,8 @@ def old_sort(masses):
     return tuple(sorted(range(len(masses)), key=lambda i: masses[i], reverse=True))
 
 
-def old_apply(masses, mapping):
-    out = [F(0)] * len(masses)
+def old_apply(masses, mapping, zero=F(0)):
+    out = [zero] * len(masses)
     for x, mass in enumerate(masses):
         if mass != 0:
             target = mapping.psi[mapping.phi[x]]
@@ -122,6 +125,15 @@ def mixture(first, second):
     return Mixture((F(1, 2), F(1, 2)), (IID((first, 1 - first)), IID((second, 1 - second))))
 
 
+def to_float(variant):
+    if isinstance(variant, IID):
+        return IID(tuple(map(float, variant.pmf)))
+    if isinstance(variant, Markov):
+        rows = tuple(tuple(map(float, row)) for row in variant.transition)
+        return Markov(tuple(map(float, variant.initial)), rows)
+    return Mixture(tuple(map(float, variant.weights)), tuple(map(to_float, variant.components)))
+
+
 SOURCES = (
     IID((F(9, 10), F(1, 10))),
     IID((F(3, 4), F(1, 4))),
@@ -131,12 +143,23 @@ SOURCES = (
     mixture(F(11, 12), F(4, 19)),
 )
 
-CASES = [(variant, n) for variant in SOURCES for n in (6, 10)]
+# Three symbols, one of them with probability zero somewhere.
+TERNARY = (
+    IID((F(3, 5), F(0), F(2, 5))),
+    Markov(
+        (F(1, 3), F(2, 3), F(0)),
+        ((F(1, 2), F(1, 2), F(0)), (F(1, 4), F(0), F(3, 4)), (F(1, 3), F(1, 3), F(1, 3))),
+    ),
+    Mixture((F(1, 4), F(3, 4)), (IID((F(1, 2), F(1, 2), F(0))), IID((F(1, 5), F(0), F(4, 5))))),
+)
+
+CASES = [(variant, n) for variant in SOURCES for n in (6, 10)] + [(v, 6) for v in TERNARY]
 
 
 def case_id(case) -> str:
     variant, n = case
-    return f"{type(variant).__name__.lower()}{SOURCES.index(variant)}-n{n}"
+    group, label = (SOURCES, "") if variant in SOURCES else (TERNARY, "k3-")
+    return f"{label}{type(variant).__name__.lower()}{group.index(variant)}-n{n}"
 
 
 def check_divergences(p, q, p_masses, q_masses) -> None:
@@ -211,3 +234,33 @@ def test_divergence_between_different_denominators_matches_the_term_loop() -> No
     for p in dists:
         for q in dists:
             check_divergences(p, q, p.masses, q.masses)
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_float_atom_path_matches_the_per_outcome_loops(case) -> None:
+    variant, n = case
+    source = to_float(variant)
+    dist = expand(SourceModel(source, n))
+    masses = old_expand_masses(source, n)
+    assert len(dist.masses) == len(masses)
+    assert all(same(got, want) for got, want in zip(dist.masses, masses))
+
+    mapping, _ = build_mapping(dist, 16, F(1, 20))
+    decoded = apply_mapping(dist, mapping)
+    decoded_masses = old_apply(masses, mapping, 0.0)
+    assert all(same(got, want) for got, want in zip(decoded.masses, decoded_masses))
+    # Exact partners make mixed pairs: zero masses on either side, and
+    # exact terms ahead of or among the float ones.
+    exact_decoded = apply_mapping(expand(SourceModel(variant, n)), mapping)
+    dists = (dist, decoded, exact_decoded)
+    for p in dists:
+        for q in dists:
+            check_divergences(p, q, p.masses, q.masses)
+
+
+def test_float_expand_still_rejects_its_own_iid_sum_at_n16() -> None:
+    # A known float-mode defect (the mass check sums 2**16 doubles without
+    # compensation), pinned until the check itself changes.
+    with pytest.raises(InvalidModel) as excinfo:
+        expand(SourceModel(IID((0.9, 0.1)), 16))
+    assert str(excinfo.value) == "mass vector sums to 0.9999999999988565, off by more than 1e-12"

@@ -423,6 +423,44 @@ def test_cap_flag_limits_the_outcome_space(tmp_path, capsys):
     assert (out / "analyze.json").exists()
 
 
+def test_cap_flag_overrides_the_file_cap(tmp_path, capsys):
+    text = BASE.replace("command = analyze", "command = analyze\ncap = 100").replace(
+        "n = 2", "n = 10"
+    )
+    code, _ = run(tmp_path, "analyze", text)
+    assert code == 2
+    assert "cap is 100" in capsys.readouterr().err
+    code, out = run(tmp_path, "analyze", text, extra=["--cap", "2000"], name="ok.ini")
+    assert code == 0
+    assert (out / "analyze.json").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--cap", "0"], "srnglab analyze: error: argument --cap: must be a positive integer, got 0"),
+        (["--cap", "-3"], "srnglab analyze: error: argument --cap: must be a positive integer, got -3"),
+        (["--cap", "lots"], "srnglab analyze: error: argument --cap: invalid int value: 'lots'"),
+        (["--caps", "2000"], "srnglab: error: unrecognized arguments: --caps 2000"),
+    ],
+    ids=["zero", "negative", "word", "caps-spelling"],
+)
+def test_bad_cap_flags_are_usage_errors(tmp_path, capsys, extra, message):
+    # The file sets a valid cap, so a flag dropped on the floor would run.
+    text = BASE.replace("command = analyze", "command = analyze\ncap = 4096")
+    with pytest.raises(SystemExit) as excinfo:
+        run(tmp_path, "analyze", text, extra=extra)
+    assert excinfo.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == message
+
+
+def test_bad_file_cap_exits_2_with_a_located_message(tmp_path, capsys):
+    text = BASE.replace("command = analyze", "command = analyze\ncap = lots")
+    code, _ = run(tmp_path, "analyze", text)
+    assert code == 2
+    assert ":3: not a number: 'lots'" in capsys.readouterr().err
+
+
 def test_config_errors_exit_2_with_a_located_message(tmp_path, capsys):
     text = BASE.replace("pmf = 3/4, 1/4", "pmf = 3/4, oops")
     code, _ = run(tmp_path, "analyze", text)

@@ -341,3 +341,37 @@ def test_run_overrides_parse(tmp_path):
     ) + "[output]\ndir = results\n"
     cfg = load_config(write(tmp_path, text))
     assert (cfg.mode, cfg.units, cfg.cap, cfg.out_dir) == ("float", "bits", 4096, "results")
+
+
+@pytest.mark.parametrize(
+    "old, new, line, message",
+    [
+        ("command = analyze", "command = analyze\ncap = lots", 3, "not a number: 'lots'"),
+        ("command = analyze", "command = analyze\ncap = -5", 3,
+         "cap must be a positive integer, got '-5'"),
+        ("command = analyze", "command = analyze\ncap = 0", 3,
+         "cap must be a positive integer, got '0'"),
+        ("n = 2", "n = 3/2", 6, "n must be a positive integer, got '3/2'"),
+        ("n = 2", "n = 0", 6, "n must be a positive integer, got '0'"),
+        ("alphabet = 2", "alphabet = 5/2", 5, "alphabet must be a positive integer, got '5/2'"),
+        ("alphabet = 2", "alphabet = -2", 5, "alphabet must be a positive integer, got '-2'"),
+    ],
+    ids=["cap-word", "cap-negative", "cap-zero", "n-ratio", "n-zero", "alphabet-ratio",
+         "alphabet-negative"],
+)
+def test_integer_keys_reject_what_is_not_a_positive_integer(tmp_path, old, new, line, message):
+    path = write(tmp_path, BASE.replace(old, new))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == f"{path}:{line}: {message}"
+
+
+def test_integral_spellings_of_integer_keys_parse(tmp_path):
+    text = (
+        BASE.replace("command = analyze", "command = analyze\ncap = 8192/2")
+        .replace("n = 2", "n = 3.0")
+        .replace("alphabet = 2", "alphabet = 4/2")
+    )
+    cfg = load_config(write(tmp_path, text))
+    assert (cfg.cap, cfg.n, cfg.variant.alphabet_size) == (4096, 3, 2)
+    assert all(type(value) is int for value in (cfg.cap, cfg.n))

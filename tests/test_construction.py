@@ -446,3 +446,18 @@ def test_constructions_match_the_per_atom_greedy_on_benchmark_sources(monkeypatc
                 ]
             assert built == expected
             assert all(trace.pool and not trace.flags for _, trace in built)
+
+
+def test_entropy_prefix_arguments_and_trace_kinds_are_checked() -> None:
+    dist = expand(SourceModel(IID((F(3, 4), F(1, 4))), 2))
+    for gamma in (0, F(-1, 10)):
+        with pytest.raises(OutOfRange) as excinfo:
+            build_smooth_entropy_mapping(dist, variational(), F(1, 10), gamma)
+        assert str(excinfo.value) == f"slack exponent must be positive, got {gamma}"
+    with pytest.raises(OutOfRange) as excinfo:
+        build_smooth_entropy_mapping(dist, variational(), F(-1, 10), F(1, 10))
+    assert str(excinfo.value) == "divergence budget must be nonnegative, got -1/10"
+    _, trace = build_smooth_entropy_mapping(dist, variational(), F(1, 10), F(1, 10))
+    with pytest.raises(InvalidModel) as excinfo:
+        achievability_bound(trace, variational())
+    assert str(excinfo.value) == "bound applies to spectrum_split traces, got entropy_prefix"

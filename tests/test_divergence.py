@@ -317,6 +317,27 @@ def test_numeric_sweep_catches_increasing_curve() -> None:
     assert not check_conditions(rising).nonincreasing
 
 
+@pytest.mark.parametrize(
+    "eval_at, holds",
+    [
+        # f(e^{-s}) = s: polynomial in s, so f(e^{-nb}) e^{-na} = nb e^{-na} -> 0.
+        (lambda t: -math.log(t), True),
+        (lambda t: math.log(t) ** 4, True),
+        # f(e^{-s}) ~ e^{s}: the product tends to e^{n(b - a)}, unbounded for a < b.
+        (lambda t: 1 / t - 1, False),
+        (lambda t: t**-0.05 - 1, False),
+        # 1 / t**2 leaves the double range before t does.
+        (lambda t: 1 / (t * t) - 1, False),
+    ],
+    ids=["neg_log", "log_power", "inverse", "small_power", "inverse_square"],
+)
+def test_numeric_subexponential_rule_on_unflagged_curves(eval_at, holds) -> None:
+    bare = FCurve(name="bare", eval_at=eval_at, f_at_zero=math.inf, slope_at_infinity=F(0))
+    report = check_conditions(bare)
+    assert report.subexponential_near_zero is holds
+    assert dict(report.sources)["subexponential_near_zero"] == "numeric"
+
+
 # ---------------------------------------------------------------------------
 # name registry
 

@@ -15,6 +15,7 @@ from srnglab import (
     CapExceeded,
     FCurve,
     IID,
+    OutOfRange,
     SourceModel,
     apply_mapping,
     build_mapping,
@@ -312,3 +313,15 @@ def test_frozen_fixture_results_replay() -> None:
         assert res.exact == record["exact"]
         assert list(res.plan.representatives) == record["representatives"], record
         assert [list(b) for b in res.plan.blocks] == record["blocks"], record
+
+
+def test_search_arguments_out_of_range_are_rejected() -> None:
+    dist = single_letter(F(1, 2), F(1, 3), F(1, 6))
+    for m in (0, -1):
+        with pytest.raises(OutOfRange) as excinfo:
+            min_fdiv_bruteforce(dist, m, [variational()])
+        assert str(excinfo.value) == f"codebook size must be positive, got {m}"
+    for delta in (F(-1, 10), F(11, 10)):
+        with pytest.raises(OutOfRange) as excinfo:
+            min_set_bruteforce(dist, delta)
+        assert str(excinfo.value) == f"tail budget must lie in [0, 1], got {delta}"

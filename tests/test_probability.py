@@ -209,3 +209,32 @@ def test_pmf_entropy_extremes() -> None:
     assert pmf_entropy([F(1, 4), F(3, 4)]) == pytest.approx(
         math.log(4) / 4 + 3 * math.log(4 / 3) / 4
     )
+
+
+# ---------------------------------------------------------------------------
+# validation messages
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ((), "single-symbol pmf is empty"),
+        ((0.5, math.nan), "single-symbol pmf contains a non-finite entry"),
+        ((0.5, math.inf), "single-symbol pmf contains a non-finite entry"),
+        ((F(3, 2), F(-1, 2)), "single-symbol pmf contains a negative entry"),
+    ],
+    ids=["empty", "nan", "inf", "negative"],
+)
+def test_pmf_validation_names_the_fault(row, message) -> None:
+    with pytest.raises(InvalidModel) as excinfo:
+        IID(row)
+    assert str(excinfo.value) == message
+
+
+def test_outcome_ids_reject_what_lies_outside_the_space() -> None:
+    with pytest.raises(InvalidModel) as excinfo:
+        outcome_id((0, 2), 2)
+    assert str(excinfo.value) == "symbol 2 outside alphabet of size 2"
+    with pytest.raises(InvalidModel) as excinfo:
+        outcome_from_id(8, 3, 2)
+    assert str(excinfo.value) == "outcome id 8 outside space of size 2**3"

@@ -240,3 +240,14 @@ def test_report_with_a_binding_distortion_budget() -> None:
     assert report.rd_value == pytest.approx(
         binary_entropy(0.25) - binary_entropy(0.1), abs=1e-8
     )
+
+
+def test_mismatched_shapes_are_rejected() -> None:
+    d = expand(SourceModel(IID((F(3, 4), F(1, 4))), 2))
+    short = MappingPair(phi=(0, 0, 1), psi=(0, 2), m_n=2)
+    with pytest.raises(DimensionMismatch) as excinfo:
+        mapping_distortion(d, short, HAMMING2)
+    assert str(excinfo.value) == "mapping covers 3 outcomes, source has 4"
+    with pytest.raises(DimensionMismatch) as excinfo:
+        rd_function_iid((F(1, 2), F(1, 2)), HAMMING3, F(1, 10))
+    assert str(excinfo.value) == "distortion matrix does not match the pmf"

@@ -19,6 +19,7 @@ from srnglab import (
     AtomicDistribution,
     IID,
     InvalidModel,
+    Markov,
     Mixture,
     OutOfRange,
     RateReport,
@@ -42,7 +43,7 @@ from srnglab import (
     typeclass_spectrum,
     variational,
 )
-from srnglab.spectrum import _sweep_pairs
+from srnglab.spectrum import _sweep_pairs, _types
 
 F = Fraction
 
@@ -353,3 +354,15 @@ def test_sweep_tail_budget_comes_from_the_inverse() -> None:
     rows = rate_convergence_sweep(IID((F(1, 4), F(3, 4))), (2,), reverse_kl(), F(1, 10))
     expected_nu = 1 - math.exp(-0.1)
     assert rows[0].nu == pytest.approx(expected_nu)
+
+
+def test_type_class_routes_check_their_arguments() -> None:
+    source = IID((F(3, 4), F(1, 4)))
+    for delta in (F(-1, 10), F(11, 10)):
+        with pytest.raises(OutOfRange) as excinfo:
+            typeclass_smooth_max_entropy(source, 4, delta)
+        assert str(excinfo.value) == f"tail budget must lie in [0, 1], got {delta}"
+    chain = Markov((F(1, 2), F(1, 2)), ((F(9, 10), F(1, 10)), (F(1, 5), F(4, 5))))
+    with pytest.raises(InvalidModel) as excinfo:
+        _types(chain, 4)
+    assert str(excinfo.value) == "type classes need an IID or mixture source"
