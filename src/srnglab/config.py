@@ -4,8 +4,8 @@ One file drives one command.  Numbers are parsed as exact fractions, so
 "1/4", "0.25", and "3" all stay rational until a float-mode run converts
 them; that keeps rational-mode runs reproducible byte for byte.
 
-Validation errors carry the line number of the offending key, found by
-scanning the raw text, so a typo in a long grid file is easy to locate.
+Validation errors carry the line number of the offending key, recorded
+while parsing, so a typo in a long grid file is easy to locate.
 """
 
 from __future__ import annotations
@@ -81,18 +81,19 @@ def _to_float_variant(variant: IID | Markov | Mixture) -> IID | Markov | Mixture
 
 
 class _Located:
-    """Parsed file plus enough raw text to find a key's line number."""
+    """Parsed file plus the line number of every section header and key."""
 
     def __init__(self, path: str | Path) -> None:
         self.path = str(path)
         try:
-            self.lines = Path(path).read_text().splitlines()
+            lines = Path(path).read_text().splitlines()
         except OSError as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         self.sections: dict[str, dict[str, str]] = {}
+        self.numbers: dict[tuple[str, str | None], int] = {}
         current: dict[str, str] | None = None
         current_name = ""
-        for number, raw in enumerate(self.lines, start=1):
+        for number, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith(("#", ";")):
                 continue
@@ -102,6 +103,7 @@ class _Located:
                     self.fail_line(number, f"duplicate section [{current_name}]")
                 current = {}
                 self.sections[current_name] = current
+                self.numbers[current_name, None] = number
                 continue
             if current is None:
                 self.fail_line(number, "key outside any section")
@@ -112,6 +114,7 @@ class _Located:
             if key in current:
                 self.fail_line(number, f"duplicate key {key!r}")
             current[key] = value.strip()
+            self.numbers[current_name, key] = number
 
     def fail_line(self, number: int, message: str) -> NoReturn:
         raise ConfigError(f"{self.path}:{number}: {message}")
@@ -120,19 +123,7 @@ class _Located:
         raise ConfigError(f"{self.path}:{self.locate(section, key)}: {message}")
 
     def locate(self, section: str, key: str | None = None) -> int:
-        in_section = False
-        for number, raw in enumerate(self.lines, start=1):
-            line = raw.strip()
-            if line.startswith("[") and line.endswith("]"):
-                if in_section:
-                    break
-                in_section = line[1:-1].strip().lower() == section
-                if in_section and key is None:
-                    return number
-                continue
-            if in_section and key is not None and re.match(rf"\s*{re.escape(key)}\s*=", raw):
-                return number
-        return 1
+        return self.numbers.get((section, key), 1)
 
     def get(self, section: str, key: str, default: str | None = None) -> str | None:
         return self.sections.get(section, {}).get(key, default)
@@ -336,6 +327,9 @@ def load_config(path: str | Path, command: str | None = None) -> RunConfig:
     for m in ms:
         if m < 1:
             located.fail("grid", "m", "codebook sizes must be positive")
+    for sweep_n in sweep_ns:
+        if sweep_n < 1:
+            located.fail("grid", "n_sweep", "blocklengths must be positive")
     for delta in deltas:
         if delta < 0:
             located.fail("grid", "delta", "divergence budgets must be nonnegative")

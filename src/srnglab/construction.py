@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, takewhile
 from typing import Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
@@ -135,7 +136,7 @@ class ConstructionTrace:
         if not self.core:
             return None
         dist = self.source
-        masses = [_zero(dist)] * len(dist.masses)
+        masses = [dist._mass_of(())] * len(dist.masses)
         for x in self.core:
             masses[x] = dist.masses[x] / self.core_mass
         return AtomicDistribution.from_masses(masses, dist.n, dist.alphabet_size, exact=dist.exact)
@@ -148,10 +149,6 @@ class BoundReport:
     value: float
     clamped: bool
     detail: tuple[tuple[str, str], ...] = ()
-
-
-def _zero(dist: AtomicDistribution) -> Mass:
-    return Fraction(0) if dist.exact else 0.0
 
 
 def _greedy_allocate(
@@ -174,24 +171,27 @@ def _greedy_allocate(
     equal mass, each with the position of its first unallocated atom.
     Once one atom of a run does not fit, the load is unchanged, so no
     later atom of that run fits either: a representative takes a prefix of
-    each run's unallocated suffix.  In exact mode that prefix has length
-    min(available, floor((capacity - load) / mass)): one division and one
-    k * mass addition, which equals k additions, in place of k Fraction
-    additions and comparisons (about 6x less greedy time on the benchmark
-    sources).  In float mode the atoms of a run are still added one at a
-    time up to the first misfit, since k * mass can round differently from
-    k additions; the rest of the run is then skipped at once.  The
-    allocations equal those of scanning every remaining atom per
-    representative, at a cost of O(|core| * #runs + |pool|) instead of
-    O(|core| * |pool|).
+    each run's unallocated suffix.  In exact mode masses are numerators
+    over the distribution's denominator D and core_mass is C / D, so a
+    representative of numerator p has capacity p (D - C) / C over D,
+    floored to an integer without changing any fit; the prefix then has
+    length min(available, (capacity - load) // mass), one division in place
+    of one comparison per atom.  In float mode the atoms of a run are
+    still added one at a time up to the first misfit, since k * mass can
+    round differently from k additions; the rest of the run is then
+    skipped at once.  The allocations equal those of scanning every
+    remaining atom per representative, at a cost of
+    O(|core| * #runs + |pool|) instead of O(|core| * |pool|).
     """
+    values, den = dist._values, dist._den
     runs: list[list] = []  # [mass, ids, first unallocated position]
     for atom in pool:
-        mass = dist.masses[atom]
+        mass = values[atom]
         if runs and runs[-1][0] == mass:
             runs[-1][1].append(atom)
         else:
             runs.append([mass, [atom], 0])
+    core_value = int(core_mass * den) if dist.exact else core_mass
     allocations: list[tuple[int, ...]] = []
     stop = len(core) - 1
     stopped = False
@@ -199,17 +199,16 @@ def _greedy_allocate(
         if stopped:
             allocations.append(())
             continue
-        capacity = dist.masses[rep] / core_mass - dist.masses[rep]
+        p = values[rep]
+        capacity = p * (den - core_value) // core_value if dist.exact else p / core_value - p
         taken: list[int] = []
         load: Mass = 0
         for run in runs:
             mass, ids, start = run
             end = start
-            if dist.exact and mass > 0:
-                fit = (capacity - load) // mass
-                if fit > 0:
-                    end = min(len(ids), start + fit)
-                    load = load + (end - start) * mass
+            if dist.exact:
+                end = min(len(ids), start + (capacity - load) // mass) if mass else len(ids)
+                load += (end - start) * mass
             else:
                 while end < len(ids) and load + mass <= capacity:
                     load = load + mass
@@ -275,9 +274,10 @@ def _classify(
     the heavy outcomes at or below the rate_window low line."""
     _check_window(m, gamma)
     r_low, _ = rate_window(m, dist.n, gamma)
-    cut = Fraction(1, m)
+    values, cut = dist._values, Fraction(dist._den, m)
     order = sort_descending(dist)
-    heavy = [x for x in order if dist.masses[x] >= cut]
+    # Heavy outcomes form a prefix of the descending order.
+    heavy = list(takewhile(lambda x: values[x] >= cut, order))
     core = [x for x in heavy if self_information(dist, x) <= r_low]
     return order, heavy, core
 
@@ -322,9 +322,9 @@ def build_mapping(
     """
     size = len(dist.masses)
     order, heavy, core = _classify(dist, m, gamma)
-    rest = order[len(heavy):]  # heavy is a prefix of the descending order
-    light = [x for x in rest if dist.masses[x] > 0]
-    off = tuple(x for x in rest if dist.masses[x] == 0)
+    # Zero masses form a suffix of the descending order.
+    live = len(order) - dist._values.count(0)
+    light, off = order[len(heavy):live], order[live:]
     in_core = set(core)
     band = [x for x in heavy if x not in in_core]
 
@@ -337,13 +337,11 @@ def build_mapping(
         trace = _trace(
             "spectrum_split", dist, core=(), band=kept, pool=pool, off=off,
             representatives=kept, allocations=(pool,), stop=0, gamma=gamma, m=m,
-            core_mass=_zero(dist), flags=flags,
+            core_mass=dist._mass_of(core), flags=flags,
         )
         return _encode(size, kept, kept[:1], (pool,), m), trace
 
-    core_mass: Mass = _zero(dist)
-    for x in core:
-        core_mass = core_mass + dist.masses[x]
+    core_mass = dist._mass_of(core)
     allocations, stop = _greedy_allocate(dist, core, light, core_mass)
     trace = _trace(
         "spectrum_split", dist, core=core, band=band, pool=light, off=off,
@@ -387,8 +385,8 @@ def build_smooth_entropy_mapping(
 
     representatives = order[:m]
     band = representatives[len(core):]
-    pool = [x for x in order[m:] if dist.masses[x] > 0]
-    off = tuple(x for x in order[m:] if dist.masses[x] == 0)
+    live = max(m, len(order) - dist._values.count(0))  # zero masses come last
+    pool, off = order[m:live], order[live:]
     allocations, stop = _greedy_allocate(dist, core, pool, core_mass)
     trace = _trace(
         "entropy_prefix", dist, core=core, band=band, pool=pool, off=off,
@@ -495,12 +493,8 @@ def entropy_mapping_bound(trace: ConstructionTrace, curve: FCurve) -> BoundRepor
         return BoundReport(float(curve.eval_at(pr_core)), False, (("identity", "true"),))
     dist = trace.source
     slack = math.exp(-trace.n * float(trace.gamma))
-    head: Mass = _zero(dist)
-    for i in range(trace.stop_index):
-        rep = trace.core[i]
-        head = head + dist.masses[rep]
-        for atom in trace.allocations[i]:
-            head = head + dist.masses[atom]
+    filled = zip(trace.core[: trace.stop_index], trace.allocations)
+    head = dist._mass_of(chain.from_iterable((rep, *atoms) for rep, atoms in filled))
     x_stop = trace.core[trace.stop_index]
     p_stop = dist.masses[x_stop]
     cond_stop = p_stop / pr_core

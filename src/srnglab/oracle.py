@@ -184,10 +184,7 @@ def _search(
     strays: dict[tuple[int, ...], tuple[list, list]] = {}
 
     def stray_terms(covered_atoms: tuple[int, ...]) -> tuple[list, list]:
-        covered: Mass = 0
-        for y in covered_atoms:
-            covered = covered + dist.masses[y]
-        uncovered = support_mass - covered
+        uncovered = support_mass - dist._mass_of(covered_atoms)
         if not uncovered > 0:
             return [None] * len(curves), [None] * len(curves)
         loose = float(uncovered)
@@ -317,9 +314,6 @@ def min_set_bruteforce(dist: AtomicDistribution, delta: Mass) -> tuple[int, tupl
     target: Mass = 1 - Fraction(delta) if dist.exact else 1.0 - float(delta)
     for r in range(1, len(support) + 1):
         for combo in itertools.combinations(support, r):
-            total: Mass = 0
-            for x in combo:
-                total = total + dist.masses[x]
-            if total >= target:
+            if dist._mass_of(combo) >= target:
                 return r, combo
     return len(support), support

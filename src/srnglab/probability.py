@@ -26,6 +26,9 @@ denominator (the lcm of the weight denominators times the n-th power of
 the lcm of the pmf denominators); Markov ones are over the initial pmf's
 denominator times the (n-1)-th power of the lcm of the transition
 denominators.
+
+This module alone knows how masses are stored: the rest of the package
+reads them as `_values` over `_den`, and totals outcome sets with `_mass_of`.
 """
 
 from __future__ import annotations
@@ -34,8 +37,9 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import cycle
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceeded, InvalidModel, ZeroMassOutcome
 
@@ -175,6 +179,15 @@ class AtomicDistribution:
         """What the atom path computes on: the integer numerators over _den
         in exact mode, the masses themselves (over _den = 1) in float mode."""
         return self._nums if self.exact else self.masses
+
+    def _mass_of(self, ids: Iterable[int]) -> Mass:
+        """Total mass of the outcomes ids.  Exact: the numerators summed in
+        ints and divided once.  Float: the masses added left to right from
+        0.0, not with built-in sum, which compensates since Python 3.12."""
+        values = map(self._values.__getitem__, ids)
+        if self.exact:
+            return Fraction(sum(values), self._den)
+        return reduce(operator.add, values, 0.0)
 
     @classmethod
     def _from_values(

@@ -49,7 +49,6 @@ from .probability import (
     SourceModel,
     _type_masses,
     expand,
-    self_information,
     self_information_value,
     sort_descending,
 )
@@ -103,18 +102,18 @@ def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
     """Summarize a materialized distribution into its information spectrum.
 
     Outcomes sharing one computed value are merged, their masses added in
-    the distribution's own arithmetic.  An exact distribution computes one
-    value per distinct numerator and adds numerators in ints.
+    the distribution's own arithmetic.  Each distinct mass gets its value
+    once.  An exact distribution adds numerators in ints; a float one adds
+    its masses atom by atom in id order.
     """
     if dist.exact:
         counts = Counter(dist._nums)
         counts.pop(0, None)
         return _integer_spectrum(dist._den, counts.items(), dist.n)
+    value_of = {mass: self_information_value(mass, dist.n) for mass in set(dist.masses) if mass}
     acc: dict[float, Mass] = {}
-    for oid, mass in enumerate(dist.masses):
-        if mass == 0:
-            continue
-        value = self_information(dist, oid)
+    for mass in filter(None, dist.masses):
+        value = value_of[mass]
         acc[value] = acc.get(value, 0) + mass
     return SpectrumSummary(points=tuple(sorted(acc.items())), n=dist.n)
 
@@ -243,16 +242,19 @@ def _descending_prefix(
 ) -> tuple[list[int], Mass]:
     """Shortest prefix of the descending order whose mass reaches target,
     and that mass; never empty, and never past the last positive mass."""
+    values = dist._values
+    # Integer numerators reach target once they reach target * _den rounded up.
+    goal = math.ceil(Fraction(target) * dist._den) if dist.exact else target
     ids: list[int] = []
-    mass: Mass = 0
+    total: Mass = 0
     for x in order:
-        if dist.masses[x] == 0:
+        if values[x] == 0:
             break
         ids.append(x)
-        mass = mass + dist.masses[x]
-        if mass >= target:
+        total = total + values[x]
+        if total >= goal:
             break
-    return ids, mass
+    return ids, dist._mass_of(ids)
 
 
 def _multinomial(n: int, counts: Sequence[int]) -> int:

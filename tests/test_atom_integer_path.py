@@ -5,12 +5,15 @@ denominator: expand builds them prefix by prefix, sort_descending sorts
 on them, apply_mapping adds them, spectrum_cdf computes one value per
 distinct numerator, and divergence computes one term per distinct
 numerator pair.  A float distribution goes through the same expand and
-divergence on its float masses.  The per-atom loops each of those
-replaced live on here as test-local references, and every result must
-equal theirs under ==, with the same type, floats included: float
-expansion multiplies in the order the per-outcome loop did, and the
-divergence replays the atom-by-atom sum, so floats are expected to be
-bit-identical, not close.
+divergence on its float masses.  The constructions and their bounds read
+those values too: heavy outcomes and zero masses are cut from the
+descending order, and masses of outcome sets are totalled in one helper.
+The per-atom loops each of those replaced live on here as test-local
+references, and every result must equal theirs under ==, with the same
+type, floats included: float expansion multiplies in the order the
+per-outcome loop did, the divergence replays the atom-by-atom sum, and
+float totals add left to right as the loops did, so floats are expected
+to be bit-identical, not close.
 """
 
 from __future__ import annotations
@@ -29,20 +32,27 @@ from srnglab import (
     MappingPair,
     Mixture,
     SourceModel,
+    achievability_bound,
     apply_mapping,
+    baseline_collapse_mapping,
     build_mapping,
     build_smooth_entropy_mapping,
     curve_from_name,
     divergence,
+    entropy_mapping_bound,
     expand,
     outcome_from_id,
+    rate_window,
+    self_information,
     self_information_value,
+    smooth_max_entropy,
     sort_descending,
     spectrum_cdf,
     trace_to_jsonable,
     variational,
 )
-from srnglab.divergence import _term
+from srnglab.construction import _encode, _greedy_allocate, _trace
+from srnglab.divergence import _budget_threshold, _term
 from srnglab.probability import _iid_type_mass
 
 F = Fraction
@@ -106,6 +116,104 @@ def old_divergence(p_masses, q_masses, curve):
             return math.inf
         total = total + term
     return total
+
+
+def old_total(dist, ids):
+    total = F(0) if dist.exact else 0.0
+    for x in ids:
+        total = total + dist.masses[x]
+    return total
+
+
+def old_classify(dist, m, gamma):
+    r_low, _ = rate_window(m, dist.n, gamma)
+    order = sort_descending(dist)
+    heavy = [x for x in order if dist.masses[x] >= F(1, m)]
+    core = [x for x in heavy if self_information(dist, x) <= r_low]
+    return order, heavy, core
+
+
+def old_build_mapping(dist, m, gamma):
+    order, heavy, core = old_classify(dist, m, gamma)
+    rest = order[len(heavy):]
+    light = [x for x in rest if dist.masses[x] > 0]
+    off = tuple(x for x in rest if dist.masses[x] == 0)
+    band = [x for x in heavy if x not in core]
+    if not core:
+        kept = heavy or [order[0]]
+        pool = tuple(x for x in light if x != kept[0])
+        flags = ("empty_core",) if heavy else ("empty_core", "empty_core_and_band")
+        trace = _trace(
+            "spectrum_split", dist, core=(), band=kept, pool=pool, off=off,
+            representatives=kept, allocations=(pool,), stop=0, gamma=gamma, m=m,
+            core_mass=old_total(dist, ()), flags=flags,
+        )
+        return _encode(len(order), kept, kept[:1], (pool,), m), trace
+    core_mass = old_total(dist, core)
+    allocations, stop = _greedy_allocate(dist, core, light, core_mass)
+    trace = _trace(
+        "spectrum_split", dist, core=core, band=band, pool=light, off=off,
+        representatives=heavy, allocations=allocations, stop=stop, gamma=gamma,
+        m=m, core_mass=core_mass,
+    )
+    return _encode(len(order), heavy, core, allocations, m), trace
+
+
+def old_baseline(dist, m, gamma):
+    order, _, core = old_classify(dist, m, gamma)
+    core = core or [order[0]]
+    return _encode(len(order), core, core, (), m)
+
+
+def old_build_entropy(dist, curve, delta, gamma):
+    order = sort_descending(dist)
+    target = _budget_threshold(curve, delta)
+    core, core_mass = [], 0
+    for x in order:
+        if dist.masses[x] == 0:
+            break
+        core.append(x)
+        core_mass = core_mass + dist.masses[x]
+        if core_mass >= target:
+            break
+    m = math.ceil(len(core) * math.exp(dist.n * float(gamma)))
+    if m > len(order):
+        trace = _trace(
+            "entropy_prefix", dist, core=core, band=order[len(core):], pool=(), off=(),
+            representatives=order, allocations=((),) * len(core), stop=0,
+            gamma=gamma, m=m, core_mass=core_mass, flags=("size_exceeds_space",),
+        )
+        return _encode(len(order), order, (), (), len(order)), trace
+    pool = [x for x in order[m:] if dist.masses[x] > 0]
+    off = tuple(x for x in order[m:] if dist.masses[x] == 0)
+    allocations, stop = _greedy_allocate(dist, core, pool, core_mass)
+    trace = _trace(
+        "entropy_prefix", dist, core=core, band=order[len(core):m], pool=pool, off=off,
+        representatives=order[:m], allocations=allocations, stop=stop,
+        gamma=gamma, m=m, core_mass=core_mass,
+    )
+    return _encode(len(order), order[:m], core, allocations, m), trace
+
+
+def old_entropy_bound(trace, curve):
+    pr_core = trace.core_mass
+    if "size_exceeds_space" in trace.flags:
+        return float(curve.eval_at(pr_core))
+    dist = trace.source
+    slack = math.exp(-trace.n * float(trace.gamma))
+    head = F(0) if dist.exact else 0.0
+    for i in range(trace.stop_index):
+        head = head + dist.masses[trace.core[i]]
+        for atom in trace.allocations[i]:
+            head = head + dist.masses[atom]
+    p_stop = dist.masses[trace.core[trace.stop_index]]
+    arg = (1.0 - slack) * float(pr_core)
+    middle = float(curve.f_at_zero) if arg <= 0 else float(curve.eval_at(arg))
+    return (
+        float(head) * float(curve.eval_at(pr_core))
+        + float(p_stop / pr_core) * middle
+        + slack * float(curve.eval_at(p_stop))
+    )
 
 
 def same(a, b) -> bool:
@@ -246,6 +354,7 @@ def test_float_atom_path_matches_the_per_outcome_loops(case) -> None:
     assert all(same(got, want) for got, want in zip(dist.masses, masses))
 
     mapping, _ = build_mapping(dist, 16, F(1, 20))
+    assert same(spectrum_cdf(dist).points, old_spectrum_points(masses, n))
     decoded = apply_mapping(dist, mapping)
     decoded_masses = old_apply(masses, mapping, 0.0)
     assert all(same(got, want) for got, want in zip(decoded.masses, decoded_masses))
@@ -256,6 +365,55 @@ def test_float_atom_path_matches_the_per_outcome_loops(case) -> None:
     for p in dists:
         for q in dists:
             check_divergences(p, q, p.masses, q.masses)
+
+
+BOUND_CURVES = ("variational", "reverse_kl", "hellinger", "e_gamma:2")
+
+
+@pytest.mark.parametrize("case", CASES, ids=case_id)
+def test_constructions_and_bounds_match_the_replaced_loops(case) -> None:
+    variant, n = case
+    seen = set()
+    for source in (variant, to_float(variant)):
+        dist = expand(SourceModel(source, n))
+        for m, gamma in ((1, F(1, 20)), (16, F(3)), (8, F(1, 2)), (128, F(1, 20))):
+            mapping, trace = build_mapping(dist, m, gamma)
+            ref_mapping, ref_trace = old_build_mapping(dist, m, gamma)
+            assert mapping == ref_mapping
+            assert trace_to_jsonable(trace) == trace_to_jsonable(ref_trace)
+            assert same(trace.core_mass, ref_trace.core_mass)
+            assert baseline_collapse_mapping(dist, m, gamma) == old_baseline(dist, m, gamma)
+            for name in BOUND_CURVES:
+                curve = curve_from_name(name)
+                assert achievability_bound(trace, curve) == achievability_bound(ref_trace, curve)
+            seen.update(trace.flags)
+            if trace.off_support:
+                seen.add("off_support")
+        for name in BOUND_CURVES:
+            curve = curve_from_name(name)
+            for delta in (F(1, 10), F(1, 2)):
+                for gamma in (F(1, 20), F(1)):
+                    mapping, trace = build_smooth_entropy_mapping(dist, curve, delta, gamma)
+                    ref_mapping, ref_trace = old_build_entropy(dist, curve, delta, gamma)
+                    assert mapping == ref_mapping
+                    assert trace_to_jsonable(trace) == trace_to_jsonable(ref_trace)
+                    assert same(trace.core_mass, ref_trace.core_mass)
+                    for bound_curve in map(curve_from_name, BOUND_CURVES):
+                        got = entropy_mapping_bound(trace, bound_curve).value
+                        assert same(got, old_entropy_bound(ref_trace, bound_curve))
+                    seen.update(trace.flags)
+    # Every case reaches the empty-core fallbacks and the identity path;
+    # the ternary ones have zero masses to leave off the support.
+    expected = {"empty_core", "empty_core_and_band", "size_exceeds_space"}
+    if variant in TERNARY:
+        expected.add("off_support")
+    assert expected <= seen
+
+
+def test_exact_prefix_rounds_its_target_up() -> None:
+    # Mass 1/2 is 3/2 numerators over the denominator 3: one third falls short.
+    dist = AtomicDistribution.from_masses([F(1, 3)] * 3, 1, 3)
+    assert smooth_max_entropy(dist, F(1, 2)) == (math.log(2), frozenset({0, 1}))
 
 
 def test_float_expand_still_rejects_its_own_iid_sum_at_n16() -> None:

@@ -353,11 +353,13 @@ def test_run_overrides_parse(tmp_path):
          "cap must be a positive integer, got '0'"),
         ("n = 2", "n = 3/2", 6, "n must be a positive integer, got '3/2'"),
         ("n = 2", "n = 0", 6, "n must be a positive integer, got '0'"),
+        ("n = 2", "N = 0", 6, "n must be a positive integer, got '0'"),
         ("alphabet = 2", "alphabet = 5/2", 5, "alphabet must be a positive integer, got '5/2'"),
         ("alphabet = 2", "alphabet = -2", 5, "alphabet must be a positive integer, got '-2'"),
+        ("delta = 1/10", "delta = 1/10\nn_sweep = 0, 2", 12, "blocklengths must be positive"),
     ],
-    ids=["cap-word", "cap-negative", "cap-zero", "n-ratio", "n-zero", "alphabet-ratio",
-         "alphabet-negative"],
+    ids=["cap-word", "cap-negative", "cap-zero", "n-ratio", "n-zero", "n-upper-case",
+         "alphabet-ratio", "alphabet-negative", "n_sweep-zero"],
 )
 def test_integer_keys_reject_what_is_not_a_positive_integer(tmp_path, old, new, line, message):
     path = write(tmp_path, BASE.replace(old, new))
