@@ -84,9 +84,9 @@ class MappingPair:
             raise InvalidModel("decoder table must have one entry per code index")
         if not self.phi:
             raise InvalidModel("encoder table is empty")
-        if any(not 0 <= j < self.m_n for j in self.phi):
+        if min(self.phi) < 0 or max(self.phi) >= self.m_n:
             raise InvalidModel("encoder produced an index outside the codebook")
-        if any(not 0 <= x < len(self.phi) for x in self.psi):
+        if min(self.psi) < 0 or max(self.psi) >= len(self.phi):
             raise InvalidModel("decoder produced an outcome outside the space")
 
 

@@ -349,11 +349,11 @@ def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _type_masses(
+def _type_parts(
     variant: IID | Mixture, n: int, exact: bool
-) -> tuple[int, Iterator[tuple[tuple[int, ...], Mass]]]:
-    """Denominator D, and every type (symbol counts) of length-n strings
-    with the mass times D of one string of that type.
+) -> tuple[int, list[tuple[Mass, Sequence[Mass]]]]:
+    """Denominator D, and the (weight, pmf) of every component, such that
+    one string's mass times D is the weighted sum of its pmf products.
 
     Exact weights and pmfs are numerators over the lcm w_den of the weight
     denominators and the lcm p_den of every pmf denominator, so D is
@@ -370,7 +370,16 @@ def _type_masses(
         p_den, flat = _common([p for pmf in pmfs for p in pmf])
         pmfs = [flat[i * k:(i + 1) * k] for i in range(len(pmfs))]
         den = w_den * p_den**n
-    parts = list(zip(weights, pmfs))
+    return den, list(zip(weights, pmfs))
+
+
+def _type_masses(
+    variant: IID | Mixture, n: int, exact: bool
+) -> tuple[int, Iterator[tuple[tuple[int, ...], Mass]]]:
+    """Denominator D, and every type (symbol counts) of length-n strings
+    with the mass times D of one string of that type."""
+    den, parts = _type_parts(variant, n, exact)
+    k = variant.alphabet_size
     return den, (
         (counts, sum(w * _iid_type_mass(pmf, counts) for w, pmf in parts))
         for counts in _compositions(n, k)

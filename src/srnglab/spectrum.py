@@ -17,25 +17,29 @@ tail does not depend on which function asked for it.
 For IID and mixture sources the spectrum depends on a sequence only through
 its symbol counts, so large blocklengths are handled by enumerating type
 classes instead of outcomes: binomially many terms for a binary alphabet
-instead of 2**n.  The enumeration works on integer numerators over one
-shared denominator (the lcm of the weight denominators times the n-th
-power of the lcm of the pmf denominators); a Fraction is made once per
-type, for its value, and once per spectrum point, for its mass.
+instead of 2**n.  The enumeration is one walk over the compositions of n
+on integer numerators over one shared denominator (the lcm of the weight
+denominators times the n-th power of the lcm of the pmf denominators),
+with per-symbol power tables and class sizes updated from type to type.
+A Fraction is made once per type, for its value, and the public spectrum
+makes one per point, for its mass.
 
 A convergence sweep computes each blocklength once for all of its
-(curve, budget) pairs: one descending type list serves every smooth max
-entropy and is dropped before the spectrum is built, and one cumulative
-list serves every resolution rate.
+(curve, budget) pairs from one walk: its list, sorted by descending mass,
+serves every smooth max entropy, and the same list folds into (value,
+numerator sum) points whose running sums serve every resolution rate,
+with no summary or per-point Fraction in between.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator, Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
@@ -47,7 +51,7 @@ from .probability import (
     Mass,
     Mixture,
     SourceModel,
-    _type_masses,
+    _type_parts,
     expand,
     self_information_value,
     sort_descending,
@@ -257,30 +261,65 @@ def _descending_prefix(
     return ids, dist._mass_of(ids)
 
 
-def _multinomial(n: int, counts: Sequence[int]) -> int:
-    # The last count takes all that remains, a factor comb(c, c) = 1.
-    out, rem = 1, n
-    for c in counts[:-1]:
-        out *= math.comb(rem, c)
-        rem -= c
-    return out
-
-
 def _types(variant: IID | Mixture, n: int) -> tuple[int, Iterator[tuple[int, int]]]:
     """Shared denominator, and (per-sequence mass times it, class size) of
-    every positive-mass type class.
+    every positive-mass type class, in the order of `_compositions`.
 
     Sequence probability depends on the symbol counts alone, so one term per
     composition of n stands for its whole class.  The denominator is the
     lcm of the weight denominators times the n-th power of the lcm of the
     pmf denominators, so every sequence mass is an integer over it.
+
+    One walk over the compositions carries everything in ints: each
+    symbol's powers come from a table of n + 1 per mixture component, and
+    the class size is the product over symbols of C(rest, count), updated
+    as a count steps down by C(r, c - 1) = C(r, c) * c // (r - c + 1).
     """
     if not SourceModel(variant, n).exact:
         raise InvalidModel("type-class enumeration needs rational source parameters")
     if not isinstance(variant, (IID, Mixture)):
         raise InvalidModel("type classes need an IID or mixture source")
-    den, types = _type_masses(variant, n, exact=True)
-    return den, ((num, _multinomial(n, counts)) for counts, num in types if num)
+    den, parts = _type_parts(variant, n, exact=True)
+    weights = [w for w, _ in parts]
+    # tables[s][j][c] = (numerator of symbol s under component j) ** c
+    tables = [
+        [list(accumulate(repeat(pmf[s], n), operator.mul, initial=1)) for _, pmf in parts]
+        for s in range(variant.alphabet_size)
+    ]
+    return den, _walk(tables, 0, n, 1, weights)
+
+
+def _walk(
+    tables: Sequence[Sequence[Sequence[int]]], s: int, rest: int, size: int, prods: Sequence[int]
+) -> Iterator[tuple[int, int]]:
+    """Types whose counts for symbols s on sum to rest, given the class size
+    and per-component products of the counts before s; the count of symbol
+    s runs down from rest, and the last symbol takes what remains."""
+    here = tables[s]
+    if s == len(tables) - 1:
+        num = sum(p * t[rest] for p, t in zip(prods, here))
+        if num:
+            yield num, size
+        return
+    if s < len(tables) - 2:
+        for c in range(rest, -1, -1):
+            yield from _walk(tables, s + 1, rest - c, size, [p * t[c] for p, t in zip(prods, here)])
+            size = size * c // (rest - c + 1)
+        return
+    last = tables[s + 1]
+    if len(prods) == 1:
+        (p,), (t,), (u,) = prods, here, last
+        for c in range(rest, -1, -1):
+            num = p * t[c] * u[rest - c]
+            if num:
+                yield num, size
+            size = size * c // (rest - c + 1)
+        return
+    for c in range(rest, -1, -1):
+        num = sum(p * t[c] * u[rest - c] for p, t, u in zip(prods, here, last))
+        if num:
+            yield num, size
+        size = size * c // (rest - c + 1)
 
 
 def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:
@@ -294,14 +333,20 @@ def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:
 
 
 def _integer_spectrum(den: int, classes: Iterable[tuple[int, int]], n: int) -> SpectrumSummary:
-    """Spectrum of (positive numerator over den, how many atoms carry it)
-    pairs: each value from the reduced mass, each point's mass summed in ints."""
+    """Spectrum of (positive numerator over den, how many atoms carry it) pairs."""
+    sums = _value_sums(den, classes, n)
+    points = tuple((v, Fraction(sums[v], den)) for v in sorted(sums))
+    return SpectrumSummary(points=points, n=n)
+
+
+def _value_sums(den: int, classes: Iterable[tuple[int, int]], n: int) -> dict[float, int]:
+    """Mass numerator over den of every spectrum point, keyed by its value:
+    each value from the reduced mass, each point's numerator summed in ints."""
     acc: dict[float, int] = {}
     for num, count in classes:
         value = self_information_value(Fraction(num, den), n)
         acc[value] = acc.get(value, 0) + count * num
-    points = tuple((v, Fraction(s, den)) for v, s in sorted(acc.items()))
-    return SpectrumSummary(points=points, n=n)
+    return acc
 
 
 def _typeclass_set_size(descending: Sequence[tuple[int, int]], den: int, target: Fraction) -> int:
@@ -424,19 +469,17 @@ def _sweep_point(
         order = sort_descending(dist)
         h0s = [math.log(len(_smooth_set(dist, order, eps))) / n for eps in levels]
         summary = spectrum_cdf(dist)
-        cdfs, keys = _cdfs(summary.masses()), thresholds
+        values, cdfs, keys = summary.values(), _cdfs(summary.masses()), thresholds
     else:
         den, classes = _types(variant, n)
         descending = sorted(classes, reverse=True)
         sizes = [_typeclass_set_size(descending, den, 1 - Fraction(eps)) for eps in levels]
         h0s = [math.log(size) / n for size in sizes]
-        # The type list and the summary are each the largest object of a
-        # blocklength; holding one at a time keeps the peak at one of them.
-        del descending
-        summary = typeclass_spectrum(variant, n)
+        sums = _value_sums(den, descending, n)
+        del descending  # the cumulative list below is as large again
+        values = sorted(sums)
         # Cumulative mass numerators over den: integer sums are exact, so
         # summing from the bottom gives the same cdf as den minus the tail.
-        cdfs = list(accumulate(m.numerator * (den // m.denominator) for m in summary.masses()))
+        cdfs = list(accumulate(map(sums.__getitem__, values)))
         keys = [math.ceil(Fraction(thr) * den) for thr in thresholds]
-    values = summary.values()
     return [values[bisect.bisect_left(cdfs, key)] for key in keys], h0s

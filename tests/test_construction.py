@@ -310,6 +310,19 @@ def test_mapping_pair_validation() -> None:
         MappingPair(phi=(0, 1), psi=(0, 5), m_n=2)
 
 
+def test_mapping_pair_range_checks_name_the_table() -> None:
+    for phi in ((0, 2, 1), (1, -1, 0)):
+        with pytest.raises(InvalidModel) as excinfo:
+            MappingPair(phi=phi, psi=(0, 1), m_n=2)
+        assert str(excinfo.value) == "encoder produced an index outside the codebook"
+    for psi in ((0, 3), (-1, 2)):
+        with pytest.raises(InvalidModel) as excinfo:
+            MappingPair(phi=(0, 1, 1), psi=psi, m_n=2)
+        assert str(excinfo.value) == "decoder produced an outcome outside the space"
+    # Both ends of each range are inside it.
+    MappingPair(phi=(0, 1, 1), psi=(0, 2), m_n=2)
+
+
 def test_apply_mapping_pushes_mass_forward() -> None:
     d = single_letter(F(1, 2), F(1, 3), F(1, 6))
     pair = MappingPair(phi=(0, 0, 1), psi=(1, 2), m_n=2)

@@ -338,6 +338,7 @@ def test_sweep_checks_every_pair_before_any_work(monkeypatch) -> None:
 
     monkeypatch.setattr(spectrum_module, "expand", no_work)
     monkeypatch.setattr(spectrum_module, "typeclass_spectrum", no_work)
+    monkeypatch.setattr(spectrum_module, "_types", no_work)
     source = IID((F(1, 4), F(3, 4)))
     good = (variational(), F(1, 5))
     with pytest.raises(OutOfRange, match="^divergence budget must be nonnegative, got -1/5$"):

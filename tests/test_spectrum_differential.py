@@ -2,8 +2,10 @@
 
 Tails, quantile scans, descending prefixes and type-class enumeration
 each had hand-written copies before they went behind one helper apiece,
-and the type-class route summed Fraction masses before it moved to
-integer numerators over one shared denominator.  The copies live on here
+the type-class route summed Fraction masses before it moved to integer
+numerators over one shared denominator, and type enumeration called
+math.comb and raised each pmf entry to its count for every type before
+one composition walk carried both.  The copies live on here
 as test-local references, and the public functions must agree with them
 under ==, with the same result type, on seeded exact and float spectra:
 float masses are summed in one fixed order, so float results are
@@ -39,7 +41,9 @@ from srnglab import (
     typeclass_spectrum,
     variational,
 )
+from srnglab.divergence import _budget_threshold
 from srnglab.probability import _iid_type_mass
+from srnglab.spectrum import SweepRow, _sweep_pairs, _types
 
 F = Fraction
 
@@ -130,6 +134,23 @@ def old_weighted(variant):
     return tuple(
         (F(w), tuple(F(p) for p in c.pmf)) for w, c in zip(variant.weights, variant.components)
     )
+
+
+def old_types(variant, n):
+    """Shared denominator and (numerator, class size) of every positive
+    type, in composition order, from Fraction masses and math.comb."""
+    weighted = old_weighted(variant)
+    w_den = math.lcm(*(w.denominator for w, _ in weighted))
+    p_den = math.lcm(*(p.denominator for _, pmf in weighted for p in pmf))
+    den = w_den * p_den**n
+    types = []
+    for counts in old_compositions(n, variant.alphabet_size):
+        seq_mass = sum(w * _iid_type_mass(pmf, counts) for w, pmf in weighted)
+        if seq_mass:
+            num = seq_mass * den
+            assert num.denominator == 1
+            types.append((num.numerator, old_multinomial(n, counts)))
+    return den, types
 
 
 def old_typeclass_points(variant, n):
@@ -247,6 +268,34 @@ FIXED_TYPE_CLASS_INPUTS = (
 )
 
 
+#: Enumeration inputs for k = 2, 3 and 4: zero-probability symbols first,
+#: last and in between, and mixtures whose components zero out different
+#: symbols.
+FIXED_ENUMERATION_INPUTS = (
+    (IID((F(1),)), 7),
+    (IID((F(0), F(1))), 5),
+    (IID((F(1, 4), F(3, 4))), 40),
+    (IID((F(1, 2), F(1, 3), F(1, 6))), 40),
+    (IID((F(1, 2), F(1, 2), F(0))), 12),
+    (IID((F(1, 10), F(2, 10), F(3, 10), F(4, 10))), 20),
+    (IID((F(1, 3), F(0), F(1, 3), F(1, 3))), 16),
+    (
+        Mixture(
+            (F(1, 4), F(3, 4)),
+            (IID((F(1, 2), F(0), F(1, 4), F(1, 4))), IID((F(0), F(1, 5), F(2, 5), F(2, 5)))),
+        ),
+        14,
+    ),
+    (
+        Mixture(
+            (F(1, 3), F(1, 3), F(1, 3)),
+            (IID((F(1, 7), F(6, 7))), IID((F(1, 2), F(1, 2))), IID((F(1), F(0)))),
+        ),
+        40,
+    ),
+)
+
+
 def type_class_inputs(rng):
     for _ in range(12):
         variant = random_variant(rng)
@@ -335,3 +384,42 @@ def test_descending_prefixes_match_the_replaced_loops() -> None:
             _, trace = build_smooth_entropy_mapping(dist, variational(), delta, F(1, 10))
             assert trace.core == tuple(core)
             assert same(trace.core_mass, core_mass)
+
+
+def test_type_enumeration_matches_the_comb_and_power_loop() -> None:
+    rng = random.Random(6021)
+    inputs = [(v, n) for v, n in FIXED_ENUMERATION_INPUTS + FIXED_TYPE_CLASS_INPUTS if n <= 40]
+    for _ in range(20):
+        variant = random_variant(rng)
+        inputs.append((variant, rng.randint(1, 40 if variant.alphabet_size == 2 else 16)))
+    for variant, n in inputs:
+        den, types = _types(variant, n)
+        old_den, old = old_types(variant, n)
+        assert den == old_den
+        # Same pairs in the same order, every one a pair of ints.
+        assert list(types) == old
+        assert all(type(num) is int and type(size) is int for num, size in old)
+
+
+def test_type_class_sweep_rows_match_the_public_type_class_functions() -> None:
+    rng = random.Random(5303)
+    pairs = [(variational(), F(1, 20)), (variational(), F(1, 5)), (hellinger(), F(1, 10))]
+    pairs += [(reverse_kl(), F(1, 10)), (variational(), F(2))]
+    sources = [variant for variant, _ in FIXED_TYPE_CLASS_INPUTS]
+    sources += [random_variant(rng) for _ in range(6)]
+    for variant in sources:
+        ns = (3, 7, 30) if variant.alphabet_size == 2 else (3, 7, 12)
+        # A direct limit of 4 sends every blocklength above 1 (k = 3) or
+        # 2 (k = 2) to the type-class route.
+        got = _sweep_pairs(variant, ns, pairs, direct_limit=4)
+        for rows, (curve, delta) in zip(got, pairs):
+            eps = 1 - _budget_threshold(curve, delta)
+            expected = []
+            for n in ns:
+                kf = k_f_rate(typeclass_spectrum(variant, n), curve, delta).value
+                h0 = typeclass_smooth_max_entropy(variant, n, eps)[0] / n
+                expected.append(SweepRow(n, float(eps), float(delta), "k_f_rate", kf, curve.name))
+                expected.append(
+                    SweepRow(n, float(eps), float(delta), "smooth_max_entropy_rate", h0, curve.name)
+                )
+            assert rows == tuple(expected)
