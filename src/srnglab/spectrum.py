@@ -306,17 +306,13 @@ def _walk(
             yield from _walk(tables, s + 1, rest - c, size, [p * t[c] for p, t in zip(prods, here)])
             size = size * c // (rest - c + 1)
         return
-    last = tables[s + 1]
-    if len(prods) == 1:
-        (p,), (t,), (u,) = prods, here, last
-        for c in range(rest, -1, -1):
-            num = p * t[c] * u[rest - c]
-            if num:
-                yield num, size
-            size = size * c // (rest - c + 1)
-        return
-    for c in range(rest, -1, -1):
-        num = sum(p * t[c] * u[rest - c] for p, t, u in zip(prods, here, last))
+    # The last two symbols: per component, the numerators for counts rest..0,
+    # lazily, so no column of big ints is held at once.
+    columns = [
+        map(p.__mul__, map(operator.mul, t[rest::-1], u))
+        for p, t, u in zip(prods, here, tables[s + 1])
+    ]
+    for c, num in zip(range(rest, -1, -1), map(sum, zip(*columns))):
         if num:
             yield num, size
         size = size * c // (rest - c + 1)

@@ -397,8 +397,9 @@ def test_type_enumeration_matches_the_comb_and_power_loop() -> None:
         old_den, old = old_types(variant, n)
         assert den == old_den
         # Same pairs in the same order, every one a pair of ints.
-        assert list(types) == old
-        assert all(type(num) is int and type(size) is int for num, size in old)
+        new = list(types)
+        assert new == old
+        assert all(type(num) is int and type(size) is int for num, size in new)
 
 
 def test_type_class_sweep_rows_match_the_public_type_class_functions() -> None:
