@@ -126,7 +126,7 @@ def _partitions(
     """Yield (blocks, block_masses) for every partition of the support."""
     support = [x for x, mass in enumerate(dist.masses) if mass > 0]
     for blocks in _set_partitions(support, min(m, len(support))):
-        yield blocks, tuple(sum(dist.masses[x] for x in block) for block in blocks)
+        yield blocks, tuple(map(dist._mass_of, blocks))
 
 
 def _candidates(dist: AtomicDistribution, k: int, full: bool) -> list[int]:
@@ -172,7 +172,7 @@ def _search(
     full: bool,
     band: float,
 ) -> dict[str, OracleResult]:
-    support_mass = sum(mass for mass in dist.masses if mass > 0)
+    support_mass = dist._mass_of(x for x, mass in enumerate(dist.masses) if mass > 0)
     floats = [float(mass) for mass in dist.masses]
     positive = [mass > 0 for mass in dist.masses]
     exact = [dist.exact and _is_rational(curve) for curve in curves]

@@ -377,11 +377,12 @@ def _type_masses(
     variant: IID | Mixture, n: int, exact: bool
 ) -> tuple[int, Iterator[tuple[tuple[int, ...], Mass]]]:
     """Denominator D, and every type (symbol counts) of length-n strings
-    with the mass times D of one string of that type."""
+    with the mass times D of one string of that type, its mixture terms
+    added left to right (built-in sum compensates floats since Python 3.12)."""
     den, parts = _type_parts(variant, n, exact)
     k = variant.alphabet_size
     return den, (
-        (counts, sum(w * _iid_type_mass(pmf, counts) for w, pmf in parts))
+        (counts, reduce(operator.add, (w * _iid_type_mass(pmf, counts) for w, pmf in parts)))
         for counts in _compositions(n, k)
     )
 

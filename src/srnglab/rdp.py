@@ -17,8 +17,10 @@ in the multiplier the outer maximum is a golden-section search.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Sequence
 
 from .construction import MappingPair
@@ -140,7 +142,8 @@ def _blahut(
 
     Alternates between the optimal test channel for a fixed output law and
     the output law induced by that channel, until the output law is stable
-    to within tol.
+    to within tol.  Sums run left to right: built-in sum compensates since
+    Python 3.12.
     """
     k = len(g[0])
     active = [a for a in range(len(p)) if p[a] > 0]
@@ -150,10 +153,8 @@ def _blahut(
     for _ in range(max_iter):
         new_q = [0.0] * k
         for a in active:
-            row = kernels[a]
-            weights = [q[b] * row[b] for b in range(k)]
-            z = sum(weights)
-            scale = p[a] / z
+            weights = list(map(operator.mul, q, kernels[a]))
+            scale = p[a] / reduce(operator.add, weights, 0.0)
             for b in range(k):
                 new_q[b] += scale * weights[b]
         drift = max(abs(nb - ob) for nb, ob in zip(new_q, q))
@@ -168,9 +169,8 @@ def _blahut(
     value = 0.0
     distortion = 0.0
     for a in active:
-        row = kernels[a]
-        weights = [q[b] * row[b] for b in range(k)]
-        z = sum(weights)
+        weights = list(map(operator.mul, q, kernels[a]))
+        z = reduce(operator.add, weights, 0.0)
         value -= p[a] * math.log(z)
         for b in range(k):
             distortion += p[a] * (weights[b] / z) * g[a][b]
@@ -200,7 +200,7 @@ def rd_function_iid(
     g = [[float(v) for v in row] for row in spec.entries]
     d = float(d)
     active = [a for a in range(len(p)) if p[a] > 0]
-    d_max = min(sum(p[a] * g[a][b] for a in active) for b in range(len(g[0])))
+    d_max = min(reduce(operator.add, (p[a] * g[a][b] for a in active), 0.0) for b in range(len(g)))
     if d >= d_max:
         return 0.0
     if d <= 0:

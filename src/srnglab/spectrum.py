@@ -25,10 +25,11 @@ A Fraction is made once per type, for its value, and the public spectrum
 makes one per point, for its mass.
 
 A convergence sweep computes each blocklength once for all of its
-(curve, budget) pairs from one walk: its list, sorted by descending mass,
-serves every smooth max entropy, and the same list folds into (value,
-numerator sum) points whose running sums serve every resolution rate,
-with no summary or per-point Fraction in between.
+(curve, budget) pairs.  A rational source is never expanded: one walk's
+list, sorted by descending mass, serves every smooth max entropy, and the
+same list folds into (value, numerator sum) points whose running sums
+serve every resolution rate, with no summary or per-point Fraction in
+between.  A float source is expanded, up to 2**14 outcomes.
 """
 
 from __future__ import annotations
@@ -232,13 +233,9 @@ def smooth_max_entropy(dist: AtomicDistribution, delta: Mass) -> tuple[float, fr
     """
     if delta < 0 or delta > 1:
         raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
-    chosen = _smooth_set(dist, sort_descending(dist), delta)
-    return math.log(len(chosen)), frozenset(chosen)
-
-
-def _smooth_set(dist: AtomicDistribution, order: Sequence[int], delta: Mass) -> list[int]:
     target: Mass = 1 - Fraction(delta) if dist.exact else 1.0 - float(delta)
-    return _descending_prefix(dist, order, target)[0]
+    chosen = _descending_prefix(dist, sort_descending(dist), target)[0]
+    return math.log(len(chosen)), frozenset(chosen)
 
 
 def _descending_prefix(
@@ -402,18 +399,21 @@ def rate_convergence_sweep(
     curve: FCurve,
     delta: Mass,
     cap: int = DEFAULT_ATOM_CAP,
-    direct_limit: int = 1 << 14,
 ) -> tuple[SweepRow, ...]:
     """Rate quantities across blocklengths for one source family and budget.
 
     For each n two rows are produced: the resolution rate at budget delta
     and the normalized smooth max entropy at the matching tail level
-    nu = 1 - f^{-1}(delta) (1 once delta reaches f(0+)).  Small outcome
-    spaces are expanded directly; larger ones go through the type-class
-    route, which needs rational parameters: a float source with some
-    k**n above direct_limit is rejected before any blocklength is computed.
+    nu = 1 - f^{-1}(delta) (1 once delta reaches f(0+)).  Rational sources
+    go through their type classes at every n and never expand, so cap
+    bounds float sweeps only; a float source is expanded, and one with some
+    k**n above 2**14 is rejected before any blocklength is computed.
     """
-    return _sweep_pairs(variant, ns, [(curve, delta)], cap, direct_limit)[0]
+    return _sweep_pairs(variant, ns, [(curve, delta)], cap)[0]
+
+
+# Largest outcome space a float sweep expands.
+_FLOAT_SWEEP_LIMIT = 1 << 14
 
 
 def _sweep_pairs(
@@ -421,7 +421,6 @@ def _sweep_pairs(
     ns: Sequence[int],
     pairs: Sequence[tuple[FCurve, Mass]],
     cap: int = DEFAULT_ATOM_CAP,
-    direct_limit: int = 1 << 14,
 ) -> list[tuple[SweepRow, ...]]:
     """rate_convergence_sweep for every (curve, delta) pair, one row tuple
     per pair, computing each blocklength once for all of them.
@@ -433,17 +432,17 @@ def _sweep_pairs(
     if not pairs:
         return []
     k = variant.alphabet_size
-    big = next((n for n in ns if k**n > direct_limit), None)
+    big = next((n for n in ns if k**n > _FLOAT_SWEEP_LIMIT), None)
     if big is not None and not SourceModel(variant, big).exact:
         raise InvalidModel(
-            f"float sweep cannot reach n = {big}: {k}^{big} outcomes exceed the direct "
-            f"limit {direct_limit} and the type-class route needs exact arithmetic (use --exact)"
+            f"float sweep cannot reach n = {big}: {k}^{big} outcomes exceed the direct limit "
+            f"{_FLOAT_SWEEP_LIMIT} and the type-class route needs exact arithmetic (use --exact)"
         )
     thresholds = [_budget_threshold(curve, delta) for curve, delta in pairs]
     levels = [1 - thr for thr in thresholds]
     rows: list[list[SweepRow]] = [[] for _ in pairs]
     for n in ns:
-        kfs, h0s = _sweep_point(variant, n, thresholds, levels, cap, direct_limit)
+        kfs, h0s = _sweep_point(SourceModel(variant, n), thresholds, levels, cap)
         for out, (curve, delta), eps, kf, h0 in zip(rows, pairs, levels, kfs, h0s):
             out.append(SweepRow(n, float(eps), float(delta), "k_f_rate", kf, curve.name))
             out.append(SweepRow(n, float(eps), float(delta), "smooth_max_entropy_rate", h0, curve.name))
@@ -451,26 +450,16 @@ def _sweep_pairs(
 
 
 def _sweep_point(
-    variant: IID | Mixture,
-    n: int,
-    thresholds: Sequence[Mass],
-    levels: Sequence[Mass],
-    cap: int,
-    direct_limit: int,
+    model: SourceModel, thresholds: Sequence[Mass], levels: Sequence[Mass], cap: int
 ) -> tuple[list[float], list[float]]:
     """k_f_rate at every cdf threshold f^{-1}(delta), and the normalized
-    smooth max entropy at every matching tail level, at blocklength n."""
-    if variant.alphabet_size**n <= direct_limit:
-        dist = expand(SourceModel(variant, n), cap)
-        order = sort_descending(dist)
-        h0s = [math.log(len(_smooth_set(dist, order, eps))) / n for eps in levels]
-        summary = spectrum_cdf(dist)
-        values, cdfs, keys = summary.values(), _cdfs(summary.masses()), thresholds
-    else:
-        den, classes = _types(variant, n)
+    smooth max entropy at every matching tail level, at one blocklength:
+    from its type classes if the source is rational, else expanded."""
+    n = model.n
+    if model.exact:
+        den, classes = _types(model.variant, n)
         descending = sorted(classes, reverse=True)
         sizes = [_typeclass_set_size(descending, den, 1 - Fraction(eps)) for eps in levels]
-        h0s = [math.log(size) / n for size in sizes]
         sums = _value_sums(den, descending, n)
         del descending  # the cumulative list below is as large again
         values = sorted(sums)
@@ -478,4 +467,11 @@ def _sweep_point(
         # summing from the bottom gives the same cdf as den minus the tail.
         cdfs = list(accumulate(map(sums.__getitem__, values)))
         keys = [math.ceil(Fraction(thr) * den) for thr in thresholds]
+    else:
+        dist = expand(model, cap)
+        order = sort_descending(dist)
+        sizes = [len(_descending_prefix(dist, order, 1.0 - float(eps))[0]) for eps in levels]
+        summary = spectrum_cdf(dist)
+        values, cdfs, keys = summary.values(), _cdfs(summary.masses()), thresholds
+    h0s = [math.log(size) / n for size in sizes]
     return [values[bisect.bisect_left(cdfs, key)] for key in keys], h0s

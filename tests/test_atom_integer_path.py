@@ -422,3 +422,36 @@ def test_float_expand_still_rejects_its_own_iid_sum_at_n16() -> None:
     with pytest.raises(InvalidModel) as excinfo:
         expand(SourceModel(IID((0.9, 0.1)), 16))
     assert str(excinfo.value) == "mass vector sums to 0.9999999999988565, off by more than 1e-12"
+
+
+def test_float_sums_do_not_depend_on_a_compensated_builtin_sum(monkeypatch) -> None:
+    # Built-in sum compensates float additions since Python 3.12.  Float
+    # totals that outputs depend on must add left to right on every
+    # interpreter, so a compensated stand-in for sum changes none of them.
+    import builtins
+
+    import srnglab.oracle as oracle_module
+    import srnglab.probability as probability_module
+    import srnglab.rdp as rdp_module
+    from srnglab import DistortionSpec, min_fdiv_bruteforce, rd_function_iid
+
+    def outputs():
+        hamming = DistortionSpec("additive", ((0, 1, 1), (1, 0, 1), (1, 1, 0)))
+        pmf = (F(1, 2), F(1, 3), F(1, 6))
+        rates = [rd_function_iid(pmf, hamming, d) for d in (F(1, 10), F(1, 5), F(3, 10))]
+        binary = expand(SourceModel(IID((0.1, 0.9)), 3))
+        witness = min_fdiv_bruteforce(binary, 2, [variational()])["variational"]
+        components = (IID((0.1, 0.9)), IID((0.7, 0.3)), IID((0.45, 0.55)))
+        mixture = expand(SourceModel(Mixture((0.2, 0.3, 0.5), components), 4))
+        return rates, witness, mixture.masses
+
+    def compensated_sum(items, start=0):
+        items = list(items)
+        if any(isinstance(x, float) for x in items):
+            return math.fsum([start, *items])
+        return builtins.sum(items, start)
+
+    plain = outputs()
+    for module in (rdp_module, oracle_module, probability_module):
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    assert outputs() == plain

@@ -17,6 +17,7 @@ import pytest
 
 from srnglab import (
     AtomicDistribution,
+    CapExceeded,
     IID,
     InvalidModel,
     Markov,
@@ -281,34 +282,45 @@ def test_sweep_rows_cover_both_quantities() -> None:
 
 
 def test_sweep_values_match_direct_computation() -> None:
-    # A budget of 3/2 lies above f(0+) = 1 for the bounded curves: every cdf
-    # level qualifies and the matching tail level is 1, as in k_f_rate.  At
-    # 73/128 the variational threshold 55/128 sits half a 1/64 step above
-    # the lowest cdf level 27/64 of iid (1/4, 3/4) at n = 3.
+    # The atom-vs-type differential test: an exact sweep walks type classes
+    # and a float one expands, and both must give the rows of the expanded
+    # spectrum and smooth max entropy.  A budget of 3/2 lies above
+    # f(0+) = 1 for the bounded curves: every cdf level qualifies and the
+    # matching tail level is 1, as in k_f_rate.  At 73/128 the variational
+    # threshold 55/128 sits half a 1/64 step above the lowest cdf level
+    # 27/64 of iid (1/4, 3/4) at n = 3.
     budgets = (F(1, 5), F(3, 2), F(73, 128))
     pairs = [(c, d) for c in (variational(), hellinger(), reverse_kl()) for d in budgets]
     mixture = Mixture((F(1, 3), F(2, 3)), (IID((F(1, 4), F(3, 4))), IID((F(1, 2), F(1, 2)))))
-    for source in (IID((F(1, 4), F(3, 4))), mixture, IID((0.25, 0.75))):
-        exact = SourceModel(source, 1).exact
-        # The default limit expands every n; a limit of 4 sends n = 3 and 5
-        # through the type-class route, which float sources cannot take.
-        for limit in (1 << 14, 4) if exact else (1 << 14,):
-            ns = (1, 2, 3, 5)
-            together = _sweep_pairs(source, ns, pairs, direct_limit=limit)
-            assert len(together) == len(pairs)
-            for (curve, delta), rows in zip(pairs, together):
-                assert rows == rate_convergence_sweep(source, ns, curve, delta, direct_limit=limit)
-                eps = 1 if delta >= curve.f_at_zero else 1 - f_inverse(curve, delta)
-                for n, (kf_row, h0_row) in zip(ns, zip(rows[::2], rows[1::2])):
-                    d = expand(SourceModel(source, n))
-                    assert (kf_row.n, kf_row.quantity, h0_row.n, h0_row.quantity) == (
-                        n, "k_f_rate", n, "smooth_max_entropy_rate"
-                    )
-                    assert kf_row.value == k_f_rate(spectrum_cdf(d), curve, delta).value
-                    smooth_value, _ = smooth_max_entropy(d, eps)
-                    assert h0_row.value == pytest.approx(smooth_value / n)
-                    assert kf_row.nu == h0_row.nu == float(eps)
-                    assert kf_row.delta == float(delta)
+    three = Mixture(
+        (F(1, 2), F(1, 3), F(1, 6)),
+        (IID((F(1, 2), F(1, 3), F(1, 6))), IID((F(1, 6), F(1, 6), F(2, 3))), IID((F(1, 3),) * 3)),
+    )
+    sources = (
+        IID((F(1, 4), F(3, 4))),
+        mixture,
+        IID((F(1, 2), F(0), F(1, 2))),  # a symbol of probability zero
+        IID((F(1, 2), F(1, 4), F(1, 8), F(1, 8))),
+        three,
+        IID((0.25, 0.75)),
+    )
+    ns = (1, 2, 3, 5)  # k**n <= 2**10 for every source
+    for source in sources:
+        together = _sweep_pairs(source, ns, pairs)
+        assert len(together) == len(pairs)
+        for (curve, delta), rows in zip(pairs, together):
+            assert rows == rate_convergence_sweep(source, ns, curve, delta)
+            eps = 1 if delta >= curve.f_at_zero else 1 - f_inverse(curve, delta)
+            for n, (kf_row, h0_row) in zip(ns, zip(rows[::2], rows[1::2])):
+                d = expand(SourceModel(source, n))
+                assert (kf_row.n, kf_row.quantity, h0_row.n, h0_row.quantity) == (
+                    n, "k_f_rate", n, "smooth_max_entropy_rate"
+                )
+                assert kf_row.value == k_f_rate(spectrum_cdf(d), curve, delta).value
+                smooth_value, _ = smooth_max_entropy(d, eps)
+                assert h0_row.value == smooth_value / n
+                assert kf_row.nu == h0_row.nu == float(eps)
+                assert kf_row.delta == float(delta)
 
 
 def test_float_sweep_beyond_the_direct_limit_is_rejected_up_front(monkeypatch) -> None:
@@ -325,9 +337,26 @@ def test_float_sweep_beyond_the_direct_limit_is_rejected_up_front(monkeypatch) -
         "float sweep cannot reach n = 20: 2^20 outcomes exceed the direct limit 16384 "
         "and the type-class route needs exact arithmetic (use --exact)"
     )
-    with pytest.raises(InvalidModel, match=r"^float sweep cannot reach n = 3: 2\^3 outcomes "
-                       r"exceed the direct limit 4 "):
-        rate_convergence_sweep(source, (1, 2, 3, 20), variational(), F(1, 5), direct_limit=4)
+
+
+def test_sweep_route_follows_the_source_arithmetic(monkeypatch) -> None:
+    import srnglab.spectrum as spectrum_module
+
+    def refuse(*args):
+        raise AssertionError("took the other route")
+
+    pairs = [(variational(), F(1, 5)), (hellinger(), F(1, 10))]
+    mixture = Mixture((F(1, 3), F(2, 3)), (IID((F(1, 4), F(3, 4))), IID((F(1, 2), F(1, 2)))))
+    monkeypatch.setattr(spectrum_module, "expand", refuse)
+    for source in (IID((F(1, 4), F(3, 4))), mixture):
+        # Exact sweeps never expand, so no cap applies to them.
+        assert [len(rows) for rows in _sweep_pairs(source, (1, 2, 3), pairs, cap=1)] == [6, 6]
+    monkeypatch.undo()
+    monkeypatch.setattr(spectrum_module, "_types", refuse)
+    source = IID((0.25, 0.75))
+    assert len(_sweep_pairs(source, (1, 2, 3), pairs)[0]) == 6
+    with pytest.raises(CapExceeded, match="^outcome space holds 8 atoms, cap is 4$"):
+        _sweep_pairs(source, (1, 2, 3), pairs, cap=4)
 
 
 def test_sweep_checks_every_pair_before_any_work(monkeypatch) -> None:

@@ -410,9 +410,7 @@ def test_type_class_sweep_rows_match_the_public_type_class_functions() -> None:
     sources += [random_variant(rng) for _ in range(6)]
     for variant in sources:
         ns = (3, 7, 30) if variant.alphabet_size == 2 else (3, 7, 12)
-        # A direct limit of 4 sends every blocklength above 1 (k = 3) or
-        # 2 (k = 2) to the type-class route.
-        got = _sweep_pairs(variant, ns, pairs, direct_limit=4)
+        got = _sweep_pairs(variant, ns, pairs)
         for rows, (curve, delta) in zip(got, pairs):
             eps = 1 - _budget_threshold(curve, delta)
             expected = []
