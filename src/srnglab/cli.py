@@ -41,7 +41,7 @@ from .divergence import _budget_threshold, check_conditions, divergence
 from .errors import SrnglabError
 from .oracle import min_fdiv_bruteforce, min_fdiv_bruteforce_full
 from .probability import IID, Markov, Mass, expand
-from .rdp import d_threshold, rd_function_iid, rdp_lower_bound
+from .rdp import _rdp_report, d_threshold, rd_function_iid
 from .spectrum import (
     _sweep_pairs,
     k_f_rate,
@@ -277,18 +277,19 @@ def _run_rdp(cfg: RunConfig) -> int:
     summary = spectrum_cdf(dist)
     units = cfg.units
     pmf = cfg.source().variant.pmf  # type: ignore[union-attr]
-    rd_rows = [
-        {"d": _num(d, "nats"), "value": _num(rd_function_iid(pmf, cfg.distortion, d), units)}
-        for d in cfg.ds
-    ]
+    # R(d) depends on d alone, and k_f_rate and the threshold on (curve, δ)
+    # alone, so each is solved once and every report is built from them.
+    rd = {d: rd_function_iid(pmf, cfg.distortion, d) for d in dict.fromkeys(cfg.ds)}
+    rd_rows = [{"d": _num(d, "nats"), "value": _num(rd[d], units)} for d in cfg.ds]
     reports = []
     for curve in cfg.curves():
         if not check_conditions(curve).nonincreasing:
             continue
         for delta in cfg.deltas:
             threshold = d_threshold(summary, curve, delta, cfg.distortion)
+            kf_value = k_f_rate(summary, curve, delta).value
             for d in cfg.ds:
-                report = rdp_lower_bound(pmf, cfg.distortion, d, summary, curve, delta)
+                report = _rdp_report(rd[d], kf_value, threshold, d)
                 lower = _num(report.lower, units)
                 upper = None if report.upper is None else _num(report.upper, units)
                 if not report.consistent:

@@ -15,13 +15,21 @@ mode ranges representatives over the whole space, including zero-mass
 outcomes; it is kept deliberately unreduced so the reduction itself can be
 cross-checked on tiny instances.
 
-The plans are scanned once.  Float values come from a per-partition table
-of terms, summed in the same order as a term-by-term evaluation.  When the
+The plans are scanned once.  Float terms come from one table per search,
+a row per block mass over the candidate representatives, and each plan's
+float value is the same sum, in the same order, as a term-by-term
+evaluation: left to right from 0, then the uncovered-mass (stray) term,
+which depends on the representatives alone.  All plans of one partition
+are summed at once, and a partition whose lowest value is at least the
+running float minimum and more than band above it is skipped for that
+curve: none of its plans could lower the minimum or be refined.  When the
 curve is rational and the source exact, the same scan re-evaluates in
 exact arithmetic every plan whose float value lies within a small band of
 the running float minimum, so reported minima compare exactly against the
-constructions.  The running minimum only falls, so every plan within band
-of the final minimum is refined when it is met.  A small Pareto front of
+constructions.  An exact total does not depend on term order, so it is
+computed once per multiset of (representative, block) mass pairs.  The
+running minimum only falls, so every plan within band of the final
+minimum is refined when it is met.  A small Pareto front of
 (float value, exact value, plan) keeps just the refined plans that can
 still win, since ties on symmetric sources would otherwise pile up, and
 the witness is the first strict exact minimum among the plans within band
@@ -33,8 +41,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .construction import MappingPair
@@ -172,26 +182,53 @@ def _search(
     full: bool,
     band: float,
 ) -> dict[str, OracleResult]:
-    support_mass = dist._mass_of(x for x, mass in enumerate(dist.masses) if mass > 0)
+    support = [x for x, mass in enumerate(dist.masses) if mass > 0]
+    support_mass = dist._mass_of(support)
     floats = [float(mass) for mass in dist.masses]
     positive = [mass > 0 for mass in dist.masses]
     exact = [dist.exact and _is_rational(curve) for curve in curves]
+    # Block masses are totals of dist._values, as in _mass_of: numerators
+    # over den in exact mode, floats over den = 1 in float mode.
+    values, den = dist._values, dist._den
+    zero: Mass = 0 if dist.exact else 0.0
+    # The candidates for k blocks are the first k atoms of the pool in
+    # reduced mode and the whole pool in full mode, so one row of float terms
+    # per curve and block mass, over the pool, serves every block count.
+    pool = _candidates(dist, min(m, len(support)), full)
+    rows: dict[Mass, list[list[float]]] = {}
 
-    # Per-curve stray terms, float and exact (None when nothing is
-    # uncovered), keyed by the covered atoms in representative order, since
-    # float sums depend on it.  That is one entry per representative tuple
-    # in reduced mode and at most the ordered support subsets in full mode.
+    # Per-curve stray terms, float and exact, keyed by the covered atoms in
+    # representative order, since float sums depend on it.  A float stray
+    # of -0.0 stands for none: adding it leaves every total unchanged.
     strays: dict[tuple[int, ...], tuple[list, list]] = {}
 
     def stray_terms(covered_atoms: tuple[int, ...]) -> tuple[list, list]:
         uncovered = support_mass - dist._mass_of(covered_atoms)
         if not uncovered > 0:
-            return [None] * len(curves), [None] * len(curves)
+            return [-0.0] * len(curves), [None] * len(curves)
         loose = float(uncovered)
         return (
             [_term(curve, loose, 0) for curve in curves],
             [_term(c, uncovered, 0) if x else None for c, x in zip(curves, exact)],
         )
+
+    # Per block count: the plans as pool positions, their representatives,
+    # their position columns, their strays per curve and their atom values.
+    layouts: dict[int, tuple] = {}
+
+    def layout(k: int) -> tuple:
+        perms = list(itertools.permutations(range(len(pool) if full else k), k))
+        reps = [tuple(map(pool.__getitem__, perm)) for perm in perms]
+        plan_strays = []
+        for r in reps:
+            covered_atoms = tuple(y for y in r if positive[y])
+            if covered_atoms not in strays:
+                strays[covered_atoms] = stray_terms(covered_atoms)
+            plan_strays.append(strays[covered_atoms])
+        loose = [[s[0][i] for s in plan_strays] for i in range(len(curves))]
+        tight = [[s[1][i] for s in plan_strays] for i in range(len(curves))]
+        atom_values = [tuple(map(values.__getitem__, r)) for r in reps]
+        return perms, list(zip(*perms)), reps, loose, tight, atom_values
 
     best: list[float] = [math.inf] * len(curves)
     best_plan: list[PartitionPlan | None] = [None] * len(curves)
@@ -202,43 +239,62 @@ def _search(
     fronts: list[list[tuple[float, Mass, PartitionPlan]] | None] = [
         [] if x else None for x in exact
     ]
-    pools: dict[int, list[int]] = {}
-    for blocks, q_masses in _partitions(dist, m):
+    # Per curve, exact totals by the sorted (atom, block) numerator pairs,
+    # which also fix the uncovered mass and so the stray.
+    refined_totals: list[dict[tuple, Mass]] = [{} for _ in curves]
+    for blocks in _set_partitions(support, min(m, len(support))):
+        q_values = [reduce(operator.add, map(values.__getitem__, b), zero) for b in blocks]
+        for q in q_values:
+            if q not in rows:
+                q_float = q / den
+                rows[q] = [[_term(c, floats[y], q_float) for y in pool] for c in curves]
         k = len(blocks)
-        if k not in pools:
-            pools[k] = _candidates(dist, k, full)
-        atoms = pools[k]
-        # Float terms per curve, block and candidate representative: each
-        # plan's value is then the same sum, in the same order, as a
-        # term-by-term evaluation.
-        q_floats = [float(q) for q in q_masses]
-        tables = [
-            [{y: _term(curve, floats[y], q) for y in atoms} for q in q_floats]
-            for curve in curves
-        ]
-        for reps in itertools.permutations(atoms, k):
-            covered_atoms = tuple(y for y in reps if positive[y])
-            if covered_atoms not in strays:
-                strays[covered_atoms] = stray_terms(covered_atoms)
-            loose, tight = strays[covered_atoms]
-            plan = None
-            for i, table in enumerate(tables):
-                value = float(_total([table[j][y] for j, y in enumerate(reps)], loose[i]))
-                front = fronts[i]
+        if k not in layouts:
+            layouts[k] = layout(k)
+        perms, columns, reps, loose, tight, atom_values = layouts[k]
+        block_rows = [rows[q] for q in q_values]
+        for i, terms in enumerate(zip(*block_rows)):
+            # Every plan's float value at once, with _total's additions:
+            # left to right from 0, then the stray.  Where every value is
+            # finite no plan met an infinite term, so these are _total's
+            # values, and a partition whose lowest value neither lowers the
+            # best nor lies within band of it changes nothing for this curve.
+            totals = [0.0] * len(perms)
+            for row, column in zip(terms, columns):
+                totals = list(map(operator.add, totals, map(row.__getitem__, column)))
+            totals = list(map(operator.add, totals, loose[i]))
+            if all(map(math.isfinite, totals)):
+                lo = min(totals)
+                if lo >= best[i] and lo > best[i] + band:
+                    continue
+            else:
+                totals = [
+                    _total(map(operator.getitem, terms, perm), stray)
+                    for perm, stray in zip(perms, loose[i])
+                ]
+            front = fronts[i]
+            for j, value in enumerate(totals):
                 if best_plan[i] is None or value < best[i]:
-                    plan = plan or PartitionPlan(blocks, reps, m)
-                    best[i], best_plan[i] = value, plan
+                    best[i], best_plan[i] = value, PartitionPlan(blocks, reps[j], m)
                     if front:
                         front[:] = [entry for entry in front if not entry[0] > value + band]
                 if front is None or value > best[i] + band:
                     continue
-                terms = [_term(curves[i], dist.masses[y], q) for y, q in zip(reps, q_masses)]
-                refined = _total(terms, tight[i])
+                key = tuple(sorted(zip(atom_values[j], q_values)))
+                refined = refined_totals[i].get(key)
+                if refined is None:
+                    refined = _total(
+                        [_term(curves[i], dist.masses[y], Fraction(q, den))
+                         for y, q in zip(reps[j], q_values)],
+                        tight[i][j],
+                    )
+                    # A float term would make the total depend on term order.
+                    if not isinstance(refined, float):
+                        refined_totals[i][key] = refined
                 if any(v <= value and e <= refined for v, e, _ in front):
                     continue
-                plan = plan or PartitionPlan(blocks, reps, m)
                 front[:] = [e for e in front if not (value <= e[0] and refined < e[1])]
-                front.append((value, refined, plan))
+                front.append((value, refined, PartitionPlan(blocks, reps[j], m)))
 
     # The first strict exact minimum among the plans within band of the
     # final float best.  Every such plan was within band of the running best
@@ -257,13 +313,13 @@ def _search(
 
 
 def _check_caps(dist: AtomicDistribution, m: int, support_cap: int, search: str) -> None:
+    if m < 1:
+        raise OutOfRange(f"codebook size must be positive, got {m}")
     support = sum(1 for mass in dist.masses if mass > 0)
     if support > support_cap:
         raise CapExceeded(f"support of {support} atoms exceeds the {search} cap {support_cap}")
     if m > CODEBOOK_CAP:
         raise CapExceeded(f"codebook of {m} exceeds the search cap {CODEBOOK_CAP}")
-    if m < 1:
-        raise OutOfRange(f"codebook size must be positive, got {m}")
 
 
 def min_fdiv_bruteforce(
@@ -277,6 +333,11 @@ def min_fdiv_bruteforce(
     Representatives are restricted to the heaviest block-count atoms, which
     is lossless for nonincreasing curves with zero slope at infinity; pass
     curves outside that class to min_fdiv_bruteforce_full instead.
+
+    band is absolute: on an exact source, a rational curve's plans whose
+    float value is within band of the float minimum are re-evaluated
+    exactly, and the first strict exact minimum among them is reported.  A
+    negative band refines nothing and the float minimum is reported.
     """
     _check_caps(dist, m, SUPPORT_CAP, "search")
     return _search(dist, m, curves, full=False, band=band)
@@ -292,7 +353,9 @@ def min_fdiv_bruteforce_full(
 
     Exists to validate the heaviest-atom reduction and to handle curves
     with positive slope at infinity, where uncovered support costs mass.
-    Tightly capped, since the assignment count grows factorially.
+    Tightly capped, since the assignment count grows factorially.  band is
+    absolute and works as in min_fdiv_bruteforce; a negative band refines
+    nothing.
     """
     _check_caps(dist, m, FULL_SUPPORT_CAP, "full-search")
     return _search(dist, m, curves, full=True, band=band)

@@ -279,9 +279,19 @@ def rdp_lower_bound(
     delta: Mass,
 ) -> RdpBoundReport:
     """Combine the classical rate floor with the finite-n resolution rate."""
-    rd_value = rd_function_iid(pmf, spec, distortion_budget)
-    kf_value = k_f_rate(summary, curve, delta).value
-    threshold = d_threshold(summary, curve, delta, spec)
+    return _rdp_report(
+        rd_function_iid(pmf, spec, distortion_budget),
+        k_f_rate(summary, curve, delta).value,
+        d_threshold(summary, curve, delta, spec),
+        distortion_budget,
+    )
+
+
+def _rdp_report(
+    rd_value: float, kf_value: float, threshold: Mass, distortion_budget: Mass
+) -> RdpBoundReport:
+    """The report for one operating point from its three solved parts, so a
+    caller holding them for many points solves each part once."""
     upper = kf_value if distortion_budget >= threshold else None
     lower = max(rd_value, kf_value)
     consistent = upper is None or lower <= upper + 1e-9

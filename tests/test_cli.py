@@ -267,14 +267,14 @@ def test_rdp_names_each_inconsistent_report_on_stderr(tmp_path, monkeypatch, cap
     assert capsys.readouterr().err == ""
     good = json.loads((out / "rdp.json").read_text())
 
-    real = cli_module.rdp_lower_bound
+    real = cli_module._rdp_report
 
     def inverted_bound(*args):
         report = real(*args)
         return SimpleNamespace(rd_value=report.rd_value, kf_value=report.kf_value,
                                lower=0.75, upper=0.5, consistent=False)
 
-    monkeypatch.setattr(cli_module, "rdp_lower_bound", inverted_bound)
+    monkeypatch.setattr(cli_module, "_rdp_report", inverted_bound)
     code, out = run(tmp_path, "rdp", outname="bad")
     assert code == 0
     assert capsys.readouterr().err.splitlines() == [

@@ -32,7 +32,7 @@ from srnglab import (
     variational,
 )
 from srnglab.divergence import _term
-from srnglab.oracle import _iter_plans
+from srnglab.oracle import _iter_plans, _search
 
 F = Fraction
 
@@ -190,6 +190,40 @@ def test_single_pass_matches_the_two_pass_reference() -> None:
     assert infinite > 0
 
 
+def test_single_pass_matches_the_two_pass_reference_where_partitions_are_skipped() -> None:
+    # At support 7 and m = 4 most partitions are skipped for each curve:
+    # their lowest float value neither lowers the running best nor lies
+    # within band of it.  e_gamma_sum:3/2 leaves a nonzero stray term, and
+    # in full mode kl's stray and reverse_kl's zero-mass terms are infinite.
+    # The reference takes about a second per support-7 case, so those cases
+    # share out the bands, and the smaller instances take every band.
+    tied = single_letter(*(F(w, 14) for w in (3, 3, 2, 2, 2, 1, 1)))
+    distinct = single_letter(*(F(w, 28) for w in (7, 6, 5, 4, 3, 2, 1)))
+    # Masses apart by less than float resolution: float values misorder
+    # plans, so skipping a partition within band of the best, or one that
+    # lowers it by less than -band, changes the answer.
+    e = 10**17
+    weights = (10 * e, 5 * e + 1, 4 * e + 2, 4 * e + 1)
+    near = single_letter(*(F(w, sum(weights)) for w in weights))
+    with_zero = single_letter(F(4, 10), F(3, 10), F(2, 10), F(1, 10), F(0))
+    stray = [e_gamma_sum(F(3, 2))]
+    bands = (-1e-3, 0.0, 1e-9, 1e-2)
+    cases = [
+        (tied, 4, False, stray, 0.0),
+        (tied, 4, False, stray, 1e-9),
+        (distinct, 4, False, stray, 1e-2),
+    ]
+    cases += [(near, 3, False, [variational(), curve_from_name("e_gamma:2")], b) for b in bands]
+    cases += [(with_zero, 4, True, [kl(), curve_from_name("reverse_kl")] + stray, b) for b in bands]
+    for dist, m, full, curves, band in cases:
+        got = _search(dist, m, curves, full, band)
+        for name, want in two_pass_search(dist, m, curves, full, band).items():
+            res = got[name]
+            assert (res.value, res.exact, res.plan.blocks, res.plan.representatives) == want, (
+                dist.masses, m, band, full, name,
+            )
+
+
 def test_exact_refinement_follows_the_curve_arithmetic() -> None:
     d = single_letter(F(4, 10), F(3, 10), F(2, 10), F(1, 10))
     custom = FCurve("half_l1", variational().eval_at, F(1), F(0))
@@ -317,10 +351,17 @@ def test_frozen_fixture_results_replay() -> None:
 
 def test_search_arguments_out_of_range_are_rejected() -> None:
     dist = single_letter(F(1, 2), F(1, 3), F(1, 6))
+    # m is checked before the caps, so an instance beyond them still names m.
+    wide = AtomicDistribution.from_masses([F(1, 16)] * 16, 1, 16)
     for m in (0, -1):
-        with pytest.raises(OutOfRange) as excinfo:
-            min_fdiv_bruteforce(dist, m, [variational()])
-        assert str(excinfo.value) == f"codebook size must be positive, got {m}"
+        for search, instance in (
+            (min_fdiv_bruteforce, dist),
+            (min_fdiv_bruteforce, wide),
+            (min_fdiv_bruteforce_full, wide),
+        ):
+            with pytest.raises(OutOfRange) as excinfo:
+                search(instance, m, [variational()])
+            assert str(excinfo.value) == f"codebook size must be positive, got {m}"
     for delta in (F(-1, 10), F(11, 10)):
         with pytest.raises(OutOfRange) as excinfo:
             min_set_bruteforce(dist, delta)
