@@ -330,9 +330,13 @@ def load_config(path: str | Path, command: str | None = None) -> RunConfig:
     for sweep_n in sweep_ns:
         if sweep_n < 1:
             located.fail("grid", "n_sweep", "blocklengths must be positive")
-    for delta in deltas:
-        if delta < 0:
-            located.fail("grid", "delta", "divergence budgets must be nonnegative")
+    for key, values, what in (
+        ("delta", deltas, "divergence budgets"),
+        ("eps", eps, "tail levels"),
+        ("d", ds, "distortion budgets"),
+    ):
+        if any(value < 0 for value in values):
+            located.fail("grid", key, f"{what} must be nonnegative")
 
     return RunConfig(
         command=command,

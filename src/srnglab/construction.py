@@ -370,7 +370,12 @@ def build_smooth_entropy_mapping(
     size = len(dist.masses)
     order = sort_descending(dist)
     core, core_mass = _descending_prefix(dist, order, _budget_threshold(curve, delta))
-    m = math.ceil(len(core) * math.exp(dist.n * float(gamma)))
+    try:
+        m = math.ceil(len(core) * math.exp(dist.n * float(gamma)))
+    except OverflowError:
+        raise OutOfRange(
+            f"codebook size |core| e^(n gamma) overflows a float at n = {dist.n}, gamma = {gamma}"
+        ) from None
 
     if m > size:
         # The demanded codebook does not fit in the space, so the pair is

@@ -134,7 +134,7 @@ def _partitions(
     dist: AtomicDistribution, m: int
 ) -> Iterator[tuple[tuple[tuple[int, ...], ...], tuple[Mass, ...]]]:
     """Yield (blocks, block_masses) for every partition of the support."""
-    support = [x for x, mass in enumerate(dist.masses) if mass > 0]
+    support = dist.support()
     for blocks in _set_partitions(support, min(m, len(support))):
         yield blocks, tuple(map(dist._mass_of, blocks))
 
@@ -182,7 +182,7 @@ def _search(
     full: bool,
     band: float,
 ) -> dict[str, OracleResult]:
-    support = [x for x, mass in enumerate(dist.masses) if mass > 0]
+    support = dist.support()
     support_mass = dist._mass_of(support)
     floats = [float(mass) for mass in dist.masses]
     positive = [mass > 0 for mass in dist.masses]
@@ -315,7 +315,7 @@ def _search(
 def _check_caps(dist: AtomicDistribution, m: int, support_cap: int, search: str) -> None:
     if m < 1:
         raise OutOfRange(f"codebook size must be positive, got {m}")
-    support = sum(1 for mass in dist.masses if mass > 0)
+    support = len(dist.support())
     if support > support_cap:
         raise CapExceeded(f"support of {support} atoms exceeds the {search} cap {support_cap}")
     if m > CODEBOOK_CAP:
@@ -371,7 +371,7 @@ def min_set_bruteforce(dist: AtomicDistribution, delta: Mass) -> tuple[int, tupl
     """
     if delta < 0 or delta > 1:
         raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
-    support = tuple(x for x, mass in enumerate(dist.masses) if mass > 0)
+    support = dist.support()
     if len(support) > SUBSET_CAP:
         raise CapExceeded(f"support of {len(support)} atoms exceeds the subset cap {SUBSET_CAP}")
     target: Mass = 1 - Fraction(delta) if dist.exact else 1.0 - float(delta)

@@ -21,11 +21,15 @@ in exact mode, the masses themselves in float mode.  Expansion extends
 prefixes one symbol at a time.  A Markov string multiplies its initial
 and transition entries left to right; an IID or mixture string takes the
 one mass computed for its type, so equal types share float masses bit for
-bit.  Exact IID and mixture numerators are over the type-class
-denominator (the lcm of the weight denominators times the n-th power of
-the lcm of the pmf denominators); Markov ones are over the initial pmf's
-denominator times the (n-1)-th power of the lcm of the transition
-denominators.
+bit.  Exact Markov numerators are over the initial pmf's denominator
+times the (n-1)-th power of the lcm of the transition denominators.
+
+The type-class walk lives here, once: `_types` yields every positive-mass
+type of an IID or mixture source with its key, one sequence's mass and
+its class size.  `expand` reads it in both modes; the spectrum and the
+sweep read it in exact mode, where the masses are integer numerators over
+the type-class denominator (the lcm of the weight denominators times the
+n-th power of the lcm of the pmf denominators).
 
 This module alone knows how masses are stored: the rest of the package
 reads them as `_values` over `_den`, and totals outcome sets with `_mass_of`.
@@ -37,8 +41,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from itertools import cycle
+from functools import partial, reduce
+from itertools import accumulate, cycle, repeat
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceeded, InvalidModel, ZeroMassOutcome
@@ -329,62 +333,83 @@ class SourceModel:
         )
 
 
-def _iid_type_mass(pmf: Sequence[Mass], counts: Sequence[int]) -> Mass:
-    # One canonical product per symbol-count vector, so that every outcome of
-    # the same type receives a bit-identical mass even in float mode.
-    mass: Mass = 1
-    for p, c in zip(pmf, counts):
-        if c:
-            mass = mass * p**c
-    return mass
+def _powers(p: Mass, n: int) -> list[Mass]:
+    """p**c for c = 0..n, with an int 1 at c = 0 so that no product changes
+    type.  Rationals by repeated multiplication, the same values faster;
+    floats by `**`, since repeated multiplication rounds differently."""
+    if _is_exact(p):
+        return list(accumulate(repeat(p, n), operator.mul, initial=1))
+    return [1] + [p**c for c in range(1, n + 1)]
 
 
-def _compositions(n: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Every k-symbol count vector summing to n, the first count descending."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n, -1, -1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
+def _types(variant: IID | Mixture, n: int) -> tuple[int, Iterator[tuple[int, Mass, int]]]:
+    """Denominator D, and (key, mass times D of one string, class size) of
+    every positive-mass type (symbol counts) of length-n strings, the first
+    count descending; the key is the counts in base n + 1.
 
-
-def _type_parts(
-    variant: IID | Mixture, n: int, exact: bool
-) -> tuple[int, list[tuple[Mass, Sequence[Mass]]]]:
-    """Denominator D, and the (weight, pmf) of every component, such that
-    one string's mass times D is the weighted sum of its pmf products.
-
-    Exact weights and pmfs are numerators over the lcm w_den of the weight
-    denominators and the lcm p_den of every pmf denominator, so D is
-    w_den * p_den**n; float ones are the model's own values over D = 1.
+    Exact weights and pmfs become numerators over the lcm w_den of the
+    weight denominators and the lcm p_den of the pmf denominators, so D is
+    w_den * p_den**n; float ones are the model's values over D = 1.  Each
+    symbol has a power table per component, and a class size steps as its
+    count does, C(r, c - 1) = C(r, c) * c // (r - c + 1).  A component
+    multiplies its powers left to right and its weight last; components
+    add left to right (built-in sum compensates floats since Python 3.12).
     """
+    if not isinstance(variant, (IID, Mixture)):
+        raise InvalidModel("type classes need an IID or mixture source")
     if isinstance(variant, IID):
         weights, pmfs = (1,), (variant.pmf,)
     else:
         weights, pmfs = variant.weights, [c.pmf for c in variant.components]
     k = variant.alphabet_size
     den = 1
-    if exact:
+    if SourceModel(variant, n).exact:
         w_den, weights = _common(weights)
         p_den, flat = _common([p for pmf in pmfs for p in pmf])
         pmfs = [flat[i * k:(i + 1) * k] for i in range(len(pmfs))]
         den = w_den * p_den**n
-    return den, list(zip(weights, pmfs))
+    # tables[s][j][c] = (pmf j's value for symbol s) ** c
+    tables = [[_powers(pmf[s], n) for pmf in pmfs] for s in range(k)]
+    digits = [(n + 1) ** s for s in range(k)]
+    return den, _walk(tables, weights, digits, 0, n, 0, 1, [1] * len(pmfs))
 
 
-def _type_masses(
-    variant: IID | Mixture, n: int, exact: bool
-) -> tuple[int, Iterator[tuple[tuple[int, ...], Mass]]]:
-    """Denominator D, and every type (symbol counts) of length-n strings
-    with the mass times D of one string of that type, its mixture terms
-    added left to right (built-in sum compensates floats since Python 3.12)."""
-    den, parts = _type_parts(variant, n, exact)
-    k = variant.alphabet_size
-    return den, (
-        (counts, reduce(operator.add, (w * _iid_type_mass(pmf, counts) for w, pmf in parts)))
-        for counts in _compositions(n, k)
-    )
+def _walk(
+    tables: Sequence[Sequence[Sequence[Mass]]], weights: Sequence[Mass], digits: Sequence[int],
+    s: int, rest: int, key: int, size: int, prods: Sequence[Mass],
+) -> Iterator[tuple[int, Mass, int]]:
+    """Types whose counts for symbols s on sum to rest, given the key, the
+    class size and the per-component products of the counts before s; the
+    count of symbol s runs down from rest, and the last symbol takes what
+    remains."""
+    here = tables[s]
+    if s == len(tables) - 1:
+        num = reduce(operator.add, [w * (p * t[rest]) for w, p, t in zip(weights, prods, here)])
+        if num:
+            yield key + rest * digits[s], num, size
+        return
+    if s < len(tables) - 2:
+        for c in range(rest, -1, -1):
+            prefix = [p * t[c] for p, t in zip(prods, here)]
+            yield from _walk(
+                tables, weights, digits, s + 1, rest - c, key + c * digits[s], size, prefix
+            )
+            size = size * c // (rest - c + 1)
+        return
+    # The last two symbols: per component, the masses for counts rest..0,
+    # lazily, so no column of big ints is held at once.
+    mul = operator.mul
+    columns = [
+        map(mul, repeat(w), map(mul, map(mul, repeat(p), t[rest::-1]), u))
+        for w, p, t, u in zip(weights, prods, here, tables[s + 1])
+    ]
+    low, high = digits[s], digits[s + 1]
+    keys = range(key + rest * low, key + rest * high + 1, high - low)
+    masses = reduce(partial(map, operator.add), columns)
+    for c, key, num in zip(range(rest, -1, -1), keys, masses):
+        if num:
+            yield key, num, size
+        size = size * c // (rest - c + 1)
 
 
 def _chain_numerators(
@@ -425,14 +450,15 @@ def expand(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> AtomicDistributio
             den = init_den * step ** (n - 1)
         values = _chain_numerators(init, rows, n)
     else:
-        # A string's type is its symbol counts written in base n + 1.
+        # A string's type key is its symbol counts in base n + 1; the walk
+        # yields no type of zero mass.
+        den, types = _types(variant, n)
+        by_type = {key: num for key, num, _ in types}
         digits = [(n + 1) ** s for s in range(k)]
-        den, types = _type_masses(variant, n, exact)
-        by_type = {sum(map(operator.mul, counts, digits)): mass for counts, mass in types}
         index = digits
         for _ in range(n - 1):
             index = [x + d for x in index for d in digits]
-        values = list(map(by_type.__getitem__, index))
+        values = list(map(by_type.get, index, repeat(0)))
     return AtomicDistribution._from_values(values, den, n, k, exact)
 
 

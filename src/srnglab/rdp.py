@@ -190,12 +190,15 @@ def rd_function_iid(
     concave in beta, so a golden-section search over a bracket found by
     doubling encloses the maximum.  Distortion at or beyond the cheapest
     constant reproduction costs nothing; zero distortion needs strictly
-    positive off-diagonal entries and then equals the source entropy.
+    positive off-diagonal entries and then equals the source entropy.  A
+    negative distortion is out of range.
     """
     if spec.kind != "additive":
         raise InvalidModel("the rate-distortion solver needs a per-symbol distortion")
     if len(spec.entries) != len(pmf):
         raise DimensionMismatch("distortion matrix does not match the pmf")
+    if d < 0:
+        raise OutOfRange(f"distortion budget must be nonnegative, got {d}")
     p = [float(x) for x in pmf]
     g = [[float(v) for v in row] for row in spec.entries]
     d = float(d)
@@ -203,7 +206,7 @@ def rd_function_iid(
     d_max = min(reduce(operator.add, (p[a] * g[a][b] for a in active), 0.0) for b in range(len(g)))
     if d >= d_max:
         return 0.0
-    if d <= 0:
+    if d == 0:
         for a in active:
             for b in range(len(g[a])):
                 if a != b and g[a][b] == 0:

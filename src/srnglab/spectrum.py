@@ -17,12 +17,12 @@ tail does not depend on which function asked for it.
 For IID and mixture sources the spectrum depends on a sequence only through
 its symbol counts, so large blocklengths are handled by enumerating type
 classes instead of outcomes: binomially many terms for a binary alphabet
-instead of 2**n.  The enumeration is one walk over the compositions of n
+instead of 2**n.  The enumeration is `probability._types`, the one
+type-class walk that `expand` also reads; here it runs only in exact mode,
 on integer numerators over one shared denominator (the lcm of the weight
 denominators times the n-th power of the lcm of the pmf denominators),
-with per-symbol power tables and class sizes updated from type to type.
-A Fraction is made once per type, for its value, and the public spectrum
-makes one per point, for its mass.
+and a float source is rejected.  A Fraction is made once per type, for
+its value, and the public spectrum makes one per point, for its mass.
 
 A convergence sweep computes each blocklength once for all of its
 (curve, budget) pairs.  A rational source is never expanded: one walk's
@@ -40,7 +40,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
@@ -52,7 +52,7 @@ from .probability import (
     Mass,
     Mixture,
     SourceModel,
-    _type_parts,
+    _types,
     expand,
     self_information_value,
     sort_descending,
@@ -258,61 +258,13 @@ def _descending_prefix(
     return ids, dist._mass_of(ids)
 
 
-def _types(variant: IID | Mixture, n: int) -> tuple[int, Iterator[tuple[int, int]]]:
-    """Shared denominator, and (per-sequence mass times it, class size) of
-    every positive-mass type class, in the order of `_compositions`.
-
-    Sequence probability depends on the symbol counts alone, so one term per
-    composition of n stands for its whole class.  The denominator is the
-    lcm of the weight denominators times the n-th power of the lcm of the
-    pmf denominators, so every sequence mass is an integer over it.
-
-    One walk over the compositions carries everything in ints: each
-    symbol's powers come from a table of n + 1 per mixture component, and
-    the class size is the product over symbols of C(rest, count), updated
-    as a count steps down by C(r, c - 1) = C(r, c) * c // (r - c + 1).
-    """
+def _classes(variant: IID | Mixture, n: int) -> tuple[int, Iterator[tuple[int, int]]]:
+    """Shared denominator, and (sequence mass times it, class size) of every
+    positive-mass type class of a rational source, in `_types` order."""
     if not SourceModel(variant, n).exact:
         raise InvalidModel("type-class enumeration needs rational source parameters")
-    if not isinstance(variant, (IID, Mixture)):
-        raise InvalidModel("type classes need an IID or mixture source")
-    den, parts = _type_parts(variant, n, exact=True)
-    weights = [w for w, _ in parts]
-    # tables[s][j][c] = (numerator of symbol s under component j) ** c
-    tables = [
-        [list(accumulate(repeat(pmf[s], n), operator.mul, initial=1)) for _, pmf in parts]
-        for s in range(variant.alphabet_size)
-    ]
-    return den, _walk(tables, 0, n, 1, weights)
-
-
-def _walk(
-    tables: Sequence[Sequence[Sequence[int]]], s: int, rest: int, size: int, prods: Sequence[int]
-) -> Iterator[tuple[int, int]]:
-    """Types whose counts for symbols s on sum to rest, given the class size
-    and per-component products of the counts before s; the count of symbol
-    s runs down from rest, and the last symbol takes what remains."""
-    here = tables[s]
-    if s == len(tables) - 1:
-        num = sum(p * t[rest] for p, t in zip(prods, here))
-        if num:
-            yield num, size
-        return
-    if s < len(tables) - 2:
-        for c in range(rest, -1, -1):
-            yield from _walk(tables, s + 1, rest - c, size, [p * t[c] for p, t in zip(prods, here)])
-            size = size * c // (rest - c + 1)
-        return
-    # The last two symbols: per component, the numerators for counts rest..0,
-    # lazily, so no column of big ints is held at once.
-    columns = [
-        map(p.__mul__, map(operator.mul, t[rest::-1], u))
-        for p, t, u in zip(prods, here, tables[s + 1])
-    ]
-    for c, num in zip(range(rest, -1, -1), map(sum, zip(*columns))):
-        if num:
-            yield num, size
-        size = size * c // (rest - c + 1)
+    den, types = _types(variant, n)
+    return den, map(operator.itemgetter(1, 2), types)
 
 
 def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:
@@ -322,7 +274,7 @@ def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:
     denominators far outside float range; values go through integer logs
     of each type's reduced mass.
     """
-    return _integer_spectrum(*_types(variant, n), n)
+    return _integer_spectrum(*_classes(variant, n), n)
 
 
 def _integer_spectrum(den: int, classes: Iterable[tuple[int, int]], n: int) -> SpectrumSummary:
@@ -376,7 +328,7 @@ def typeclass_smooth_max_entropy(
     """
     if delta < 0 or delta > 1:
         raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
-    den, classes = _types(variant, n)
+    den, classes = _classes(variant, n)
     size = _typeclass_set_size(sorted(classes, reverse=True), den, 1 - Fraction(delta))
     return math.log(size), size
 
@@ -457,7 +409,7 @@ def _sweep_point(
     from its type classes if the source is rational, else expanded."""
     n = model.n
     if model.exact:
-        den, classes = _types(model.variant, n)
+        den, classes = _classes(model.variant, n)
         descending = sorted(classes, reverse=True)
         sizes = [_typeclass_set_size(descending, den, 1 - Fraction(eps)) for eps in levels]
         sums = _value_sums(den, descending, n)

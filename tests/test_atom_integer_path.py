@@ -53,7 +53,6 @@ from srnglab import (
 )
 from srnglab.construction import _encode, _greedy_allocate, _trace
 from srnglab.divergence import _budget_threshold, _term
-from srnglab.probability import _iid_type_mass
 
 F = Fraction
 
@@ -62,6 +61,16 @@ CURVES = ("variational", "reverse_kl", "hellinger", "e_gamma:2", "e_gamma_sum:3/
 
 # ---------------------------------------------------------------------------
 # reference copies of the replaced per-atom loops
+
+
+def _iid_type_mass(pmf, counts):
+    # The per-type product expand used before the type-class walk: the
+    # symbols' powers multiplied left to right, zero counts skipped.
+    mass = 1
+    for p, c in zip(pmf, counts):
+        if c:
+            mass = mass * p**c
+    return mass
 
 
 def old_expand_masses(variant, n):

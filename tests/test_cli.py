@@ -144,6 +144,17 @@ def test_construct_includes_entropy_mappings(tmp_path):
         assert entry["m"] >= 1
 
 
+def test_construct_with_a_codebook_beyond_the_float_range_exits_2(tmp_path, capsys):
+    text = BASE.replace("command = analyze", "command = construct").replace(
+        "gamma = 1/10", "gamma = 1/10, 400"
+    )
+    code, _ = run(tmp_path, "construct", text)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: codebook size |core| e^(n gamma) overflows a float at n = 2, gamma = 400\n"
+    )
+
+
 def test_construct_skips_bounds_for_non_monotone_curves(tmp_path):
     text = BASE.replace("command = analyze", "command = construct").replace(
         "names = variational, reverse_kl", "names = variational, kl"
@@ -291,6 +302,22 @@ def test_rdp_names_each_inconsistent_report_on_stderr(tmp_path, monkeypatch, cap
     for report in good["reports"]:
         del report["lower"], report["upper"], report["consistent"]
     assert bad == good
+
+
+@pytest.mark.parametrize(
+    "command, key, old, what",
+    [("rdp", "d", "d = 1/20", "distortion budgets"), ("analyze", "eps", "eps = 1/8", "tail levels")],
+)
+def test_negative_distortion_or_tail_level_exits_2_naming_its_line(
+    tmp_path, capsys, command, key, old, what
+):
+    text = BASE.replace("command = analyze", f"command = {command}").replace(old, f"{key} = -1/10")
+    code, _ = run(tmp_path, command, text)
+    assert code == 2
+    line = text.splitlines().index(f"{key} = -1/10") + 1
+    assert capsys.readouterr().err == (
+        f"error: {tmp_path / 'run.ini'}:{line}: {what} must be nonnegative\n"
+    )
 
 
 def test_rdp_rejects_markov_sources(tmp_path, capsys):

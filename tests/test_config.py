@@ -326,6 +326,21 @@ def test_negative_delta_is_rejected(tmp_path):
         load_config(write(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "key, message",
+    [("eps", "tail levels must be nonnegative"), ("d", "distortion budgets must be nonnegative")],
+)
+def test_negative_eps_and_d_are_rejected_at_their_line(tmp_path, key, message):
+    path = write(tmp_path, BASE.replace("delta = 1/10", f"delta = 1/10\n{key} = 1/8, -1/8"))
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == f"{path}:12: {message}"
+    # Zero is allowed.
+    zero = write(tmp_path, BASE.replace("delta = 1/10", f"delta = 1/10\n{key} = 0"), "0.ini")
+    cfg = load_config(zero)
+    assert cfg.eps + cfg.ds == (F(0),)
+
+
 def test_comments_and_blank_lines_are_ignored(tmp_path):
     text = "# header comment\n\n; another\n" + BASE.replace(
         "[grid]", "# grid below\n[grid]"

@@ -279,6 +279,17 @@ def test_oversized_codebook_falls_back_to_the_identity() -> None:
     assert divergence(d, decoded, variational()) == 0
 
 
+def test_codebook_beyond_the_float_range_is_out_of_range() -> None:
+    # e^{n gamma} overflows at n = 14, gamma = 60; at n = 2, gamma = 709/2 it
+    # is finite but |core| = 3 times it is not.
+    for d, gamma in ((quarter_block(14), F(60)), (quarter_block(2), F(709, 2))):
+        with pytest.raises(OutOfRange) as excinfo:
+            build_smooth_entropy_mapping(d, variational(), F(1, 10), gamma)
+        assert str(excinfo.value) == (
+            f"codebook size |core| e^(n gamma) overflows a float at n = {d.n}, gamma = {gamma}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # baseline and helpers
 

@@ -129,6 +129,15 @@ def test_solver_boundary_behaviour() -> None:
     assert rd_function_iid(pmf, HAMMING2, 0) == pytest.approx(pmf_entropy(pmf))
 
 
+def test_negative_distortion_is_out_of_range() -> None:
+    pmf = (F(3, 4), F(1, 4))
+    for d in (F(-1, 10), -1e-300):
+        with pytest.raises(OutOfRange) as excinfo:
+            rd_function_iid(pmf, HAMMING2, d)
+        assert str(excinfo.value) == f"distortion budget must be nonnegative, got {d}"
+    assert rd_function_iid(pmf, HAMMING2, F(0)) == pytest.approx(pmf_entropy(pmf))
+
+
 def test_fully_free_column_makes_every_distortion_trivial() -> None:
     # Reproducing everything as symbol 1 costs nothing here, so the rate
     # is zero even at distortion zero.

@@ -44,7 +44,8 @@ from srnglab import (
     typeclass_spectrum,
     variational,
 )
-from srnglab.spectrum import _sweep_pairs, _types
+from srnglab.probability import _types
+from srnglab.spectrum import _sweep_pairs
 
 F = Fraction
 
@@ -396,3 +397,8 @@ def test_type_class_routes_check_their_arguments() -> None:
     with pytest.raises(InvalidModel) as excinfo:
         _types(chain, 4)
     assert str(excinfo.value) == "type classes need an IID or mixture source"
+    floating = IID((0.75, 0.25))
+    for route in (typeclass_spectrum, lambda v, n: typeclass_smooth_max_entropy(v, n, F(1, 10))):
+        with pytest.raises(InvalidModel) as excinfo:
+            route(floating, 4)
+        assert str(excinfo.value) == "type-class enumeration needs rational source parameters"

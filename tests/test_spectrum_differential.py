@@ -42,14 +42,24 @@ from srnglab import (
     variational,
 )
 from srnglab.divergence import _budget_threshold
-from srnglab.probability import _iid_type_mass
-from srnglab.spectrum import SweepRow, _sweep_pairs, _types
+from srnglab.probability import _types
+from srnglab.spectrum import SweepRow, _sweep_pairs
 
 F = Fraction
 
 
 # ---------------------------------------------------------------------------
 # reference copies of the replaced loops
+
+
+def _iid_type_mass(pmf, counts):
+    # The per-type product expand used before the type-class walk: the
+    # symbols' powers multiplied left to right, zero counts skipped.
+    mass = 1
+    for p, c in zip(pmf, counts):
+        if c:
+            mass = mass * p**c
+    return mass
 
 
 def old_suffix_tails(summary):
@@ -397,7 +407,7 @@ def test_type_enumeration_matches_the_comb_and_power_loop() -> None:
         old_den, old = old_types(variant, n)
         assert den == old_den
         # Same pairs in the same order, every one a pair of ints.
-        new = list(types)
+        new = [(num, size) for _, num, size in types]
         assert new == old
         assert all(type(num) is int and type(size) is int for num, size in new)
 
