@@ -105,29 +105,41 @@ class OracleResult:
 def _set_partitions(
     items: Sequence[int], max_blocks: int
 ) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions of items into at most max_blocks nonempty blocks.
+    """All partitions of items into at most max_blocks >= 1 nonempty blocks.
 
     Restricted growth: item 0 opens block 0 and each later item joins an
     existing block or opens the next one, so every partition appears
-    exactly once, blocks ordered by first member.
+    exactly once, blocks ordered by first member.  The labels run through
+    their strings in lexicographic order: the last label that can still
+    grow does, and every label after it restarts at block 0.  Blocks list
+    their items in order, so the items from the grown label on are the
+    blocks' last ones, and only they move.
     """
     n = len(items)
     if n == 0:
         return
     labels = [0] * n
-
-    def rec(i: int, used: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        if i == n:
-            blocks: list[list[int]] = [[] for _ in range(used)]
-            for item, lab in zip(items, labels):
-                blocks[lab].append(item)
-            yield tuple(tuple(b) for b in blocks)
+    # opened[i]: blocks opened by items before i, so item i's label is at
+    # most min(opened[i], max_blocks - 1).
+    opened = [1] * n
+    blocks = [list(items)]
+    while True:
+        yield tuple(map(tuple, blocks))
+        i = n - 1
+        while i and labels[i] >= min(opened[i], max_blocks - 1):
+            i -= 1
+        if not i:
             return
-        for lab in range(min(used + 1, max_blocks)):
-            labels[i] = lab
-            yield from rec(i + 1, max(used, lab + 1))
-
-    yield from rec(1, 1)
+        for j in range(n - 1, i - 1, -1):
+            blocks[labels[j]].pop()
+        del blocks[opened[i]:]
+        labels[i] += 1
+        if labels[i] == len(blocks):
+            blocks.append([])
+        blocks[labels[i]].append(items[i])
+        labels[i + 1:] = [0] * (n - 1 - i)
+        blocks[0].extend(items[i + 1:])
+        opened[i + 1:] = [len(blocks)] * (n - 1 - i)
 
 
 def _partitions(

@@ -112,12 +112,22 @@ def _validate_pmf(row: Sequence[Mass], what: str) -> tuple[Mass, ...]:
     row = tuple(row)
     if not row:
         raise InvalidModel(f"{what} is empty")
-    for v in row:
-        if isinstance(v, float) and not math.isfinite(v):
-            raise InvalidModel(f"{what} contains a non-finite entry")
-        if v < 0:
-            raise InvalidModel(f"{what} contains a negative entry")
-    total = sum(row)
+    # A non-finite entry makes a float total non-finite, so a finite (or
+    # exact) total and a nonnegative minimum clear every entry at once.
+    # Otherwise the entries are checked one by one, so the first bad one is
+    # named, and a row that cannot be summed fails in the sum as before.
+    try:
+        total = sum(row)
+        clean = (not isinstance(total, float) or math.isfinite(total)) and min(row) >= 0
+    except (OverflowError, TypeError):
+        clean = False
+    if not clean:
+        for v in row:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise InvalidModel(f"{what} contains a non-finite entry")
+            if v < 0:
+                raise InvalidModel(f"{what} contains a negative entry")
+        total = sum(row)
     if all(_is_exact(v) for v in row):
         if total != 1:
             raise InvalidModel(f"{what} sums to {total}, expected exactly 1")

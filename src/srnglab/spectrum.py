@@ -21,15 +21,16 @@ instead of 2**n.  The enumeration is `probability._types`, the one
 type-class walk that `expand` also reads; here it runs only in exact mode,
 on integer numerators over one shared denominator (the lcm of the weight
 denominators times the n-th power of the lcm of the pmf denominators),
-and a float source is rejected.  A Fraction is made once per type, for
-its value, and the public spectrum makes one per point, for its mass.
+and a float source is rejected.  Each type's value comes from its reduced
+mass, and the public spectrum makes one Fraction per point, for its mass.
 
 A convergence sweep computes each blocklength once for all of its
 (curve, budget) pairs.  A rational source is never expanded: one walk's
-list, sorted by descending mass, serves every smooth max entropy, and the
-same list folds into (value, numerator sum) points whose running sums
-serve every resolution rate, with no summary or per-point Fraction in
-between.  A float source is expanded, up to 2**14 outcomes.
+classes, sorted by descending mass, become one list of integer prefix
+sums, and every smooth max entropy and every resolution rate is a
+bisection of it.  Values, and their logarithms, are computed only for
+the few classes near each rate's crossing.  A float source is expanded,
+up to 2**14 outcomes.
 """
 
 from __future__ import annotations
@@ -244,8 +245,14 @@ def _descending_prefix(
     """Shortest prefix of the descending order whose mass reaches target,
     and that mass; never empty, and never past the last positive mass."""
     values = dist._values
-    # Integer numerators reach target once they reach target * _den rounded up.
-    goal = math.ceil(Fraction(target) * dist._den) if dist.exact else target
+    # Integer numerators reach target once they reach target * _den rounded
+    # up, and float totals once they reach the least float at or above it.
+    if dist.exact:
+        goal = math.ceil(Fraction(target) * dist._den)
+    else:
+        goal = float(target)
+        if goal < target:
+            goal = math.nextafter(goal, math.inf)
     ids: list[int] = []
     total: Mass = 0
     for x in order:
@@ -289,31 +296,103 @@ def _value_sums(den: int, classes: Iterable[tuple[int, int]], n: int) -> dict[fl
     each value from the reduced mass, each point's numerator summed in ints."""
     acc: dict[float, int] = {}
     for num, count in classes:
-        value = self_information_value(Fraction(num, den), n)
+        value = _reduced_value(num, den, n)
         acc[value] = acc.get(value, 0) + count * num
     return acc
 
 
-def _typeclass_set_size(descending: Sequence[tuple[int, int]], den: int, target: Fraction) -> int:
-    """Fewest sequences, heaviest first, whose mass reaches target.
+def _reduced_value(num: int, den: int, n: int) -> float:
+    """self_information_value(Fraction(num, den), n) for positive ints,
+    without the Fraction: the same gcd, and the same logs of the reduced
+    numerator and denominator."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return (math.log(den) - math.log(num)) / n
 
-    descending holds (sequence mass times den, class size) by descending
-    mass.  Whole classes enter in that order and the last one partially,
-    with the ceiling count it takes; comparisons and ceiling are integer
-    cross-multiplications.  A target of zero or less still takes one.
+
+# Error bound on a computed value, per unit of 1 + b/n, where b is the bit
+# length of the shared denominator.  A value is (log(D) - log(N)) / n for a
+# reduced mass N/D, so N <= D < 2**b.  CPython's math.log of an int takes
+# the nearest double when the int fits (relative error u = 2**-53) and
+# libm's log of it; otherwise _PyLong_Frexp splits the int into x * 2**e,
+# x in [1/2, 1) rounded to 53 bits, and returns log(x) + log(2) * e.
+# With libm's log within one ulp, either way a log is off by at most
+# 4u(1 + b) nats; the subtraction adds u(1 + b) and the division by n
+# rounds once more, so a value is off by at most 10u(1 + b)/n, which is at
+# most 10u(1 + b/n) < 2**-49 (1 + b/n).  The constant leaves a factor 512,
+# which also covers the rounding of the comparisons made with it.
+_VALUE_ERROR = 2.0**-40
+
+
+def _descending_classes(
+    classes: Iterable[tuple[int, int]]
+) -> tuple[list[int], list[int], list[int]]:
+    """(sequence mass times den, class size) pairs, sorted by descending
+    mass, as three lists: each class's numerator, and the running totals
+    of the mass numerators and of the class sizes."""
+    descending = sorted(classes, reverse=True)
+    nums = [num for num, _ in descending]
+    counts = [count for _, count in descending]
+    del descending  # the prefix lists below are as large again
+    return nums, list(accumulate(map(operator.mul, nums, counts))), list(accumulate(counts))
+
+
+def _set_size(
+    nums: Sequence[int], cum: Sequence[int], cum_sizes: Sequence[int], den: int, target: Fraction
+) -> int:
+    """Fewest sequences, heaviest first, whose mass reaches target <= 1.
+
+    Takes the `_descending_classes` lists.  Whole classes enter by
+    descending mass and the last one partially, with the ceiling count it
+    takes: that class is the first whose running numerator reaches
+    target * den rounded up, and the count is an integer
+    cross-multiplication.  A target of zero or less still takes one.
     """
     if target <= 0:
         return 1
     need = target.numerator * den
     scale = target.denominator
-    cum = size = 0
-    for num, count in descending:
-        block = count * num
-        if (cum + block) * scale >= need:
-            return size - (cum * scale - need) // (num * scale)
-        cum += block
-        size += count
-    return size
+    last = bisect.bisect_left(cum, -(-need // scale))
+    cum_before, size_before = (cum[last - 1], cum_sizes[last - 1]) if last else (0, 0)
+    return size_before - (cum_before * scale - need) // (nums[last] * scale)
+
+
+def _crossing_value(nums: Sequence[int], cum: Sequence[int], den: int, n: int, key: int) -> float:
+    """The value k_f_rate reads off the merged float spectrum of the
+    `_descending_classes` lists: the smallest one whose cdf numerator over
+    den reaches key, from the values of a few classes only.
+
+    Along descending mass the true values increase (equal masses share one
+    computed value), and a computed value is within eps =
+    _VALUE_ERROR * (1 + b/n) of its true value.  The window [lo, hi)
+    starts at the class where the running numerator reaches key and takes
+    a neighbour while its value is within 2 eps of the window's lowest or
+    highest value.  Every class below the window then has a smaller
+    computed value than every class in it, and every class above a larger
+    one: so the window's cdf starts at cum[lo - 1], float ties and
+    inversions inside it are sorted out by sorting it, and the crossing,
+    reached by cum[hi - 1] but not by cum[lo - 1], lies inside it.
+    """
+    slack = 2 * _VALUE_ERROR * (1 + den.bit_length() / n)
+    top = bisect.bisect_left(cum, key)
+    window = {top: _reduced_value(nums[top], den, n)}
+    low = high = window[top]
+    lo, hi = top, top + 1
+    while True:
+        if lo and (value := _reduced_value(nums[lo - 1], den, n)) >= low - slack:
+            lo -= 1
+            window[lo] = value
+        elif hi < len(nums) and (value := _reduced_value(nums[hi], den, n)) <= high + slack:
+            window[hi] = value
+            hi += 1
+        else:
+            break
+        low, high = min(low, value), max(high, value)
+    points = sorted((value, cum[i] - (cum[i - 1] if i else 0)) for i, value in window.items())
+    cdfs = list(accumulate(mass for _, mass in points))
+    return points[bisect.bisect_left(cdfs, key - (cum[lo - 1] if lo else 0))][0]
 
 
 def typeclass_smooth_max_entropy(
@@ -329,7 +408,7 @@ def typeclass_smooth_max_entropy(
     if delta < 0 or delta > 1:
         raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
     den, classes = _classes(variant, n)
-    size = _typeclass_set_size(sorted(classes, reverse=True), den, 1 - Fraction(delta))
+    size = _set_size(*_descending_classes(classes), den, 1 - Fraction(delta))
     return math.log(size), size
 
 
@@ -410,20 +489,16 @@ def _sweep_point(
     n = model.n
     if model.exact:
         den, classes = _classes(model.variant, n)
-        descending = sorted(classes, reverse=True)
-        sizes = [_typeclass_set_size(descending, den, 1 - Fraction(eps)) for eps in levels]
-        sums = _value_sums(den, descending, n)
-        del descending  # the cumulative list below is as large again
-        values = sorted(sums)
-        # Cumulative mass numerators over den: integer sums are exact, so
-        # summing from the bottom gives the same cdf as den minus the tail.
-        cdfs = list(accumulate(map(sums.__getitem__, values)))
+        # Integer prefix sums: the cdf numerators over den at every class.
+        nums, cum, cum_sizes = _descending_classes(classes)
+        sizes = [_set_size(nums, cum, cum_sizes, den, 1 - Fraction(eps)) for eps in levels]
         keys = [math.ceil(Fraction(thr) * den) for thr in thresholds]
+        rates = [_crossing_value(nums, cum, den, n, key) for key in keys]
     else:
         dist = expand(model, cap)
         order = sort_descending(dist)
         sizes = [len(_descending_prefix(dist, order, 1.0 - float(eps))[0]) for eps in levels]
         summary = spectrum_cdf(dist)
-        values, cdfs, keys = summary.values(), _cdfs(summary.masses()), thresholds
-    h0s = [math.log(size) / n for size in sizes]
-    return [values[bisect.bisect_left(cdfs, key)] for key in keys], h0s
+        values, cdfs = summary.values(), _cdfs(summary.masses())
+        rates = [values[bisect.bisect_left(cdfs, thr)] for thr in thresholds]
+    return rates, [math.log(size) / n for size in sizes]

@@ -24,6 +24,7 @@ from srnglab import (
     self_information_value,
     sort_descending,
 )
+from srnglab.probability import FLOAT_MASS_TOL, _is_exact, _validate_pmf
 
 F = Fraction
 
@@ -229,6 +230,65 @@ def test_pmf_validation_names_the_fault(row, message) -> None:
     with pytest.raises(InvalidModel) as excinfo:
         IID(row)
     assert str(excinfo.value) == message
+
+
+def old_validate_pmf(row, what):
+    # The check before it cleared whole rows at once: every entry first,
+    # then the sum.
+    row = tuple(row)
+    if not row:
+        raise InvalidModel(f"{what} is empty")
+    for v in row:
+        if isinstance(v, float) and not math.isfinite(v):
+            raise InvalidModel(f"{what} contains a non-finite entry")
+        if v < 0:
+            raise InvalidModel(f"{what} contains a negative entry")
+    total = sum(row)
+    if all(_is_exact(v) for v in row):
+        if total != 1:
+            raise InvalidModel(f"{what} sums to {total}, expected exactly 1")
+    elif abs(total - 1) > FLOAT_MASS_TOL:
+        raise InvalidModel(f"{what} sums to {total!r}, off by more than {FLOAT_MASS_TOL}")
+    return row
+
+
+def outcome(check, row):
+    try:
+        return ("ok", check(row, "row"))
+    except Exception as exc:  # the exception's type and text are compared
+        return (type(exc), str(exc))
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        (0.25, 0.75),
+        (F(1, 4), F(3, 4)),
+        (F(1, 2), 0.5),
+        (1, 0),
+        (0.5, 0.5 + 2e-12),
+        (F(1, 2), F(1, 3)),
+        (0.5, math.nan),
+        (math.nan, -0.5, 1.0),
+        (-0.5, math.nan, 1.0),
+        (math.inf, -math.inf),
+        (F(1, 2), -math.inf, 0.5),
+        (1e308, 1e308),
+        (1e308, 1e308, -1.0),
+        (F(3, 2), -0.5),
+        (F(1, 2), F(-1, 2), 1.0),
+        (-0.0, 1.0),
+        (10**400, -1.0),
+        (10**400, 0.5),
+        (F(10**400), 0.5),
+        ("half", 0.5),
+    ],
+)
+def test_pmf_validation_checks_whole_rows_as_the_entry_loop_did(row) -> None:
+    # Same return, or same exception type and text, as the entry-by-entry
+    # check: non-finite and negative entries, sums that overflow, mixed
+    # Fraction and float rows, and rows that cannot be summed at all.
+    assert outcome(_validate_pmf, row) == outcome(old_validate_pmf, row)
 
 
 def test_outcome_ids_reject_what_lies_outside_the_space() -> None:

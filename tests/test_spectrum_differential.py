@@ -14,9 +14,13 @@ expected to be bit-identical, not close.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from fractions import Fraction
+from itertools import accumulate
+
+import pytest
 
 from srnglab import (
     IID,
@@ -41,9 +45,17 @@ from srnglab import (
     typeclass_spectrum,
     variational,
 )
+import srnglab.spectrum as spectrum_module
 from srnglab.divergence import _budget_threshold
-from srnglab.probability import _types
-from srnglab.spectrum import SweepRow, _sweep_pairs
+from srnglab.probability import _types, self_information_value
+from srnglab.spectrum import (
+    SweepRow,
+    _classes,
+    _crossing_value,
+    _descending_classes,
+    _descending_prefix,
+    _sweep_pairs,
+)
 
 F = Fraction
 
@@ -306,6 +318,34 @@ FIXED_ENUMERATION_INPUTS = (
 )
 
 
+#: Sources whose symbol masses lie within about 1e-8 and 1e-12 of each
+#: other: many computed values tie, and since the reduced masses'
+#: denominators differ from type to type, many fall out of the true order.
+NEAR_TIE_SOURCES = (
+    IID((F(10**8, 3 * 10**8 + 3), F(10**8 + 1, 3 * 10**8 + 3), F(10**8 + 2, 3 * 10**8 + 3))),
+    Mixture(
+        (F(1, 3), F(2, 3)),
+        (
+            IID((F(10**12 + 1, 2 * 10**12 + 1), F(10**12, 2 * 10**12 + 1))),
+            IID((F(10**12, 2 * 10**12 + 1), F(10**12 + 1, 2 * 10**12 + 1))),
+        ),
+    ),
+)
+
+#: The mixture the typeclass-sweep benchmark runs.
+BENCHMARK_MIXTURE = Mixture(
+    (F(1, 2), F(1, 2)), (IID((F(9, 10), F(1, 10))), IID((F(1, 5), F(4, 5))))
+)
+
+SWEEP_PAIRS = (
+    (variational(), F(1, 20)),
+    (variational(), F(1, 5)),
+    (hellinger(), F(1, 10)),
+    (reverse_kl(), F(1, 10)),
+    (variational(), F(2)),
+)
+
+
 def type_class_inputs(rng):
     for _ in range(12):
         variant = random_variant(rng)
@@ -412,23 +452,109 @@ def test_type_enumeration_matches_the_comb_and_power_loop() -> None:
         assert all(type(num) is int and type(size) is int for num, size in new)
 
 
+def public_sweep_rows(variant, ns, pairs):
+    """The sweep's rows from typeclass_spectrum, k_f_rate and
+    typeclass_smooth_max_entropy, one tuple per pair."""
+    out = []
+    for curve, delta in pairs:
+        eps = 1 - _budget_threshold(curve, delta)
+        expected = []
+        for n in ns:
+            kf = k_f_rate(typeclass_spectrum(variant, n), curve, delta).value
+            h0 = typeclass_smooth_max_entropy(variant, n, eps)[0] / n
+            expected.append(SweepRow(n, float(eps), float(delta), "k_f_rate", kf, curve.name))
+            expected.append(
+                SweepRow(n, float(eps), float(delta), "smooth_max_entropy_rate", h0, curve.name)
+            )
+        out.append(tuple(expected))
+    return out
+
+
+def full_spectrum_crossings(variant, n, keys):
+    """For every key, the first value of the whole merged float spectrum
+    whose cdf numerator reaches it: every type's value from its Fraction."""
+    den, types = _types(variant, n)
+    acc = {}
+    for _, num, size in types:
+        value = self_information_value(F(num, den), n)
+        acc[value] = acc.get(value, 0) + num * size
+    values = sorted(acc)
+    cdfs = list(accumulate(map(acc.__getitem__, values)))
+    return [values[bisect.bisect_left(cdfs, key)] for key in keys]
+
+
 def test_type_class_sweep_rows_match_the_public_type_class_functions() -> None:
     rng = random.Random(5303)
-    pairs = [(variational(), F(1, 20)), (variational(), F(1, 5)), (hellinger(), F(1, 10))]
-    pairs += [(reverse_kl(), F(1, 10)), (variational(), F(2))]
+    pairs = list(SWEEP_PAIRS)
     sources = [variant for variant, _ in FIXED_TYPE_CLASS_INPUTS]
     sources += [random_variant(rng) for _ in range(6)]
     for variant in sources:
         ns = (3, 7, 30) if variant.alphabet_size == 2 else (3, 7, 12)
-        got = _sweep_pairs(variant, ns, pairs)
-        for rows, (curve, delta) in zip(got, pairs):
-            eps = 1 - _budget_threshold(curve, delta)
-            expected = []
-            for n in ns:
-                kf = k_f_rate(typeclass_spectrum(variant, n), curve, delta).value
-                h0 = typeclass_smooth_max_entropy(variant, n, eps)[0] / n
-                expected.append(SweepRow(n, float(eps), float(delta), "k_f_rate", kf, curve.name))
-                expected.append(
-                    SweepRow(n, float(eps), float(delta), "smooth_max_entropy_rate", h0, curve.name)
-                )
-            assert rows == tuple(expected)
+        assert _sweep_pairs(variant, ns, pairs) == public_sweep_rows(variant, ns, pairs)
+
+
+def test_type_class_sweep_rows_match_the_public_functions_at_large_n() -> None:
+    rng = random.Random(7351)
+    cases = [(BENCHMARK_MIXTURE, (250, 500))]
+    cases += [(variant, (20, 60)) for variant in NEAR_TIE_SOURCES]
+    cases += [(v, (300,)) for v, _ in FIXED_TYPE_CLASS_INPUTS if v.alphabet_size == 2]
+    for _ in range(4):
+        variant = random_variant(rng)
+        ns = (150, 300) if variant.alphabet_size == 2 else (45, 60)
+        cases.append((variant, ns))
+    assert {variant.alphabet_size for variant, _ in cases} == {2, 3}
+    for variant, ns in cases:
+        assert _sweep_pairs(variant, ns, SWEEP_PAIRS) == public_sweep_rows(variant, ns, SWEEP_PAIRS)
+
+
+def test_type_class_sweep_rows_do_not_depend_on_the_window_width(monkeypatch) -> None:
+    # A value error bound far above the true one widens every window to
+    # many classes; the rows must not move.
+    cases = [(BENCHMARK_MIXTURE, (250,)), (IID((F(1, 2), F(1, 3), F(1, 6))), (40,))]
+    cases += [(variant, (20,)) for variant in NEAR_TIE_SOURCES]
+    plain = [_sweep_pairs(variant, ns, SWEEP_PAIRS) for variant, ns in cases]
+    monkeypatch.setattr(spectrum_module, "_VALUE_ERROR", 0.05)
+    assert [_sweep_pairs(variant, ns, SWEEP_PAIRS) for variant, ns in cases] == plain
+
+
+@pytest.mark.parametrize("error", [None, 0.05], ids=["derived", "wide"])
+def test_crossings_at_every_class_boundary_match_the_full_spectrum(error, monkeypatch) -> None:
+    if error is not None:
+        monkeypatch.setattr(spectrum_module, "_VALUE_ERROR", error)
+    rng = random.Random(8209)
+    cases = [(variant, 20) for variant in NEAR_TIE_SOURCES]
+    cases += [(NEAR_TIE_SOURCES[0], 45), (BENCHMARK_MIXTURE, 120)]
+    cases += [(variant, n) for variant, n in FIXED_TYPE_CLASS_INPUTS if n <= 40]
+    cases += [(random_variant(rng), 12) for _ in range(6)]
+    for variant, n in cases:
+        den, classes = _classes(variant, n)
+        nums, cum, _ = _descending_classes(classes)
+        if error is not None and len(nums) > 300:
+            continue  # each wide window takes most classes: quadratic
+        keys = sorted({0} | {c + d for c in cum for d in (-1, 0, 1) if 0 <= c + d <= den})
+        got = [_crossing_value(nums, cum, den, n, key) for key in keys]
+        assert got == full_spectrum_crossings(variant, n, keys)
+
+
+def test_float_prefix_goal_matches_the_fraction_comparison() -> None:
+    # The float prefix compares its running float total with the least
+    # float at or above the target; the old loop compared it with the
+    # target itself.  Targets: every prefix total exactly, one ulp to each
+    # side, rationals strictly between, int 0 and rationals past the total.
+    rng = random.Random(6211)
+    for dist in random_distributions(rng, 40):
+        if dist.exact:
+            continue
+        order = sort_descending(dist)
+        targets = [0, F(0), 0.0, F(1), 1.0, F(3, 2)]
+        total = 0.0
+        for x in order:
+            total += dist.masses[x]
+            up, down = math.nextafter(total, math.inf), math.nextafter(total, -math.inf)
+            targets += [total, up, down, F(total), F(up), F(down)]
+            targets += [F(total) + (F(up) - F(total)) / 3, F(total) - (F(total) - F(down)) / 3]
+        for target in targets:
+            chosen, mass = old_prefix(dist, target, 0.0)
+            ids, got = _descending_prefix(dist, order, target)
+            assert ids == chosen
+            assert same(got, mass)
