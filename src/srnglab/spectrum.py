@@ -223,6 +223,11 @@ def k_f_rate(summary: SpectrumSummary, curve: FCurve, delta: Mass) -> RateReport
     )
 
 
+def _check_tail_budget(delta: Mass) -> None:
+    if delta < 0 or delta > 1:
+        raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
+
+
 def smooth_max_entropy(dist: AtomicDistribution, delta: Mass) -> tuple[float, frozenset[int]]:
     """log of the smallest outcome set holding mass at least 1 - delta.
 
@@ -232,8 +237,7 @@ def smooth_max_entropy(dist: AtomicDistribution, delta: Mass) -> tuple[float, fr
     yields a singleton.  In exact mode the target is met exactly; a float
     accumulation that never reaches it falls back to the full support.
     """
-    if delta < 0 or delta > 1:
-        raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
+    _check_tail_budget(delta)
     target: Mass = 1 - Fraction(delta) if dist.exact else 1.0 - float(delta)
     chosen = _descending_prefix(dist, sort_descending(dist), target)[0]
     return math.log(len(chosen)), frozenset(chosen)
@@ -405,8 +409,7 @@ def typeclass_smooth_max_entropy(
     reach the target mass.  Matches the greedy atom-by-atom set size
     exactly, because atoms within a type are interchangeable.
     """
-    if delta < 0 or delta > 1:
-        raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
+    _check_tail_budget(delta)
     den, classes = _classes(variant, n)
     size = _set_size(*_descending_classes(classes), den, 1 - Fraction(delta))
     return math.log(size), size

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -15,6 +17,7 @@ from srnglab import (
     CapExceeded,
     FCurve,
     IID,
+    Markov,
     OutOfRange,
     SourceModel,
     apply_mapping,
@@ -139,7 +142,17 @@ def test_full_search_handles_curves_outside_the_reduction() -> None:
 # the single pass agrees with a float scan followed by an exact rescan
 
 
-def two_pass_search(dist, m, curves, full, band):
+def whole_space_plans(dist, m, full):
+    """Every plan with representatives over the whole space, zero-mass
+    outcomes included, in the search's order."""
+    support = dist.support()
+    for blocks in _set_partitions(support, min(m, len(support))):
+        q_masses = tuple(map(dist._mass_of, blocks))
+        for reps in itertools.permutations(range(len(dist.masses)), len(blocks)):
+            yield blocks, reps, q_masses
+
+
+def two_pass_search(dist, m, curves, full, band, enumerate_plans=_iter_plans):
     """Reference: scan every plan in floats, then rescan every plan within
     band of the float minimum in exact arithmetic, keeping the first strict
     exact minimum.  Returns name -> (value, exact, blocks, representatives).
@@ -165,13 +178,13 @@ def two_pass_search(dist, m, curves, full, band):
         return float(total) if as_float else total
 
     best, plans, exact = {}, {}, {}
-    for blocks, reps, q_masses in _iter_plans(dist, m, full):
+    for blocks, reps, q_masses in enumerate_plans(dist, m, full):
         for curve in curves:
             v = value(curve, reps, q_masses, True)
             if curve.name not in best or v < best[curve.name]:
                 best[curve.name], plans[curve.name] = v, (blocks, reps)
     refine = [c for c in curves if dist.exact and isinstance(c.eval_at(F(1, 2)), (int, Fraction))]
-    for blocks, reps, q_masses in _iter_plans(dist, m, full) if refine else ():
+    for blocks, reps, q_masses in enumerate_plans(dist, m, full) if refine else ():
         for curve in refine:
             if value(curve, reps, q_masses, True) > best[curve.name] + band:
                 continue
@@ -184,7 +197,6 @@ def two_pass_search(dist, m, curves, full, band):
 def test_single_pass_matches_the_two_pass_reference() -> None:
     fast = [curve_from_name(c) for c in ("variational", "reverse_kl", "hellinger", "e_gamma:2")]
     slow = fast + [curve_from_name("e_gamma_sum:3/2"), kl()]
-    bands = (0.0, 1e-12, 1e-9, 1e-2, 0.5)
     rng = random.Random(20231126)
     instances = [expand(SourceModel(IID((F(1, 4), F(3, 4))), 2))]
     while len(instances) < 100:
@@ -197,14 +209,13 @@ def test_single_pass_matches_the_two_pass_reference() -> None:
     compared = infinite = 0
     for index, dist in enumerate(instances):
         m = 1 + index % 3
-        band = bands[index % len(bands)]
         for full, curves in ((False, fast), (True, slow)):
             search = min_fdiv_bruteforce_full if full else min_fdiv_bruteforce
-            got = search(dist, m, curves, band=band)
-            for name, want in two_pass_search(dist, m, curves, full, band).items():
+            got = search(dist, m, curves)
+            for name, want in two_pass_search(dist, m, curves, full, math.inf).items():
                 res = got[name]
                 assert (res.value, res.exact, res.plan.blocks, res.plan.representatives) == want, (
-                    dist.masses, m, band, full, name,
+                    dist.masses, m, full, name,
                 )
                 compared += 1
                 infinite += want[0] == math.inf
@@ -214,36 +225,54 @@ def test_single_pass_matches_the_two_pass_reference() -> None:
 
 def test_single_pass_matches_the_two_pass_reference_where_partitions_are_skipped() -> None:
     # At support 7 and m = 4 most partitions are skipped for each curve:
-    # their lowest float value neither lowers the running best nor lies
-    # within band of it.  e_gamma_sum:3/2 leaves a nonzero stray term, and
-    # in full mode kl's stray and reverse_kl's zero-mass terms are infinite.
-    # The reference takes about a second per support-7 case, so those cases
-    # share out the bands, and the smaller instances take every band.
+    # their lowest total does not lower the running best.  e_gamma_sum:3/2
+    # leaves a nonzero stray term, and in full mode kl's stray and the
+    # zero-mass terms of reverse_kl and 1/t - 1 are infinite; 1/t - 1 is
+    # rational, so its integer table holds those infinities.
     tied = single_letter(*(F(w, 14) for w in (3, 3, 2, 2, 2, 1, 1)))
     distinct = single_letter(*(F(w, 28) for w in (7, 6, 5, 4, 3, 2, 1)))
     # Masses apart by less than float resolution: float values misorder
-    # plans, so skipping a partition within band of the best, or one that
-    # lowers it by less than -band, changes the answer.
+    # plans, so a float scan would report another witness.
     e = 10**17
     weights = (10 * e, 5 * e + 1, 4 * e + 2, 4 * e + 1)
     near = single_letter(*(F(w, sum(weights)) for w in weights))
     with_zero = single_letter(F(4, 10), F(3, 10), F(2, 10), F(1, 10), F(0))
     stray = [e_gamma_sum(F(3, 2))]
-    bands = (-1e-3, 0.0, 1e-9, 1e-2)
+    inverse = FCurve("inverse", lambda t: 1 / t - 1, math.inf, F(0))
     cases = [
-        (tied, 4, False, stray, 0.0),
-        (tied, 4, False, stray, 1e-9),
-        (distinct, 4, False, stray, 1e-2),
+        (tied, 4, False, stray),
+        (distinct, 4, False, stray),
+        (near, 3, False, [variational(), curve_from_name("e_gamma:2")]),
+        (with_zero, 4, True, [kl(), curve_from_name("reverse_kl"), inverse] + stray),
     ]
-    cases += [(near, 3, False, [variational(), curve_from_name("e_gamma:2")], b) for b in bands]
-    cases += [(with_zero, 4, True, [kl(), curve_from_name("reverse_kl")] + stray, b) for b in bands]
-    for dist, m, full, curves, band in cases:
-        got = _search(dist, m, curves, full, band)
-        for name, want in two_pass_search(dist, m, curves, full, band).items():
+    for dist, m, full, curves in cases:
+        got = _search(dist, m, curves, full)
+        for name, want in two_pass_search(dist, m, curves, full, math.inf).items():
             res = got[name]
             assert (res.value, res.exact, res.plan.blocks, res.plan.representatives) == want, (
-                dist.masses, m, band, full, name,
+                dist.masses, m, full, name,
             )
+    assert _search(with_zero, 4, [inverse], True)["inverse"].exact
+
+
+def test_full_search_tries_only_the_first_zero_mass_outcomes() -> None:
+    # A deterministic chain: two sequences carry all the mass, and every
+    # other outcome is an interchangeable zero-mass representative.
+    flip = Markov((F(1, 2), F(1, 2)), ((F(0), F(1)), (F(1), F(0))))
+    curves = [kl(), curve_from_name("reverse_kl"), variational(), e_gamma_sum(F(3, 2))]
+    six = expand(SourceModel(flip, 6))
+    got = min_fdiv_bruteforce_full(six, 2, curves)
+    whole = two_pass_search(six, 2, curves, True, math.inf, enumerate_plans=whole_space_plans)
+    for name, want in whole.items():
+        res = got[name]
+        assert (res.value, res.exact, res.plan.blocks, res.plan.representatives) == want, name
+    twelve = expand(SourceModel(flip, 12))
+    assert len(twelve.masses) == 4096
+    start = time.perf_counter()
+    res = min_fdiv_bruteforce_full(twelve, 2, [kl()])["kl"]
+    assert time.perf_counter() - start < 5
+    assert res.value == 0
+    assert res.plan.representatives == twelve.support()
 
 
 def test_exact_refinement_follows_the_curve_arithmetic() -> None:
@@ -259,6 +288,13 @@ def test_exact_refinement_follows_the_curve_arithmetic() -> None:
     assert not got[loose.name].exact and isinstance(got[loose.name].value, float)
     assert got[tight.name].exact
     assert got[loose.name].value == pytest.approx(float(got[tight.name].value))
+    # A float term, here f(0) at a zero-mass representative, keeps a
+    # rational curve in floats: an exact sum cannot take it.
+    with_zero = single_letter(F(4, 10), F(3, 10), F(2, 10), F(1, 10), F(0))
+    float_zero = FCurve("float_zero", variational().eval_at, 1.0, F(0))
+    got = min_fdiv_bruteforce_full(with_zero, 2, [float_zero, variational()])
+    assert not got["float_zero"].exact and isinstance(got["float_zero"].value, float)
+    assert got["float_zero"].value == pytest.approx(float(got["variational"].value))
 
 
 # ---------------------------------------------------------------------------
