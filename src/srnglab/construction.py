@@ -14,9 +14,11 @@ law imitates the source conditioned on that core.  The merge is a greedy
 first-fit pass whose overshoot is provably below e^{-n gamma}; the trace
 returned alongside the mapping records every set, every allocation, and
 the step at which the pool ran dry, so tests can audit the invariants the
-guarantees lean on.  The greedy walks the pool as runs of equal mass: once
-one atom of a run misfits, every later atom of that run misfits too, so a
-step takes a prefix of each run and costs O(#runs) rather than O(|pool|).
+guarantees lean on, and derives the core conditional on demand (exact: the
+core's numerators over their sum).  The greedy walks the pool as runs of
+equal mass: once one atom of a run misfits, every later atom of that run
+misfits too, so a step takes a prefix of each run and costs O(#runs)
+rather than O(|pool|).
 
 The spectrum-split construction and its collapse baseline share one
 classification (_classify), computed through the same expressions the
@@ -136,10 +138,14 @@ class ConstructionTrace:
         if not self.core:
             return None
         dist = self.source
-        masses = [dist._mass_of(())] * len(dist.masses)
+        values = dist._values
+        # Exact: the core's numerators over their sum C, since num / C equals
+        # (num / D) / (C / D).  Float: each core mass over core_mass.
+        out = [0 if dist.exact else 0.0] * len(values)
         for x in self.core:
-            masses[x] = dist.masses[x] / self.core_mass
-        return AtomicDistribution.from_masses(masses, dist.n, dist.alphabet_size, exact=dist.exact)
+            out[x] = values[x] if dist.exact else values[x] / self.core_mass
+        den = sum(map(values.__getitem__, self.core)) if dist.exact else 1
+        return AtomicDistribution._from_values(out, den, dist.n, dist.alphabet_size, dist.exact)
 
 
 @dataclass(frozen=True)
@@ -192,16 +198,12 @@ def _greedy_allocate(
         else:
             runs.append([mass, [atom], 0])
     core_value = int(core_mass * den) if dist.exact else core_mass
-    allocations: list[tuple[int, ...]] = []
-    stop = len(core) - 1
-    stopped = False
-    for idx, rep in enumerate(core):
-        if stopped:
-            allocations.append(())
-            continue
+    allocations: list[list[int]] = []
+    taken: list[int] = []
+    for rep in core:
         p = values[rep]
         capacity = p * (den - core_value) // core_value if dist.exact else p / core_value - p
-        taken: list[int] = []
+        taken = []
         load: Mass = 0
         for run in runs:
             mass, ids, start = run
@@ -216,48 +218,16 @@ def _greedy_allocate(
             taken.extend(ids[start:end])
             run[2] = end
         runs = [run for run in runs if run[2] < len(run[1])]
-        if idx == len(core) - 1:
-            for _, ids, start in runs:
-                taken.extend(ids[start:])
-            runs = []
+        allocations.append(taken)
         if not runs:
-            stop, stopped = idx, True
-        allocations.append(tuple(taken))
-    return tuple(allocations), stop
-
-
-def _trace(
-    kind: str,
-    dist: AtomicDistribution,
-    *,
-    core: Sequence[int],
-    band: Sequence[int],
-    pool: Sequence[int],
-    off: Sequence[int],
-    representatives: Sequence[int],
-    allocations: tuple[tuple[int, ...], ...],
-    stop: int,
-    gamma: Mass,
-    m: int,
-    core_mass: Mass,
-    flags: tuple[str, ...] = (),
-) -> ConstructionTrace:
-    """Trace of a construction on dist, every id collection as a tuple."""
-    return ConstructionTrace(
-        kind=kind,
-        core=tuple(core),
-        band=tuple(band),
-        pool=tuple(pool),
-        off_support=tuple(off),
-        representatives=tuple(representatives),
-        allocations=allocations,
-        stop_index=stop,
-        gamma=gamma,
-        m=m,
-        core_mass=core_mass,
-        flags=flags,
-        source=dist,
-    )
+            break
+    else:
+        # The pool outlived the core: the last representative takes the rest
+        # (with no core, nothing does).
+        for _, ids, start in runs:
+            taken.extend(ids[start:])
+    stop = len(allocations) - 1
+    return tuple(map(tuple, allocations)) + ((),) * (len(core) - len(allocations)), stop
 
 
 def _check_window(m: int, gamma: Mass) -> None:
@@ -334,19 +304,19 @@ def build_mapping(
         kept = heavy or [order[0]]
         pool = tuple(x for x in light if x != kept[0])
         flags = ("empty_core",) if heavy else ("empty_core", "empty_core_and_band")
-        trace = _trace(
-            "spectrum_split", dist, core=(), band=kept, pool=pool, off=off,
-            representatives=kept, allocations=(pool,), stop=0, gamma=gamma, m=m,
-            core_mass=dist._mass_of(core), flags=flags,
+        trace = ConstructionTrace(
+            kind="spectrum_split", core=(), band=tuple(kept), pool=pool, off_support=off,
+            representatives=tuple(kept), allocations=(pool,), stop_index=0, gamma=gamma,
+            m=m, core_mass=dist._mass_of(core), flags=flags, source=dist,
         )
         return _encode(size, kept, kept[:1], (pool,), m), trace
 
     core_mass = dist._mass_of(core)
     allocations, stop = _greedy_allocate(dist, core, light, core_mass)
-    trace = _trace(
-        "spectrum_split", dist, core=core, band=band, pool=light, off=off,
-        representatives=heavy, allocations=allocations, stop=stop, gamma=gamma,
-        m=m, core_mass=core_mass,
+    trace = ConstructionTrace(
+        kind="spectrum_split", core=tuple(core), band=tuple(band), pool=light,
+        off_support=off, representatives=tuple(heavy), allocations=allocations,
+        stop_index=stop, gamma=gamma, m=m, core_mass=core_mass, flags=(), source=dist,
     )
     return _encode(size, heavy, core, allocations, m), trace
 
@@ -381,10 +351,11 @@ def build_smooth_entropy_mapping(
         # The demanded codebook does not fit in the space, so the pair is
         # the identity on all of it; m_n is the space size, not m, which
         # could be astronomically large.
-        trace = _trace(
-            "entropy_prefix", dist, core=core, band=order[len(core):], pool=(), off=(),
-            representatives=order, allocations=((),) * len(core), stop=0,
-            gamma=gamma, m=m, core_mass=core_mass, flags=("size_exceeds_space",),
+        trace = ConstructionTrace(
+            kind="entropy_prefix", core=tuple(core), band=order[len(core):], pool=(),
+            off_support=(), representatives=order, allocations=((),) * len(core),
+            stop_index=0, gamma=gamma, m=m, core_mass=core_mass,
+            flags=("size_exceeds_space",), source=dist,
         )
         return _encode(size, order, (), (), size), trace
 
@@ -393,10 +364,10 @@ def build_smooth_entropy_mapping(
     live = max(m, len(order) - dist._values.count(0))  # zero masses come last
     pool, off = order[m:live], order[live:]
     allocations, stop = _greedy_allocate(dist, core, pool, core_mass)
-    trace = _trace(
-        "entropy_prefix", dist, core=core, band=band, pool=pool, off=off,
-        representatives=representatives, allocations=allocations, stop=stop,
-        gamma=gamma, m=m, core_mass=core_mass,
+    trace = ConstructionTrace(
+        kind="entropy_prefix", core=tuple(core), band=band, pool=pool, off_support=off,
+        representatives=representatives, allocations=allocations, stop_index=stop,
+        gamma=gamma, m=m, core_mass=core_mass, flags=(), source=dist,
     )
     return _encode(size, representatives, core, allocations, m), trace
 

@@ -248,7 +248,7 @@ class AtomicDistribution:
 
     def support(self) -> tuple[int, ...]:
         """Ids of all outcomes with positive mass, in ascending order."""
-        return tuple(i for i, m in enumerate(self.masses) if m > 0)
+        return tuple(i for i, value in enumerate(self._values) if value > 0)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 from typing import Sequence
 
@@ -103,7 +102,7 @@ def mapping_distortion(
         raise DimensionMismatch("additive distortion matrix does not match the alphabet")
     if spec.kind == "table" and len(spec.entries) != len(dist.masses):
         raise DimensionMismatch("distortion table does not match the outcome space")
-    total: Mass = 0
+    total = dist._mass_of(())
     for x, mass in enumerate(dist.masses):
         if mass == 0:
             continue
@@ -221,7 +220,8 @@ def rd_function_iid(
 
     hi = 1.0
     for _ in range(200):
-        if dual(hi)[1] <= d:
+        f_hi, dist_hi = dual(hi)
+        if dist_hi <= d:
             break
         hi *= 2.0
     else:
@@ -236,7 +236,7 @@ def rd_function_iid(
     e = lo + inv * (hi - lo)
     fc = dual(c)[0]
     fe = dual(e)[0]
-    best = max(dual(lo)[0], dual(hi)[0], fc, fe)
+    best = max(dual(lo)[0], f_hi, fc, fe)
     for _ in range(200):
         if hi - lo < 1e-12 * max(1.0, hi):
             break

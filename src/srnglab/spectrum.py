@@ -11,8 +11,10 @@ sources give exact tails; values are per-symbol nats computed through
 integer logarithms and therefore immune to underflow even when individual
 sequence probabilities are far below double-precision range.
 
-Every tail is summed from the top point down by one helper, so a float
-tail does not depend on which function asked for it.
+Every tail is read from one list of sums from the top point down, built
+once per summary and cached on it, so a float tail does not depend on
+which function asked for it, and each tail, quantile or k_f rate query is
+a bisection rather than a rescan of the points.
 
 For IID and mixture sources the spectrum depends on a sequence only through
 its symbol counts, so large blocklengths are handled by enumerating type
@@ -41,6 +43,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Iterator, Sequence
 
@@ -98,10 +101,20 @@ class SpectrumSummary:
             raise InvalidModel("spectrum masses must be positive")
 
     def values(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.points)
+        return self._values
 
     def masses(self) -> tuple[Mass, ...]:
         return tuple(m for _, m in self.points)
+
+    @cached_property
+    def _values(self) -> tuple[float, ...]:
+        return tuple(v for v, _ in self.points)
+
+    @cached_property
+    def _top(self) -> tuple[Mass, ...]:
+        """_top[j] is the mass of the j highest points, added from the top
+        down, so every tail is summed in one order and the empty tail is 0."""
+        return tuple(accumulate((mass for _, mass in reversed(self.points)), initial=0))
 
 
 def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
@@ -113,7 +126,7 @@ def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
     its masses atom by atom in id order.
     """
     if dist.exact:
-        counts = Counter(dist._nums)
+        counts = Counter(dist._values)
         counts.pop(0, None)
         return _integer_spectrum(dist._den, counts.items(), dist.n)
     value_of = {mass: self_information_value(mass, dist.n) for mass in set(dist.masses) if mass}
@@ -124,35 +137,23 @@ def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
     return SpectrumSummary(points=tuple(sorted(acc.items())), n=dist.n)
 
 
-def _top_sums(masses: Sequence[Mass]) -> list[Mass]:
-    # sums[j] = mass of the j highest points, added from the top down, so
-    # every tail is summed in one order and the empty tail is exactly 0.
-    sums: list[Mass] = [0]
-    for mass in reversed(masses):
-        sums.append(sums[-1] + mass)
-    return sums
-
-
-def _tails(masses: Sequence[Mass]) -> list[Mass]:
-    # Pr{V > v} at every point in ascending order; no such tail holds the
-    # lowest point, so its mass is never added.
-    return _top_sums(masses[1:])[::-1]
-
-
-def _cdfs(masses: Sequence[Mass]) -> list[Mass]:
-    # Pr{V <= v} = 1 - Pr{V > v} at every point: nondecreasing, since each
-    # tail only adds masses to the one above it, and exactly 1 at the top.
-    return [1 - tail for tail in _tails(masses)]
-
-
 def tail_above(summary: SpectrumSummary, v: float) -> Mass:
     """Pr{V > v}, accumulated from the top so the largest value has tail 0."""
-    return _top_sums(summary.masses()[bisect.bisect_right(summary.values(), v):])[-1]
+    return summary._top[len(summary.points) - bisect.bisect_right(summary._values, v)]
 
 
 def tail_from(summary: SpectrumSummary, v: float) -> Mass:
     """Pr{V >= v}."""
-    return _top_sums(summary.masses()[bisect.bisect_left(summary.values(), v):])[-1]
+    return summary._top[len(summary.points) - bisect.bisect_left(summary._values, v)]
+
+
+def _cdf_crossing(summary: SpectrumSummary, thr: Mass) -> float:
+    """Smallest point whose cdf 1 - Pr{V > v} reaches thr.  Pr{V > v} at
+    point i is _top[size - 1 - i], so the cdfs are nondecreasing in i, and
+    the top point's cdf is exactly 1."""
+    top, size = summary._top, len(summary.points)
+    at = bisect.bisect_left(range(size), thr, key=lambda i: 1 - top[size - 1 - i])
+    return summary._values[at]
 
 
 def cdf_at(summary: SpectrumSummary, v: float) -> Mass:
@@ -186,8 +187,10 @@ def sup_entropy_quantile(summary: SpectrumSummary, eps: Mass) -> RateReport:
     """
     if eps < 0:
         raise OutOfRange(f"tail level must be nonnegative, got {eps}")
-    tails = _tails(summary.masses())
-    value = next(v for v, tail in zip(summary.values(), tails) if tail <= eps)
+    # Pr{V > v} at point i is _top[size - 1 - i], so when the first c top
+    # sums are within eps, exactly the top c points qualify.
+    size = len(summary.points)
+    value = summary._values[size - bisect.bisect_right(summary._top, eps, 0, size)]
     return RateReport(
         quantity="sup_entropy_quantile",
         value=value,
@@ -214,7 +217,7 @@ def k_f_rate(summary: SpectrumSummary, curve: FCurve, delta: Mass) -> RateReport
     """
     _check_budget(curve, delta)
     thr = _budget_threshold(curve, delta)
-    value = summary.values()[bisect.bisect_left(_cdfs(summary.masses()), thr)]
+    value = _cdf_crossing(summary, thr)
     return RateReport(
         quantity="k_f_rate",
         value=value,
@@ -502,6 +505,5 @@ def _sweep_point(
         order = sort_descending(dist)
         sizes = [len(_descending_prefix(dist, order, 1.0 - float(eps))[0]) for eps in levels]
         summary = spectrum_cdf(dist)
-        values, cdfs = summary.values(), _cdfs(summary.masses())
-        rates = [values[bisect.bisect_left(cdfs, thr)] for thr in thresholds]
+        rates = [_cdf_crossing(summary, thr) for thr in thresholds]
     return rates, [math.log(size) / n for size in sizes]

@@ -51,7 +51,7 @@ from srnglab import (
     trace_to_jsonable,
     variational,
 )
-from srnglab.construction import _encode, _greedy_allocate, _trace
+from srnglab.construction import ConstructionTrace, _encode, _greedy_allocate
 from srnglab.divergence import _budget_threshold, _term
 
 F = Fraction
@@ -152,18 +152,18 @@ def old_build_mapping(dist, m, gamma):
         kept = heavy or [order[0]]
         pool = tuple(x for x in light if x != kept[0])
         flags = ("empty_core",) if heavy else ("empty_core", "empty_core_and_band")
-        trace = _trace(
-            "spectrum_split", dist, core=(), band=kept, pool=pool, off=off,
-            representatives=kept, allocations=(pool,), stop=0, gamma=gamma, m=m,
-            core_mass=old_total(dist, ()), flags=flags,
+        trace = ConstructionTrace(
+            kind="spectrum_split", core=(), band=tuple(kept), pool=pool, off_support=off,
+            representatives=tuple(kept), allocations=(pool,), stop_index=0, gamma=gamma,
+            m=m, core_mass=old_total(dist, ()), flags=flags, source=dist,
         )
         return _encode(len(order), kept, kept[:1], (pool,), m), trace
     core_mass = old_total(dist, core)
     allocations, stop = _greedy_allocate(dist, core, light, core_mass)
-    trace = _trace(
-        "spectrum_split", dist, core=core, band=band, pool=light, off=off,
-        representatives=heavy, allocations=allocations, stop=stop, gamma=gamma,
-        m=m, core_mass=core_mass,
+    trace = ConstructionTrace(
+        kind="spectrum_split", core=tuple(core), band=tuple(band), pool=tuple(light),
+        off_support=off, representatives=tuple(heavy), allocations=allocations,
+        stop_index=stop, gamma=gamma, m=m, core_mass=core_mass, flags=(), source=dist,
     )
     return _encode(len(order), heavy, core, allocations, m), trace
 
@@ -187,19 +187,20 @@ def old_build_entropy(dist, curve, delta, gamma):
             break
     m = math.ceil(len(core) * math.exp(dist.n * float(gamma)))
     if m > len(order):
-        trace = _trace(
-            "entropy_prefix", dist, core=core, band=order[len(core):], pool=(), off=(),
-            representatives=order, allocations=((),) * len(core), stop=0,
-            gamma=gamma, m=m, core_mass=core_mass, flags=("size_exceeds_space",),
+        trace = ConstructionTrace(
+            kind="entropy_prefix", core=tuple(core), band=order[len(core):], pool=(),
+            off_support=(), representatives=order, allocations=((),) * len(core),
+            stop_index=0, gamma=gamma, m=m, core_mass=core_mass,
+            flags=("size_exceeds_space",), source=dist,
         )
         return _encode(len(order), order, (), (), len(order)), trace
     pool = [x for x in order[m:] if dist.masses[x] > 0]
     off = tuple(x for x in order[m:] if dist.masses[x] == 0)
     allocations, stop = _greedy_allocate(dist, core, pool, core_mass)
-    trace = _trace(
-        "entropy_prefix", dist, core=core, band=order[len(core):m], pool=pool, off=off,
-        representatives=order[:m], allocations=allocations, stop=stop,
-        gamma=gamma, m=m, core_mass=core_mass,
+    trace = ConstructionTrace(
+        kind="entropy_prefix", core=tuple(core), band=order[len(core):m], pool=tuple(pool),
+        off_support=off, representatives=order[:m], allocations=allocations,
+        stop_index=stop, gamma=gamma, m=m, core_mass=core_mass, flags=(), source=dist,
     )
     return _encode(len(order), order[:m], core, allocations, m), trace
 

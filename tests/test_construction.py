@@ -485,3 +485,46 @@ def test_entropy_prefix_arguments_and_trace_kinds_are_checked() -> None:
     with pytest.raises(InvalidModel) as excinfo:
         achievability_bound(trace, variational())
     assert str(excinfo.value) == "bound applies to spectrum_split traces, got entropy_prefix"
+
+
+def test_greedy_with_no_core_allocates_nothing() -> None:
+    from srnglab.construction import _greedy_allocate
+
+    dist = single_letter(F(1, 2), F(1, 4), F(1, 8), F(1, 8))
+    # No representative to merge onto: no allocation, and the stop index
+    # sits before the first position.
+    assert _greedy_allocate(dist, (), (2, 3), F(1)) == ((), -1)
+
+
+def test_conditional_is_the_source_restricted_to_the_core() -> None:
+    sources = (
+        IID((F(3, 4), F(1, 4))),
+        IID((F(1, 2), F(1, 3), F(1, 6))),
+        Markov((F(1, 2), F(1, 2)), ((F(9, 10), F(1, 10)), (F(1, 5), F(4, 5)))),
+    )
+    checked = 0
+    for variant in sources:
+        exact_dist = expand(SourceModel(variant, 4))
+        float_dist = AtomicDistribution.from_masses(
+            exact_dist.masses, 4, exact_dist.alphabet_size, exact=False
+        )
+        for dist in (exact_dist, float_dist):
+            traces = [build_mapping(dist, m, F(1, 40))[1] for m in (2, 4, 16)]
+            traces += [
+                build_smooth_entropy_mapping(dist, variational(), delta, F(1, 100))[1]
+                for delta in (F(1, 10), F(1, 3))
+            ]
+            for trace in traces:
+                conditional = trace.conditional
+                if conditional is None:
+                    continue
+                assert conditional.exact == dist.exact
+                in_core = set(trace.core)
+                for x, mass in enumerate(conditional.masses):
+                    if x in in_core:
+                        assert mass == dist.masses[x] / trace.core_mass
+                        assert type(mass) is type(dist.masses[x])
+                    else:
+                        assert mass == 0
+                checked += 1
+    assert checked >= 20

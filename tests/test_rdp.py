@@ -93,6 +93,16 @@ def test_identity_mapping_has_zero_distortion() -> None:
     assert mapping_distortion(d, identity, HAMMING2) == 0
 
 
+def test_mapping_distortion_stays_exact_when_nothing_moves() -> None:
+    identity = MappingPair(phi=(0, 1, 2, 3), psi=(0, 1, 2, 3), m_n=4)
+    exact = expand(SourceModel(IID((F(3, 4), F(1, 4))), 2))
+    zero = mapping_distortion(exact, identity, HAMMING2)
+    assert zero == 0 and type(zero) is F
+    inexact = AtomicDistribution.from_masses(exact.masses, 2, 2, exact=False)
+    zero = mapping_distortion(inexact, identity, HAMMING2)
+    assert zero == 0 and type(zero) is float
+
+
 def test_mapping_distortion_dimension_checks() -> None:
     d = expand(SourceModel(IID((F(1, 4), F(3, 4))), 2))
     mapping, _ = build_mapping(d, 4, F(1, 20))
@@ -180,6 +190,24 @@ def test_solver_reports_non_convergence(monkeypatch) -> None:
         "no multiplier meets the distortion target d = 0.1; "
         f"the last one tried was beta = {2.0**199!r}"
     )
+
+
+def test_solver_never_repeats_a_multiplier(monkeypatch) -> None:
+    import srnglab.rdp as rdp_module
+
+    solve = rdp_module._blahut
+    betas: list[float] = []
+
+    def counted(p, g, beta, tol, max_iter):
+        betas.append(beta)
+        return solve(p, g, beta, tol, max_iter)
+
+    monkeypatch.setattr(rdp_module, "_blahut", counted)
+    for d in (F(1, 20), 0.1, F(1, 5)):
+        betas.clear()
+        value = rd_function_iid((F(3, 4), F(1, 4)), HAMMING2, d)
+        assert value == pytest.approx(binary_entropy(0.25) - binary_entropy(float(d)), abs=1e-6)
+        assert len(betas) == len(set(betas)) > 2
 
 
 def test_rd_is_nonincreasing_in_distortion() -> None:
