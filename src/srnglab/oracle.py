@@ -27,6 +27,49 @@ the same order, as a term-by-term evaluation: left to right from 0, then
 the stray.  All plans of one partition are summed at once, and a
 partition whose lowest total is at least the running minimum is skipped
 for that curve.
+
+The reduced search mostly skips a partition before summing any plan.  For
+a convex f the perspective g(p, Q) = Q f(p/Q) has nonpositive
+cross-differences: g(p1, Q1) + g(p2, Q2) <= g(p1, Q2) + g(p2, Q1) for
+p1 >= p2 and Q1 >= Q2 (for smooth f, the mixed derivative of g is
+-(p/Q^2) f''(p/Q) <= 0).  So the term array is a Monge array (Burkard,
+Klinz & Rudolf, Discrete Appl. Math. 70, 1996), and the plan that gives the
+i-th heaviest block to the i-th heaviest representative, pool[i], has the
+partition's lowest term sum.  Every plan of one block count takes the same
+representatives, so the same uncovered mass; a float source adds it in
+plan order, so its strays may differ by rounding, and the lowest is used.
+This co-monotone total costs k table lookups per curve, the block masses
+sorted once per partition.  An integer table's co-monotone total is the
+partition's lowest plan total, so a partition is skipped exactly when its
+lowest total is at least the best.  With a float table a partition is
+skipped only when its co-monotone total minus a margin is at least the
+best, which leaves no plan of it below the best.
+Partitions that are not skipped, and every partition of the full search,
+are summed plan by plan as above, so the witness is still the first
+minimal plan.
+
+The margin is derived, for the largest block count K, from u = 2^-53, the
+largest finite |term| A and |stray| S of the curve's table, and the
+heaviest pool mass p_max and block mass Q_max, as floats.  A float term
+t = _term(curve, p, Q) with p, Q > 0 is assumed to satisfy
+
+    |t - Q f(p/Q)| <= 6u (p + c Q + |t|),   c = 1 + 2 sum |curve.params|,
+
+with f the curve at its float parameters, still convex.  The registered
+curves meet it when float operations and math.sqrt round correctly and
+math.log is within one ulp (normal floats, no underflow): to first order
+variational and e_gamma_sum need u (p + 2|t|), e_gamma u (p + (1 + 2 gamma)
+Q + 2|t|), as (gamma - t)^+ + 1 - gamma cancels intermediates up to
+gamma + 1, reverse_kl u (Q + 3|t|), hellinger u (3/4 (p + Q) + 2|t|) and kl
+u (p + 5|t|); the factor 6 absorbs the second-order terms.  A plan's k + 1
+summands have absolute sum at most K A + S, so a sum of them in any order
+is within gamma_K (K A + S) of its exact value, gamma_K = K u / (1 - K u),
+and its k terms are within E = 6u K (p_max + c Q_max + A) of the curve's
+values.  With the Monge inequality on those values, every plan's float
+total is at least the co-monotone float total minus
+D = 2 gamma_K (K A + S) + 2E.  The margin is 2D: the second D covers the
+rounding of the skip test's subtraction, under u ((1 + gamma_K)(K A + S) +
+2D) <= D / 2 + 2uD, and of the margin's own computation.
 """
 
 from __future__ import annotations
@@ -64,6 +107,9 @@ CODEBOOK_CAP = 4
 
 #: Largest support the subset search will enumerate.
 SUBSET_CAP = 14
+
+#: Unit roundoff of a double: a correctly rounded operation's relative error.
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -181,6 +227,81 @@ def _is_rational(curve: FCurve) -> bool:
     return isinstance(curve.eval_at(Fraction(1, 2)), (int, Fraction))
 
 
+def _margin(
+    curve: FCurve, k_max: int, rows: dict, strays: dict, p_max: float, q_max: float
+) -> float:
+    """How far below a partition's co-monotone float total the float total
+    of any of its plans can fall, for one curve's float table (module
+    docstring): 2·(2γ_K·(K·A + S) + 2·6u·K·(p_max + c·q_max + A))."""
+    a = max((abs(t) for t in itertools.chain(*rows.values()) if t != math.inf), default=0.0)
+    s = max((abs(t) for t in itertools.chain(*strays.values()) if t != math.inf), default=0.0)
+    c = 1 + 2 * math.fsum(abs(float(value)) for _, value in curve.params)
+    gamma = k_max * _UNIT_ROUNDOFF / (1 - k_max * _UNIT_ROUNDOFF)
+    sums = 2 * gamma * (k_max * a + s)
+    terms = 2 * 6 * _UNIT_ROUNDOFF * k_max * (p_max + c * q_max + a)
+    return 2 * (sums + terms)
+
+
+def _scan(
+    dist: AtomicDistribution,
+    m: int,
+    k_max: int,
+    layouts: dict[int, tuple],
+    tables: list[tuple[dict, dict]],
+    skips: list[tuple[dict, Mass]] | None,
+) -> tuple[list[Mass], list[PartitionPlan | None]]:
+    """Each table's lowest plan total over every partition, and the first
+    plan that attains it.  skips, in reduced mode only, holds per table the
+    lowest stray of each block count and the float margin (0 for integers)
+    of the co-monotone skip."""
+    values = dist._values
+    zero: Mass = 0 if dist.exact else 0.0
+    best: list[Mass] = [math.inf] * len(tables)
+    best_plan: list[PartitionPlan | None] = [None] * len(tables)
+    for blocks in _set_partitions(dist.support(), k_max):
+        q_values = [reduce(operator.add, map(values.__getitem__, b), zero) for b in blocks]
+        k = len(blocks)
+        perms, columns, reps, _ = layouts[k]
+        # Shared across curves: the block masses, heaviest first, so the
+        # i-th of them pairs with pool position i.
+        q_desc = sorted(q_values, reverse=True) if skips else ()
+        for i, (rows, strays) in enumerate(tables):
+            if skips:
+                # The co-monotone total, the lowest stray first: in integers
+                # the partition's lowest plan total, in floats within the
+                # margin of it.  If it cannot lower the best, no plan can.
+                # An infinite one decides nothing.
+                lows, margin = skips[i]
+                bound = lows[k]
+                for column, q in enumerate(q_desc):
+                    bound = bound + rows[q][column]
+                if bound != math.inf and bound - margin >= best[i]:
+                    continue
+            # Every plan's total at once, with _total's additions: left to
+            # right from 0, then the stray.  Where no total is infinite no
+            # plan met an infinite term, so these are _total's values, and a
+            # partition whose lowest total does not lower the best changes
+            # nothing for this curve.
+            terms = [rows[q] for q in q_values]
+            totals = [0] * len(perms)
+            for row, column in zip(terms, columns):
+                totals = list(map(operator.add, totals, map(row.__getitem__, column)))
+            totals = list(map(operator.add, totals, strays[k]))
+            # Not math.isfinite: it raises on ints beyond the float range.
+            if math.inf not in totals:
+                if min(totals) >= best[i]:
+                    continue
+            else:
+                totals = [
+                    _total(map(operator.getitem, terms, perm), stray)
+                    for perm, stray in zip(perms, strays[k])
+                ]
+            for j, value in enumerate(totals):
+                if best_plan[i] is None or value < best[i]:
+                    best[i], best_plan[i] = value, PartitionPlan(blocks, reps[j], m)
+    return best, best_plan
+
+
 def _search(
     dist: AtomicDistribution,
     m: int,
@@ -255,35 +376,20 @@ def _search(
             tables.append(table(curve, False))
         scales.append(scale)
 
-    best: list[Mass] = [math.inf] * len(curves)
-    best_plan: list[PartitionPlan | None] = [None] * len(curves)
-    for blocks in _set_partitions(support, k_max):
-        q_values = [reduce(operator.add, map(values.__getitem__, b), zero) for b in blocks]
-        k = len(blocks)
-        perms, columns, reps, _ = layouts[k]
-        for i, (rows, strays) in enumerate(tables):
-            # Every plan's total at once, with _total's additions: left to
-            # right from 0, then the stray.  Where no total is infinite no
-            # plan met an infinite term, so these are _total's values, and a
-            # partition whose lowest total does not lower the best changes
-            # nothing for this curve.
-            terms = [rows[q] for q in q_values]
-            totals = [0] * len(perms)
-            for row, column in zip(terms, columns):
-                totals = list(map(operator.add, totals, map(row.__getitem__, column)))
-            totals = list(map(operator.add, totals, strays[k]))
-            # Not math.isfinite: it raises on ints beyond the float range.
-            if math.inf not in totals:
-                if min(totals) >= best[i]:
-                    continue
-            else:
-                totals = [
-                    _total(map(operator.getitem, terms, perm), stray)
-                    for perm, stray in zip(perms, strays[k])
-                ]
-            for j, value in enumerate(totals):
-                if best_plan[i] is None or value < best[i]:
-                    best[i], best_plan[i] = value, PartitionPlan(blocks, reps[j], m)
+    # The reduced search skips partitions from their co-monotone totals
+    # (module docstring): per curve, the lowest stray of each block count,
+    # and the margin for float rounding, 0 for an integer table.
+    skips = None
+    if not full:
+        p_max, q_max = floats[pool[0]], max(sums) / den
+        skips = [
+            (
+                {k: min(row) for k, row in strays.items()},
+                0 if scale is not None else _margin(curve, k_max, rows, strays, p_max, q_max),
+            )
+            for curve, (rows, strays), scale in zip(curves, tables, scales)
+        ]
+    best, best_plan = _scan(dist, m, k_max, layouts, tables, skips)
 
     results: dict[str, OracleResult] = {}
     for curve, value, plan, scale in zip(curves, best, best_plan, scales):
@@ -312,9 +418,11 @@ def min_fdiv_bruteforce(
 
     Representatives are restricted to the heaviest block-count atoms, which
     is lossless for nonincreasing curves with zero slope at infinity; pass
-    curves outside that class to min_fdiv_bruteforce_full instead.  On an
-    exact source a rational curve's minimum is exact, and the witness is
-    the first plan that attains it; other minima are float sums.
+    curves outside that class to min_fdiv_bruteforce_full instead.  The
+    curves must be convex, as FCurve requires: partitions are skipped on
+    their co-monotone totals (module docstring).  On an exact source a
+    rational curve's minimum is exact, and the witness is the first plan
+    that attains it; other minima are float sums.
     """
     _check_caps(dist, m, SUPPORT_CAP, "search")
     return _search(dist, m, curves, full=False)

@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
 from typing import Sequence
 
 from .construction import MappingPair
@@ -30,7 +31,7 @@ from .errors import (
     NoConvergence,
     OutOfRange,
 )
-from .probability import AtomicDistribution, Mass, outcome_from_id, pmf_entropy
+from .probability import AtomicDistribution, Mass, _is_exact, outcome_from_id, pmf_entropy
 from .spectrum import SpectrumSummary, k_f_rate, tail_from
 
 __all__ = [
@@ -92,7 +93,7 @@ def mapping_distortion(
 
     Only outcomes the round trip actually moves contribute, since the
     diagonal is pinned at zero.  Rational masses and entries give an exact
-    result.
+    result; a float source or entry gives a float, also when nothing moves.
     """
     if len(mapping.phi) != len(dist.masses):
         raise DimensionMismatch(
@@ -102,7 +103,8 @@ def mapping_distortion(
         raise DimensionMismatch("additive distortion matrix does not match the alphabet")
     if spec.kind == "table" and len(spec.entries) != len(dist.masses):
         raise DimensionMismatch("distortion table does not match the outcome space")
-    total = dist._mass_of(())
+    exact = all(map(_is_exact, chain.from_iterable(spec.entries)))
+    total = dist._mass_of(()) if exact else 0.0
     for x, mass in enumerate(dist.masses):
         if mass == 0:
             continue

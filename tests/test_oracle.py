@@ -5,9 +5,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 import random
 import time
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import pytest
@@ -34,8 +36,11 @@ from srnglab import (
     smooth_max_entropy,
     variational,
 )
-from srnglab.divergence import _term
-from srnglab.oracle import _iter_plans, _search, _set_partitions
+from srnglab import oracle
+from srnglab.divergence import _term, registered_curve_names
+from srnglab.oracle import (
+    _candidates, _is_rational, _iter_plans, _margin, _search, _set_partitions, _total,
+)
 
 F = Fraction
 
@@ -225,10 +230,17 @@ def test_single_pass_matches_the_two_pass_reference() -> None:
 
 def test_single_pass_matches_the_two_pass_reference_where_partitions_are_skipped() -> None:
     # At support 7 and m = 4 most partitions are skipped for each curve:
-    # their lowest total does not lower the running best.  e_gamma_sum:3/2
-    # leaves a nonzero stray term, and in full mode kl's stray and the
-    # zero-mass terms of reverse_kl and 1/t - 1 are infinite; 1/t - 1 is
-    # rational, so its integer table holds those infinities.
+    # their lowest total does not lower the running best.  In the reduced
+    # search that lowest total is read as the co-monotone one, the heaviest
+    # block against the heaviest representative (a convex curve's terms
+    # form a Monge array): exactly in integers, and in floats less a derived
+    # rounding margin, so a skip never drops a plan that would lower the
+    # best.  Partitions that are not skipped, and those of the full search,
+    # sum every plan.  The near-tie case is scanned in integers, where float
+    # values would misorder its plans.  e_gamma_sum:3/2 leaves a nonzero
+    # stray term, and in full mode kl's stray and the zero-mass terms of
+    # reverse_kl and 1/t - 1 are infinite; 1/t - 1 is rational, so its
+    # integer table holds those infinities.
     tied = single_letter(*(F(w, 14) for w in (3, 3, 2, 2, 2, 1, 1)))
     distinct = single_letter(*(F(w, 28) for w in (7, 6, 5, 4, 3, 2, 1)))
     # Masses apart by less than float resolution: float values misorder
@@ -253,6 +265,137 @@ def test_single_pass_matches_the_two_pass_reference_where_partitions_are_skipped
                 dist.masses, m, full, name,
             )
     assert _search(with_zero, 4, [inverse], True)["inverse"].exact
+
+
+def registered_curves():
+    """Every registered curve, the families at two parameters each; a large
+    gamma makes e_gamma's float evaluation cancel large intermediates."""
+    names = [n for n in registered_curve_names() if not n.endswith(":G")]
+    names += ["e_gamma:2", "e_gamma:1000", "e_gamma_sum:3/2", "e_gamma_sum:7"]
+    return [curve_from_name(name) for name in names]
+
+
+def random_source(rng, size, near):
+    """An exact single-letter source and its float twin; near-tie weights
+    differ by less than float resolution relative to their size."""
+    base = 10**8 if near else 1
+    weights = [base + rng.randint(0, 2 if near else 9) for _ in range(size)]
+    if size > 1 and rng.random() < 0.2:
+        weights[rng.randrange(size)] = 0
+    exact = single_letter(*(F(w, sum(weights)) for w in weights))
+    return exact, AtomicDistribution.from_masses([float(x) for x in exact.masses], 1, size)
+
+
+def test_co_monotone_total_is_the_lowest_plan_total() -> None:
+    # The Monge claim behind the reduced search's skip: with block masses
+    # heaviest first against the pool heaviest first, the co-monotone total
+    # is exactly the lowest plan total in exact arithmetic, and in floats
+    # the co-monotone total minus the derived margin is at most every
+    # plan's float total, on exact sources and their float twins.
+    rng = random.Random(16)
+    curves = registered_curves()
+    exact_checks = float_checks = rounded_above = 0
+    for trial in range(120):
+        exact_source, float_source = random_source(rng, rng.randint(1, 8), near=trial % 2 == 1)
+        support = exact_source.support()
+        k = rng.randint(1, min(4, len(support)))
+        labels = list(range(k)) + [rng.randrange(k) for _ in support[k:]]
+        rng.shuffle(labels)
+        blocks = [tuple(x for x, label in zip(support, labels) if label == j) for j in range(k)]
+        perms = list(itertools.permutations(range(k)))
+        for dist in (exact_source, float_source):
+            pool = _candidates(dist, k, False)
+            support_mass = dist._mass_of(support)
+            q_masses = [dist._mass_of(b) for b in blocks]
+            q_desc = sorted(q_masses, reverse=True)
+            loose = [support_mass - dist._mass_of(pool[j] for j in perm) for perm in perms]
+            for curve in curves:
+                if dist.exact and _is_rational(curve):
+                    def exact_total(reps, qs, left):
+                        terms = [_term(curve, dist.masses[y], q) for y, q in zip(reps, qs)]
+                        return sum(terms) + _term(curve, left, 0)
+
+                    totals = [
+                        exact_total([pool[j] for j in perm], q_masses, left)
+                        for perm, left in zip(perms, loose)
+                    ]
+                    co_monotone = exact_total(pool, q_desc, loose[0])
+                    assert co_monotone == min(totals), (dist.masses, curve.name)
+                    exact_checks += 1
+                # Floats, as the oracle tables them: masses and block masses
+                # rounded once, strays per plan, totals left to right.
+                floats = [float(x) for x in dist.masses]
+                rows = {float(q): [_term(curve, floats[y], float(q)) for y in pool]
+                        for q in q_masses}
+                strays = [_term(curve, float(left), 0) if left > 0 else -0.0 for left in loose]
+                totals = [
+                    _total((rows[float(q)][j] for q, j in zip(q_masses, perm)), stray)
+                    for perm, stray in zip(perms, strays)
+                ]
+                bound = min(strays)
+                for column, q in enumerate(q_desc):
+                    bound = bound + rows[float(q)][column]
+                margin = _margin(curve, k, rows, {k: strays}, floats[pool[0]], float(max(q_masses)))
+                assert bound - margin <= min(totals), (dist.masses, curve.name, bound, margin)
+                assert margin < 1e-10
+                float_checks += 1
+                rounded_above += bound > min(totals)
+    assert exact_checks > 500 and float_checks > 1500
+    # Rounding does put the co-monotone float total above the lowest one
+    # at times: without the margin, those partitions could be skipped wrongly.
+    assert rounded_above > 0
+
+
+def head_scan(dist, m, k_max, layouts, tables, skips):
+    """The oracle's scan before the co-monotone skip: every partition sums
+    all of its plans for every curve before its skip test; skips is unused."""
+    values = dist._values
+    zero = 0 if dist.exact else 0.0
+    best = [math.inf] * len(tables)
+    best_plan = [None] * len(tables)
+    for blocks in _set_partitions(dist.support(), k_max):
+        q_values = [reduce(operator.add, map(values.__getitem__, b), zero) for b in blocks]
+        k = len(blocks)
+        perms, columns, reps, _ = layouts[k]
+        for i, (rows, strays) in enumerate(tables):
+            terms = [rows[q] for q in q_values]
+            totals = [0] * len(perms)
+            for row, column in zip(terms, columns):
+                totals = list(map(operator.add, totals, map(row.__getitem__, column)))
+            totals = list(map(operator.add, totals, strays[k]))
+            if math.inf not in totals:
+                if min(totals) >= best[i]:
+                    continue
+            else:
+                totals = [
+                    _total(map(operator.getitem, terms, perm), stray)
+                    for perm, stray in zip(perms, strays[k])
+                ]
+            for j, value in enumerate(totals):
+                if best_plan[i] is None or value < best[i]:
+                    best[i], best_plan[i] = value, oracle.PartitionPlan(blocks, reps[j], m)
+    return best, best_plan
+
+
+def test_co_monotone_skip_matches_the_unskipped_scan(monkeypatch) -> None:
+    # Random, near-tie and float sources with every registered curve: the
+    # reduced search with the co-monotone skip reports the same values,
+    # arithmetic and witnesses as the scan that sums every plan.
+    rng = random.Random(1616)
+    curves = registered_curves()
+    instances = [single_letter(*(F(w, 3 * 10**8 + 3) for w in (10**8, 10**8 + 1, 10**8 + 2)))]
+    while len(instances) < 48:
+        exact, twin = random_source(rng, rng.randint(1, 8), near=len(instances) % 3 == 0)
+        instances.append(twin if rng.random() < 0.4 else exact)
+    cases = [(dist, 1 + index % 4) for index, dist in enumerate(instances)]
+    got = [min_fdiv_bruteforce(dist, m, curves) for dist, m in cases]
+    monkeypatch.setattr(oracle, "_scan", head_scan)
+    for (dist, m), results in zip(cases, got):
+        for name, want in min_fdiv_bruteforce(dist, m, curves).items():
+            res = results[name]
+            assert (res.value, res.exact, res.plan.blocks, res.plan.representatives) == (
+                want.value, want.exact, want.plan.blocks, want.plan.representatives
+            ), (dist.masses, m, name)
 
 
 def test_full_search_tries_only_the_first_zero_mass_outcomes() -> None:

@@ -103,6 +103,20 @@ def test_mapping_distortion_stays_exact_when_nothing_moves() -> None:
     assert zero == 0 and type(zero) is float
 
 
+def test_mapping_distortion_is_a_float_with_float_entries() -> None:
+    # An exact source with float entries: whether or not anything moves, the
+    # result's type follows the entries, not the mapping.
+    d = expand(SourceModel(IID((F(3, 4), F(1, 4))), 2))
+    floats = DistortionSpec("additive", ((0.0, 1.0), (1.0, 0.0)))
+    identity = MappingPair(phi=(0, 1, 2, 3), psi=(0, 1, 2, 3), m_n=4)
+    split, _ = build_mapping(d, 4, F(1, 20))
+    zero = mapping_distortion(d, identity, floats)
+    assert zero == 0 and type(zero) is float
+    moved = mapping_distortion(d, split, floats)
+    assert moved == 0.25 and type(moved) is float
+    assert mapping_distortion(d, split, HAMMING2) == F(1, 4)
+
+
 def test_mapping_distortion_dimension_checks() -> None:
     d = expand(SourceModel(IID((F(1, 4), F(3, 4))), 2))
     mapping, _ = build_mapping(d, 4, F(1, 20))
