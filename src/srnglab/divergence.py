@@ -373,12 +373,29 @@ class ConditionReport:
         return self.nonincreasing and self.subexponential_near_zero and self.zero_slope_at_infinity
 
 
+#: Log-spaced sweep over ten decades, for the numeric readings below.
+_GRID = [10 ** (e / 8.0) for e in range(-64, 49)]
+
+
 def _numeric_nonincreasing(curve: FCurve) -> bool:
-    # Log-spaced sweep over ten decades; a strict rise beyond roundoff fails.
-    points = [10 ** (e / 8.0) for e in range(-64, 49)]
-    values = [float(curve.eval_at(t)) for t in points]
+    # A strict rise beyond roundoff fails.
+    values = [float(curve.eval_at(t)) for t in _GRID]
     scale = max(1.0, max(abs(v) for v in values))
     return all(b <= a + 1e-9 * scale for a, b in zip(values, values[1:]))
+
+
+def _numeric_convex(curve: FCurve) -> bool:
+    # Slopes between grid neighbours must not fall beyond roundoff: a value
+    # is taken within 1e-9 (t + c + |f(t)|), c = 1 + 2 sum |params| bounding
+    # a parametrized curve's intermediates, so a slope within its two ends'
+    # errors over the step.
+    c = 1 + 2 * sum(abs(float(value)) for _, value in curve.params)
+    f = [(t, float(curve.eval_at(t))) for t in _GRID]
+    slopes = [
+        ((b - a) / (t - s), 1e-9 * (s + t + 2 * c + abs(a) + abs(b)) / (t - s))
+        for (s, a), (t, b) in zip(f, f[1:])
+    ]
+    return all(right >= left - el - er for (left, el), (right, er) in zip(slopes, slopes[1:]))
 
 
 def _numeric_subexponential(curve: FCurve) -> bool:

@@ -83,7 +83,7 @@ from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .construction import MappingPair
-from .divergence import FCurve, _term
+from .divergence import FCurve, _numeric_convex, _term
 from .errors import CapExceeded, OutOfRange
 from .probability import AtomicDistribution, Mass, sort_descending
 from .spectrum import _check_tail_budget
@@ -420,11 +420,15 @@ def min_fdiv_bruteforce(
     is lossless for nonincreasing curves with zero slope at infinity; pass
     curves outside that class to min_fdiv_bruteforce_full instead.  The
     curves must be convex, as FCurve requires: partitions are skipped on
-    their co-monotone totals (module docstring).  On an exact source a
-    rational curve's minimum is exact, and the witness is the first plan
-    that attains it; other minima are float sums.
+    their co-monotone totals (module docstring), so a curve whose slopes
+    fall on a log grid is rejected.  On an exact source a rational curve's
+    minimum is exact, and the witness is the first plan that attains it;
+    other minima are float sums.
     """
     _check_caps(dist, m, SUPPORT_CAP, "search")
+    for curve in curves:
+        if not _numeric_convex(curve):
+            raise OutOfRange(f"{curve.name} is not convex; use min_fdiv_bruteforce_full")
     return _search(dist, m, curves, full=False)
 
 

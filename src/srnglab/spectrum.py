@@ -1,38 +1,36 @@
 """Information-spectrum summaries and finite-blocklength rate quantities.
 
 The normalized self-information (1/n) log(1/P(X^n)) of a block source is a
-random variable with finitely many values.  Its distribution, held here as
-a sorted list of (value, mass) points, is the only statistic the resolution
-rate quantities need: cumulative probabilities, their quantiles, and the
-smooth max entropy all read off it.
+random variable with finitely many values; its distribution is the only
+statistic the resolution rate quantities need.  Values are per-symbol nats
+computed through integer logarithms, immune to underflow even far below
+double-precision range.
 
-Masses stay in the arithmetic of the source distribution, so rational
-sources give exact tails; values are per-symbol nats computed through
-integer logarithms and therefore immune to underflow even when individual
-sequence probabilities are far below double-precision range.
+A rational source's spectrum is one class list per (source, n): classes of
+equally likely atoms (a type class, or the atoms of one distinct mass) by
+descending mass, their mass numerators over one shared denominator, and
+the integer running totals of the class masses and sizes.  A quantile or a
+k_f rate is the value of the class where the exact cdf reaches its level,
+found by bisecting those totals, and a smooth max entropy counts the atoms
+up to that class plus the part of it the level needs; only the answering
+class's value is computed.  The order is the masses', not the computed
+values', so rate = quantile holds exactly even where the float values of
+nearby masses tie or invert.
 
-Every tail is read from one list of sums from the top point down, built
-once per summary and cached on it, so a float tail does not depend on
-which function asked for it, and each tail, quantile or k_f rate query is
-a bisection rather than a rescan of the points.
+The (value, mass) points merge the classes by computed value, once, when
+first read; tails at a value (tail_above, tail_from, cdf_at) bisect that
+merge's integer sums from the top point down, one Fraction per answer.  A
+float summary, or one built from given points, answers every query from
+its masses summed from the top point down, so a float tail does not
+depend on which function asked for it.
 
-For IID and mixture sources the spectrum depends on a sequence only through
-its symbol counts, so large blocklengths are handled by enumerating type
-classes instead of outcomes: binomially many terms for a binary alphabet
-instead of 2**n.  The enumeration is `probability._types`, the one
-type-class walk that `expand` also reads; here it runs only in exact mode,
-on integer numerators over one shared denominator (the lcm of the weight
-denominators times the n-th power of the lcm of the pmf denominators),
-and a float source is rejected.  Each type's value comes from its reduced
-mass, and the public spectrum makes one Fraction per point, for its mass.
-
-A convergence sweep computes each blocklength once for all of its
-(curve, budget) pairs.  A rational source is never expanded: one walk's
-classes, sorted by descending mass, become one list of integer prefix
-sums, and every smooth max entropy and every resolution rate is a
-bisection of it.  Values, and their logarithms, are computed only for
-the few classes near each rate's crossing.  A float source is expanded,
-up to 2**14 outcomes.
+IID and mixture sources are enumerated by type class through
+`probability._types`, in exact mode only: binomially many classes for a
+binary alphabet instead of 2**n.  Ternary (1/2, 1/3, 1/6) at n = 1000 has
+501 501; its class list and first k_f rate take about 3.3 s and 500 MB
+(Python 3.11.7, shared 2-CPU VM).  A convergence sweep reads one class
+list per blocklength for all of its (curve, budget) pairs and merges no
+points; a float source is expanded, up to 2**14 outcomes.
 """
 
 from __future__ import annotations
@@ -41,11 +39,11 @@ import bisect
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from itertools import accumulate, chain
+from typing import Iterable, Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
 from .errors import InvalidModel, OutOfRange
@@ -80,16 +78,63 @@ __all__ = [
 
 
 @dataclass(frozen=True)
+class _ClassList:
+    """The exact spectrum of one rational source at blocklength n: class i,
+    by descending atom mass, holds atoms of mass nums[i] / den, and
+    cum[i] / den and sizes[i] are the mass and atom count of classes 0..i."""
+
+    n: int
+    den: int
+    nums: list[int]
+    cum: list[int]
+    sizes: list[int]
+
+    @classmethod
+    def build(cls, n: int, den: int, classes: Iterable[tuple[int, int]]) -> _ClassList:
+        """From (atom mass times den, atom count) pairs of positive mass."""
+        descending = sorted(classes, reverse=True)
+        nums = [num for num, _ in descending]
+        counts = [count for _, count in descending]
+        del descending  # the running totals below are as large again
+        cum = list(accumulate(map(operator.mul, nums, counts)))
+        return cls(n, den, nums, cum, list(accumulate(counts)))
+
+    def reaching(self, level: Mass) -> int:
+        """The class where the exact cdf reaches level <= 1: the first whose
+        running numerator reaches level * den rounded up."""
+        level = Fraction(level)
+        return bisect.bisect_left(self.cum, -(-level.numerator * self.den // level.denominator))
+
+    def value_at(self, level: Mass) -> float:
+        """The value of the class where the exact cdf reaches level."""
+        return _reduced_value(self.nums[self.reaching(level)], self.den, self.n)
+
+    def set_size(self, target: Fraction) -> int:
+        """Fewest atoms, heaviest first, whose mass reaches target <= 1:
+        whole classes, and the ceiling count the class where the cdf reaches
+        target needs, by integer cross-multiplication.  At least one."""
+        if target <= 0:
+            return 1
+        last = self.reaching(target)
+        need, scale = target.numerator * self.den, target.denominator
+        cum_before, size_before = (self.cum[last - 1], self.sizes[last - 1]) if last else (0, 0)
+        return size_before - (cum_before * scale - need) // (self.nums[last] * scale)
+
+
+@dataclass(frozen=True)
 class SpectrumSummary:
     """Distribution of the normalized self-information of one block source.
 
     points hold (value, mass) pairs with strictly ascending values in
     per-symbol nats; masses are positive and sum to one (exactly so for a
-    rational source).
+    rational source).  The summary of a rational source built here keeps
+    its class list, answers quantiles and k_f rates from it, and merges
+    its points on first read.
     """
 
     points: tuple[tuple[float, Mass], ...]
     n: int
+    _classes: _ClassList | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.points:
@@ -100,35 +145,61 @@ class SpectrumSummary:
         if any(m <= 0 for _, m in self.points):
             raise InvalidModel("spectrum masses must be positive")
 
+    @classmethod
+    def _of(cls, classes: _ClassList) -> SpectrumSummary:
+        """A class list's summary, unchecked: its masses are positive."""
+        summary = cls.__new__(cls)
+        object.__setattr__(summary, "n", classes.n)
+        object.__setattr__(summary, "_classes", classes)
+        return summary
+
+    def __getattr__(self, name: str):
+        # Reached for points only on a summary from _of, before its first read.
+        if name != "points" or self._classes is None:
+            raise AttributeError(name)
+        den = self._classes.den
+        points = tuple((v, Fraction(num, den)) for v, num in zip(*self._merge))
+        object.__setattr__(self, "points", points)
+        return points
+
     def values(self) -> tuple[float, ...]:
-        return self._values
+        return self._merge[0]
 
     def masses(self) -> tuple[Mass, ...]:
         return tuple(m for _, m in self.points)
 
     @cached_property
-    def _values(self) -> tuple[float, ...]:
-        return tuple(v for v, _ in self.points)
+    def _merge(self) -> tuple[tuple[float, ...], list]:
+        """Ascending values and the mass of each: the points', or the class
+        list's summed by value, in numerators over its den."""
+        if self._classes is None:
+            return tuple(v for v, _ in self.points), [m for _, m in self.points]
+        c, acc = self._classes, {}
+        for num, before, total in zip(c.nums, chain((0,), c.cum), c.cum):
+            value = _reduced_value(num, c.den, c.n)
+            acc[value] = acc.get(value, 0) + total - before
+        values = sorted(acc)
+        return tuple(values), [acc[v] for v in values]
 
     @cached_property
     def _top(self) -> tuple[Mass, ...]:
         """_top[j] is the mass of the j highest points, added from the top
-        down, so every tail is summed in one order and the empty tail is 0."""
-        return tuple(accumulate((mass for _, mass in reversed(self.points)), initial=0))
+        down, so every tail is summed in one order and the empty tail is 0;
+        numerators over den on a class list."""
+        return tuple(accumulate(reversed(self._merge[1]), initial=0))
 
 
 def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
     """Summarize a materialized distribution into its information spectrum.
 
-    Outcomes sharing one computed value are merged, their masses added in
-    the distribution's own arithmetic.  Each distinct mass gets its value
-    once.  An exact distribution adds numerators in ints; a float one adds
-    its masses atom by atom in id order.
+    An exact distribution becomes a class list, one class per distinct
+    numerator.  A float one merges the outcomes of one computed value, each
+    distinct mass valued once, adding masses atom by atom in id order.
     """
     if dist.exact:
         counts = Counter(dist._values)
         counts.pop(0, None)
-        return _integer_spectrum(dist._den, counts.items(), dist.n)
+        return SpectrumSummary._of(_ClassList.build(dist.n, dist._den, counts.items()))
     value_of = {mass: self_information_value(mass, dist.n) for mass in set(dist.masses) if mass}
     acc: dict[float, Mass] = {}
     for mass in filter(None, dist.masses):
@@ -137,23 +208,35 @@ def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
     return SpectrumSummary(points=tuple(sorted(acc.items())), n=dist.n)
 
 
+def _tail(summary: SpectrumSummary, v: float, side) -> Mass:
+    """Mass of the points past v, side bisect_right (> v) or bisect_left
+    (>= v); one Fraction of a class list's numerators, and 0 for none."""
+    values = summary.values()
+    count = len(values) - side(values, v)
+    if count and summary._classes is not None:
+        return Fraction(summary._top[count], summary._classes.den)
+    return summary._top[count]
+
+
 def tail_above(summary: SpectrumSummary, v: float) -> Mass:
     """Pr{V > v}, accumulated from the top so the largest value has tail 0."""
-    return summary._top[len(summary.points) - bisect.bisect_right(summary._values, v)]
+    return _tail(summary, v, bisect.bisect_right)
 
 
 def tail_from(summary: SpectrumSummary, v: float) -> Mass:
     """Pr{V >= v}."""
-    return summary._top[len(summary.points) - bisect.bisect_left(summary._values, v)]
+    return _tail(summary, v, bisect.bisect_left)
 
 
-def _cdf_crossing(summary: SpectrumSummary, thr: Mass) -> float:
-    """Smallest point whose cdf 1 - Pr{V > v} reaches thr.  Pr{V > v} at
-    point i is _top[size - 1 - i], so the cdfs are nondecreasing in i, and
-    the top point's cdf is exactly 1."""
-    top, size = summary._top, len(summary.points)
-    at = bisect.bisect_left(range(size), thr, key=lambda i: 1 - top[size - 1 - i])
-    return summary._values[at]
+def _crossing(summary: SpectrumSummary, level: Mass) -> float:
+    """Smallest value where the cdf reaches level: the class list's, else
+    the first point whose cdf 1 - Pr{V > v} = 1 - _top[size - 1 - i]
+    reaches it; the top point's cdf is exactly 1."""
+    if summary._classes is not None:
+        return summary._classes.value_at(level)
+    top, values = summary._top, summary.values()
+    size = len(values)
+    return values[bisect.bisect_left(range(size), level, key=lambda i: 1 - top[size - 1 - i])]
 
 
 def cdf_at(summary: SpectrumSummary, v: float) -> Mass:
@@ -182,15 +265,20 @@ class RateReport:
 def sup_entropy_quantile(summary: SpectrumSummary, eps: Mass) -> RateReport:
     """Smallest spectrum point v with Pr{V > v} <= eps.
 
-    The answer is always an exact support point of the spectrum; the top
-    point qualifies unconditionally since its tail is exactly zero.
+    The top point qualifies since its tail is exactly zero.  With a class
+    list the answer is the value of the class where the exact cdf reaches
+    1 - eps: the same point unless values invert along descending mass.
     """
     if eps < 0:
         raise OutOfRange(f"tail level must be nonnegative, got {eps}")
-    # Pr{V > v} at point i is _top[size - 1 - i], so when the first c top
-    # sums are within eps, exactly the top c points qualify.
-    size = len(summary.points)
-    value = summary._values[size - bisect.bisect_right(summary._top, eps, 0, size)]
+    if summary._classes is not None:
+        value = summary._classes.value_at(1 - Fraction(eps))
+    else:
+        # Pr{V > v} at point i is _top[size - 1 - i], so when the first c
+        # top sums are within eps, exactly the top c points qualify.
+        values = summary.values()
+        size = len(values)
+        value = values[size - bisect.bisect_right(summary._top, eps, 0, size)]
     return RateReport(
         quantity="sup_entropy_quantile",
         value=value,
@@ -213,14 +301,13 @@ def k_f_rate(summary: SpectrumSummary, curve: FCurve, delta: Mass) -> RateReport
     through the inverse threshold F >= f^{-1}(delta), which is the same
     statement by the minimum convention of the inverse and keeps rational
     tails inside exact comparisons.  The top point always qualifies since
-    its cdf is exactly one and f(1) = 0.
+    its cdf is exactly one and f(1) = 0.  The answer is _crossing's, so it
+    equals sup_entropy_quantile at 1 - f^{-1}(delta) on a class list.
     """
     _check_budget(curve, delta)
-    thr = _budget_threshold(curve, delta)
-    value = _cdf_crossing(summary, thr)
     return RateReport(
         quantity="k_f_rate",
-        value=value,
+        value=_crossing(summary, _budget_threshold(curve, delta)),
         n=summary.n,
         detail=(("curve", curve.name), ("delta", str(delta))),
     )
@@ -272,40 +359,18 @@ def _descending_prefix(
     return ids, dist._mass_of(ids)
 
 
-def _classes(variant: IID | Mixture, n: int) -> tuple[int, Iterator[tuple[int, int]]]:
-    """Shared denominator, and (sequence mass times it, class size) of every
-    positive-mass type class of a rational source, in `_types` order."""
+def _type_classes(variant: IID | Mixture, n: int) -> _ClassList:
+    """Class list of a rational IID or mixture source, a class per type."""
     if not SourceModel(variant, n).exact:
         raise InvalidModel("type-class enumeration needs rational source parameters")
     den, types = _types(variant, n)
-    return den, map(operator.itemgetter(1, 2), types)
+    return _ClassList.build(n, den, map(operator.itemgetter(1, 2), types))
 
 
 def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:
-    """Spectrum of an IID or mixture source without materializing X^n.
-
-    One term per type class suffices.  Masses are exact fractions with
-    denominators far outside float range; values go through integer logs
-    of each type's reduced mass.
-    """
-    return _integer_spectrum(*_classes(variant, n), n)
-
-
-def _integer_spectrum(den: int, classes: Iterable[tuple[int, int]], n: int) -> SpectrumSummary:
-    """Spectrum of (positive numerator over den, how many atoms carry it) pairs."""
-    sums = _value_sums(den, classes, n)
-    points = tuple((v, Fraction(sums[v], den)) for v in sorted(sums))
-    return SpectrumSummary(points=points, n=n)
-
-
-def _value_sums(den: int, classes: Iterable[tuple[int, int]], n: int) -> dict[float, int]:
-    """Mass numerator over den of every spectrum point, keyed by its value:
-    each value from the reduced mass, each point's numerator summed in ints."""
-    acc: dict[float, int] = {}
-    for num, count in classes:
-        value = _reduced_value(num, den, n)
-        acc[value] = acc.get(value, 0) + count * num
-    return acc
+    """Spectrum of an IID or mixture source from its type classes, without
+    materializing X^n; its points are merged only when read."""
+    return SpectrumSummary._of(_type_classes(variant, n))
 
 
 def _reduced_value(num: int, den: int, n: int) -> float:
@@ -319,89 +384,6 @@ def _reduced_value(num: int, den: int, n: int) -> float:
     return (math.log(den) - math.log(num)) / n
 
 
-# Error bound on a computed value, per unit of 1 + b/n, where b is the bit
-# length of the shared denominator.  A value is (log(D) - log(N)) / n for a
-# reduced mass N/D, so N <= D < 2**b.  CPython's math.log of an int takes
-# the nearest double when the int fits (relative error u = 2**-53) and
-# libm's log of it; otherwise _PyLong_Frexp splits the int into x * 2**e,
-# x in [1/2, 1) rounded to 53 bits, and returns log(x) + log(2) * e.
-# With libm's log within one ulp, either way a log is off by at most
-# 4u(1 + b) nats; the subtraction adds u(1 + b) and the division by n
-# rounds once more, so a value is off by at most 10u(1 + b)/n, which is at
-# most 10u(1 + b/n) < 2**-49 (1 + b/n).  The constant leaves a factor 512,
-# which also covers the rounding of the comparisons made with it.
-_VALUE_ERROR = 2.0**-40
-
-
-def _descending_classes(
-    classes: Iterable[tuple[int, int]]
-) -> tuple[list[int], list[int], list[int]]:
-    """(sequence mass times den, class size) pairs, sorted by descending
-    mass, as three lists: each class's numerator, and the running totals
-    of the mass numerators and of the class sizes."""
-    descending = sorted(classes, reverse=True)
-    nums = [num for num, _ in descending]
-    counts = [count for _, count in descending]
-    del descending  # the prefix lists below are as large again
-    return nums, list(accumulate(map(operator.mul, nums, counts))), list(accumulate(counts))
-
-
-def _set_size(
-    nums: Sequence[int], cum: Sequence[int], cum_sizes: Sequence[int], den: int, target: Fraction
-) -> int:
-    """Fewest sequences, heaviest first, whose mass reaches target <= 1.
-
-    Takes the `_descending_classes` lists.  Whole classes enter by
-    descending mass and the last one partially, with the ceiling count it
-    takes: that class is the first whose running numerator reaches
-    target * den rounded up, and the count is an integer
-    cross-multiplication.  A target of zero or less still takes one.
-    """
-    if target <= 0:
-        return 1
-    need = target.numerator * den
-    scale = target.denominator
-    last = bisect.bisect_left(cum, -(-need // scale))
-    cum_before, size_before = (cum[last - 1], cum_sizes[last - 1]) if last else (0, 0)
-    return size_before - (cum_before * scale - need) // (nums[last] * scale)
-
-
-def _crossing_value(nums: Sequence[int], cum: Sequence[int], den: int, n: int, key: int) -> float:
-    """The value k_f_rate reads off the merged float spectrum of the
-    `_descending_classes` lists: the smallest one whose cdf numerator over
-    den reaches key, from the values of a few classes only.
-
-    Along descending mass the true values increase (equal masses share one
-    computed value), and a computed value is within eps =
-    _VALUE_ERROR * (1 + b/n) of its true value.  The window [lo, hi)
-    starts at the class where the running numerator reaches key and takes
-    a neighbour while its value is within 2 eps of the window's lowest or
-    highest value.  Every class below the window then has a smaller
-    computed value than every class in it, and every class above a larger
-    one: so the window's cdf starts at cum[lo - 1], float ties and
-    inversions inside it are sorted out by sorting it, and the crossing,
-    reached by cum[hi - 1] but not by cum[lo - 1], lies inside it.
-    """
-    slack = 2 * _VALUE_ERROR * (1 + den.bit_length() / n)
-    top = bisect.bisect_left(cum, key)
-    window = {top: _reduced_value(nums[top], den, n)}
-    low = high = window[top]
-    lo, hi = top, top + 1
-    while True:
-        if lo and (value := _reduced_value(nums[lo - 1], den, n)) >= low - slack:
-            lo -= 1
-            window[lo] = value
-        elif hi < len(nums) and (value := _reduced_value(nums[hi], den, n)) <= high + slack:
-            window[hi] = value
-            hi += 1
-        else:
-            break
-        low, high = min(low, value), max(high, value)
-    points = sorted((value, cum[i] - (cum[i - 1] if i else 0)) for i, value in window.items())
-    cdfs = list(accumulate(mass for _, mass in points))
-    return points[bisect.bisect_left(cdfs, key - (cum[lo - 1] if lo else 0))][0]
-
-
 def typeclass_smooth_max_entropy(
     variant: IID | Mixture, n: int, delta: Mass
 ) -> tuple[float, int]:
@@ -413,8 +395,7 @@ def typeclass_smooth_max_entropy(
     exactly, because atoms within a type are interchangeable.
     """
     _check_tail_budget(delta)
-    den, classes = _classes(variant, n)
-    size = _set_size(*_descending_classes(classes), den, 1 - Fraction(delta))
+    size = _type_classes(variant, n).set_size(1 - Fraction(delta))
     return math.log(size), size
 
 
@@ -491,19 +472,15 @@ def _sweep_point(
 ) -> tuple[list[float], list[float]]:
     """k_f_rate at every cdf threshold f^{-1}(delta), and the normalized
     smooth max entropy at every matching tail level, at one blocklength:
-    from its type classes if the source is rational, else expanded."""
+    from its class list if the source is rational, else expanded."""
     n = model.n
     if model.exact:
-        den, classes = _classes(model.variant, n)
-        # Integer prefix sums: the cdf numerators over den at every class.
-        nums, cum, cum_sizes = _descending_classes(classes)
-        sizes = [_set_size(nums, cum, cum_sizes, den, 1 - Fraction(eps)) for eps in levels]
-        keys = [math.ceil(Fraction(thr) * den) for thr in thresholds]
-        rates = [_crossing_value(nums, cum, den, n, key) for key in keys]
+        classes = _type_classes(model.variant, n)
+        sizes = [classes.set_size(1 - Fraction(eps)) for eps in levels]
+        summary = SpectrumSummary._of(classes)
     else:
         dist = expand(model, cap)
         order = sort_descending(dist)
         sizes = [len(_descending_prefix(dist, order, 1.0 - float(eps))[0]) for eps in levels]
         summary = spectrum_cdf(dist)
-        rates = [_cdf_crossing(summary, thr) for thr in thresholds]
-    return rates, [math.log(size) / n for size in sizes]
+    return [_crossing(summary, thr) for thr in thresholds], [math.log(size) / n for size in sizes]

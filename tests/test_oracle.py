@@ -37,7 +37,7 @@ from srnglab import (
     variational,
 )
 from srnglab import oracle
-from srnglab.divergence import _term, registered_curve_names
+from srnglab.divergence import _numeric_convex, _term, registered_curve_names
 from srnglab.oracle import (
     _candidates, _is_rational, _iter_plans, _margin, _search, _set_partitions, _total,
 )
@@ -141,6 +141,23 @@ def test_full_search_handles_curves_outside_the_reduction() -> None:
     d = single_letter(F(1, 2), F(1, 4), F(1, 4))
     res = min_fdiv_bruteforce_full(d, 3, [kl()])["kl"]
     assert res.value == 0
+
+
+def test_reduced_search_rejects_a_curve_that_is_not_convex() -> None:
+    # 1 - t^2 on (0, 1) and 0 beyond is nonincreasing with zero slope at
+    # infinity but concave on (0, 1), so its terms form no Monge array and
+    # the co-monotone skip would drop the best plan: here it reported 21/76
+    # against the true 51/190.  The full search sums every plan.
+    cap = FCurve("cap", lambda t: 1 - t * t if t < 1 else t - t, F(1), F(0))
+    dist = single_letter(*(F(w, 19) for w in (9, 7, 1, 2)))
+    with pytest.raises(OutOfRange, match="cap is not convex.*min_fdiv_bruteforce_full"):
+        min_fdiv_bruteforce(dist, 2, [variational(), cap])
+    assert min_fdiv_bruteforce_full(dist, 2, [cap])["cap"].value == F(51, 190)
+    inverse = FCurve("inverse", lambda t: 1 / t - 1, math.inf, F(0))
+    # Every registered curve reads as convex, also where a large gamma
+    # cancels large intermediates.
+    for curve in registered_curves() + [curve_from_name(f"e_gamma:{10**12}"), inverse]:
+        assert _numeric_convex(curve), curve.name
 
 
 # ---------------------------------------------------------------------------

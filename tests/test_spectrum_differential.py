@@ -20,8 +20,6 @@ import random
 from fractions import Fraction
 from itertools import accumulate
 
-import pytest
-
 from srnglab import (
     IID,
     AtomicDistribution,
@@ -45,17 +43,9 @@ from srnglab import (
     typeclass_spectrum,
     variational,
 )
-import srnglab.spectrum as spectrum_module
 from srnglab.divergence import _budget_threshold
 from srnglab.probability import _types, self_information_value
-from srnglab.spectrum import (
-    SweepRow,
-    _classes,
-    _crossing_value,
-    _descending_classes,
-    _descending_prefix,
-    _sweep_pairs,
-)
+from srnglab.spectrum import SweepRow, _descending_prefix, _sweep_pairs
 
 F = Fraction
 
@@ -507,33 +497,72 @@ def test_type_class_sweep_rows_match_the_public_functions_at_large_n() -> None:
         assert _sweep_pairs(variant, ns, SWEEP_PAIRS) == public_sweep_rows(variant, ns, SWEEP_PAIRS)
 
 
-def test_type_class_sweep_rows_do_not_depend_on_the_window_width(monkeypatch) -> None:
-    # A value error bound far above the true one widens every window to
-    # many classes; the rows must not move.
-    cases = [(BENCHMARK_MIXTURE, (250,)), (IID((F(1, 2), F(1, 3), F(1, 6))), (40,))]
-    cases += [(variant, (20,)) for variant in NEAR_TIE_SOURCES]
-    plain = [_sweep_pairs(variant, ns, SWEEP_PAIRS) for variant, ns in cases]
-    monkeypatch.setattr(spectrum_module, "_VALUE_ERROR", 0.05)
-    assert [_sweep_pairs(variant, ns, SWEEP_PAIRS) for variant, ns in cases] == plain
+def exact_order_classes(variant, n):
+    """Shared denominator, and the types' numerators by descending mass with
+    their running mass numerators (the class boundaries)."""
+    den, types = _types(variant, n)
+    descending = sorted(((num, size) for _, num, size in types), reverse=True)
+    cdfs = list(accumulate(num * size for num, size in descending))
+    return den, [num for num, _ in descending], cdfs
 
 
-@pytest.mark.parametrize("error", [None, 0.05], ids=["derived", "wide"])
-def test_crossings_at_every_class_boundary_match_the_full_spectrum(error, monkeypatch) -> None:
-    if error is not None:
-        monkeypatch.setattr(spectrum_module, "_VALUE_ERROR", error)
+def exact_order_crossing(den, nums, cdfs, n, key):
+    """The value, from its Fraction mass, of the first class whose running
+    mass numerator reaches key."""
+    return self_information_value(F(nums[bisect.bisect_left(cdfs, key)], den), n)
+
+
+def values_rise_strictly(variant, n):
+    """Whether the computed values rise strictly as the distinct masses fall."""
+    den, types = _types(variant, n)
+    masses = sorted({num for _, num, _ in types}, reverse=True)
+    values = [self_information_value(F(num, den), n) for num in masses]
+    return all(a < b for a, b in zip(values, values[1:]))
+
+
+def test_crossings_at_every_class_boundary_are_the_exact_cdf_class() -> None:
+    # A quantile at level key/den is the value of the class where the exact
+    # cdf reaches it.  Where values rise strictly along descending mass,
+    # that is also the crossing of the merged float spectrum; on the
+    # near-tie sources, whose values tie and invert, it need not be.
     rng = random.Random(8209)
     cases = [(variant, 20) for variant in NEAR_TIE_SOURCES]
     cases += [(NEAR_TIE_SOURCES[0], 45), (BENCHMARK_MIXTURE, 120)]
     cases += [(variant, n) for variant, n in FIXED_TYPE_CLASS_INPUTS if n <= 40]
     cases += [(random_variant(rng), 12) for _ in range(6)]
+    rising = 0
     for variant, n in cases:
-        den, classes = _classes(variant, n)
-        nums, cum, _ = _descending_classes(classes)
-        if error is not None and len(nums) > 300:
-            continue  # each wide window takes most classes: quadratic
-        keys = sorted({0} | {c + d for c in cum for d in (-1, 0, 1) if 0 <= c + d <= den})
-        got = [_crossing_value(nums, cum, den, n, key) for key in keys]
-        assert got == full_spectrum_crossings(variant, n, keys)
+        summary = typeclass_spectrum(variant, n)
+        den, nums, cdfs = exact_order_classes(variant, n)
+        keys = sorted({0} | {c + d for c in cdfs for d in (-1, 0, 1) if 0 <= c + d <= den})
+        got = [sup_entropy_quantile(summary, 1 - F(key, den)).value for key in keys]
+        assert got == [exact_order_crossing(den, nums, cdfs, n, key) for key in keys]
+        if values_rise_strictly(variant, n):
+            assert got == full_spectrum_crossings(variant, n, keys)
+            rising += 1
+    # Both kinds occur: the near-tie iid source does not rise strictly.
+    assert 0 < rising < len(cases)
+
+
+def test_k_f_rate_is_the_quantile_on_near_tie_sources() -> None:
+    # Zero tolerance where values tie and invert: k_f_rate at delta is the
+    # quantile at 1 - f^{-1}(delta), the class where the exact cdf reaches
+    # f^{-1}(delta).
+    curves = (variational(), hellinger(), reverse_kl(), e_gamma(2))
+    checked = 0
+    for variant in NEAR_TIE_SOURCES:
+        for n in (20, 60):
+            summary = typeclass_spectrum(variant, n)
+            den, nums, cdfs = exact_order_classes(variant, n)
+            for curve in curves:
+                for delta in (F(0), F(1, 100), F(1, 10), F(1, 3), F(1, 2), 0.7, F(9, 10)):
+                    thr = f_inverse(curve, delta)
+                    value = k_f_rate(summary, curve, delta).value
+                    assert value == sup_entropy_quantile(summary, 1 - thr).value
+                    key = math.ceil(F(thr) * den)
+                    assert value == exact_order_crossing(den, nums, cdfs, n, key)
+                    checked += 1
+    assert checked == 112
 
 
 def test_float_prefix_goal_matches_the_fraction_comparison() -> None:
