@@ -20,6 +20,8 @@ import random
 from fractions import Fraction
 from itertools import accumulate
 
+import pytest
+
 from srnglab import (
     IID,
     AtomicDistribution,
@@ -520,27 +522,53 @@ def values_rise_strictly(variant, n):
     return all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_crossings_at_every_class_boundary_are_the_exact_cdf_class() -> None:
-    # A quantile at level key/den is the value of the class where the exact
-    # cdf reaches it.  Where values rise strictly along descending mass,
-    # that is also the crossing of the merged float spectrum; on the
-    # near-tie sources, whose values tie and invert, it need not be.
+def crossing_cases(kind):
+    """Sources and lengths for the crossing test.  "derived": the near-tie
+    sources, the fixed inputs up to n = 40 and seeded random sources, all
+    with at most a few hundred classes.  "wide": spectra with hundreds to
+    thousands of classes."""
+    if kind == "wide":
+        rng = random.Random(4127)
+        cases = [(NEAR_TIE_SOURCES[0], 60), (NEAR_TIE_SOURCES[1], 300)]
+        cases += [(BENCHMARK_MIXTURE, 500), (IID((F(1, 2), F(1, 3), F(1, 6))), 60)]
+        cases += [(v, n) for v, n in FIXED_TYPE_CLASS_INPUTS if n > 40]
+        drawn = 0
+        while drawn < 3:
+            # A zero symbol mass can leave a random source few classes.
+            variant = random_variant(rng)
+            n = 400 if variant.alphabet_size == 2 else 45
+            if len(exact_order_classes(variant, n)[1]) > 300:
+                cases.append((variant, n))
+                drawn += 1
+        return cases
     rng = random.Random(8209)
     cases = [(variant, 20) for variant in NEAR_TIE_SOURCES]
     cases += [(NEAR_TIE_SOURCES[0], 45), (BENCHMARK_MIXTURE, 120)]
     cases += [(variant, n) for variant, n in FIXED_TYPE_CLASS_INPUTS if n <= 40]
     cases += [(random_variant(rng), 12) for _ in range(6)]
+    return cases
+
+
+@pytest.mark.parametrize("kind", ["derived", "wide"])
+def test_crossings_at_every_class_boundary_match_the_full_spectrum(kind) -> None:
+    # A quantile at level key/den is the value of the class where the exact
+    # cdf reaches it.  Where values rise strictly along descending mass,
+    # that is also the crossing of the merged float spectrum; on the
+    # near-tie sources, whose values tie and invert, it need not be.
+    cases = crossing_cases(kind)
     rising = 0
     for variant, n in cases:
         summary = typeclass_spectrum(variant, n)
         den, nums, cdfs = exact_order_classes(variant, n)
+        if kind == "wide":
+            assert len(nums) > 300
         keys = sorted({0} | {c + d for c in cdfs for d in (-1, 0, 1) if 0 <= c + d <= den})
         got = [sup_entropy_quantile(summary, 1 - F(key, den)).value for key in keys]
         assert got == [exact_order_crossing(den, nums, cdfs, n, key) for key in keys]
         if values_rise_strictly(variant, n):
             assert got == full_spectrum_crossings(variant, n, keys)
             rising += 1
-    # Both kinds occur: the near-tie iid source does not rise strictly.
+    # Both kinds occur: the near-tie sources do not all rise strictly.
     assert 0 < rising < len(cases)
 
 
