@@ -7,173 +7,25 @@ small-instance searches and a rate-distortion solver provide independent
 checks.
 """
 
-from .construction import (
-    BoundReport,
-    ConstructionTrace,
-    MappingPair,
-    achievability_bound,
-    apply_mapping,
-    baseline_collapse_mapping,
-    build_mapping,
-    build_smooth_entropy_mapping,
-    converse_bound,
-    entropy_mapping_bound,
-    rate_window,
-    trace_to_jsonable,
+from . import config, construction, divergence, errors, oracle, probability, rdp, spectrum
+
+# Each public name is declared once, in its module's __all__.  The union is
+# taken before the star imports, after which `divergence` names the function.
+__all__ = sorted(
+    {
+        name
+        for module in (config, construction, divergence, errors, oracle, probability, rdp, spectrum)
+        for name in module.__all__
+    }
 )
-from .divergence import (
-    ConditionReport,
-    FCurve,
-    check_conditions,
-    curve_from_name,
-    divergence,
-    e_gamma,
-    e_gamma_sum,
-    f_inverse,
-    hellinger,
-    kl,
-    log_sum_check,
-    registered_curve_names,
-    reverse_kl,
-    variational,
-)
-from .errors import (
-    CapExceeded,
-    ConfigError,
-    DimensionMismatch,
-    InvalidModel,
-    NoConvergence,
-    OutOfRange,
-    SrnglabError,
-    ZeroMassOutcome,
-)
-from .oracle import (
-    OracleResult,
-    PartitionPlan,
-    min_fdiv_bruteforce,
-    min_fdiv_bruteforce_full,
-    min_set_bruteforce,
-)
-from .probability import (
-    DEFAULT_ATOM_CAP,
-    FLOAT_MASS_TOL,
-    IID,
-    AtomicDistribution,
-    Markov,
-    Mass,
-    Mixture,
-    Outcome,
-    SourceModel,
-    expand,
-    outcome_from_id,
-    outcome_id,
-    pmf_entropy,
-    self_information,
-    self_information_value,
-    sort_descending,
-)
-from .rdp import (
-    DistortionSpec,
-    RdpBoundReport,
-    d_threshold,
-    mapping_distortion,
-    rd_function_iid,
-    rdp_lower_bound,
-)
-from .config import RunConfig, load_config
-from .spectrum import (
-    RateReport,
-    SpectrumSummary,
-    SweepRow,
-    cdf_at,
-    k_f_rate,
-    rate_convergence_sweep,
-    smooth_max_entropy,
-    spectrum_cdf,
-    sup_entropy_quantile,
-    tail_above,
-    tail_from,
-    typeclass_smooth_max_entropy,
-    typeclass_spectrum,
-)
+
+from .config import *  # noqa: E402, F403
+from .construction import *  # noqa: E402, F403
+from .divergence import *  # noqa: E402, F403
+from .errors import *  # noqa: E402, F403
+from .oracle import *  # noqa: E402, F403
+from .probability import *  # noqa: E402, F403
+from .rdp import *  # noqa: E402, F403
+from .spectrum import *  # noqa: E402, F403
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AtomicDistribution",
-    "BoundReport",
-    "CapExceeded",
-    "ConditionReport",
-    "ConfigError",
-    "ConstructionTrace",
-    "DEFAULT_ATOM_CAP",
-    "DimensionMismatch",
-    "DistortionSpec",
-    "FCurve",
-    "FLOAT_MASS_TOL",
-    "IID",
-    "InvalidModel",
-    "MappingPair",
-    "Markov",
-    "Mass",
-    "Mixture",
-    "NoConvergence",
-    "OracleResult",
-    "OutOfRange",
-    "Outcome",
-    "PartitionPlan",
-    "RateReport",
-    "RdpBoundReport",
-    "RunConfig",
-    "SourceModel",
-    "SpectrumSummary",
-    "SrnglabError",
-    "SweepRow",
-    "ZeroMassOutcome",
-    "achievability_bound",
-    "apply_mapping",
-    "baseline_collapse_mapping",
-    "build_mapping",
-    "build_smooth_entropy_mapping",
-    "cdf_at",
-    "check_conditions",
-    "converse_bound",
-    "curve_from_name",
-    "d_threshold",
-    "divergence",
-    "e_gamma",
-    "e_gamma_sum",
-    "entropy_mapping_bound",
-    "expand",
-    "f_inverse",
-    "hellinger",
-    "k_f_rate",
-    "kl",
-    "load_config",
-    "log_sum_check",
-    "mapping_distortion",
-    "min_fdiv_bruteforce",
-    "min_fdiv_bruteforce_full",
-    "min_set_bruteforce",
-    "outcome_from_id",
-    "outcome_id",
-    "pmf_entropy",
-    "rate_convergence_sweep",
-    "rate_window",
-    "rd_function_iid",
-    "rdp_lower_bound",
-    "registered_curve_names",
-    "reverse_kl",
-    "self_information",
-    "self_information_value",
-    "smooth_max_entropy",
-    "sort_descending",
-    "spectrum_cdf",
-    "sup_entropy_quantile",
-    "tail_above",
-    "tail_from",
-    "trace_to_jsonable",
-    "typeclass_smooth_max_entropy",
-    "typeclass_spectrum",
-    "variational",
-]

@@ -37,7 +37,13 @@ from .construction import (
     entropy_mapping_bound,
     trace_to_jsonable,
 )
-from .divergence import _budget_threshold, check_conditions, divergence
+from .divergence import (
+    ConditionReport,
+    FCurve,
+    _budget_threshold,
+    check_conditions,
+    divergence,
+)
 from .errors import SrnglabError
 from .oracle import min_fdiv_bruteforce, min_fdiv_bruteforce_full
 from .probability import IID, Markov, Mass, expand
@@ -81,51 +87,42 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
         writer.writerows(rows)
 
 
-def _conditions_payload(cfg: RunConfig) -> dict:
-    out = {}
-    for curve in cfg.curves():
-        report = check_conditions(curve)
-        out[curve.name] = {
-            "nonincreasing": report.nonincreasing,
-            "subexponential_near_zero": report.subexponential_near_zero,
-            "zero_slope_at_infinity": report.zero_slope_at_infinity,
-        }
-    return out
+#: Each configured curve with its condition report, resolved once per run.
+_Curves = list[tuple[FCurve, ConditionReport]]
 
 
-def _run_analyze(cfg: RunConfig) -> int:
+def _run_analyze(cfg: RunConfig, curves: _Curves) -> tuple[dict, int]:
     dist = expand(cfg.source(), cfg.cap)
     summary = spectrum_cdf(dist)
     units = cfg.units
-    payload: dict = {
-        "command": "analyze",
-        "mode": cfg.mode,
-        "units": units,
-        "n": cfg.n,
+    body: dict = {
         "spectrum": [
             {"value": _num(v, units), "mass": _num(m, units="nats")} for v, m in summary.points
         ],
-        "conditions": _conditions_payload(cfg),
+        "conditions": {
+            curve.name: {
+                "nonincreasing": report.nonincreasing,
+                "subexponential_near_zero": report.subexponential_near_zero,
+                "zero_slope_at_infinity": report.zero_slope_at_infinity,
+            }
+            for curve, report in curves
+        },
         "rates": [],
         "quantiles": [],
     }
     for eps in cfg.eps:
-        report = sup_entropy_quantile(summary, eps)
-        payload["quantiles"].append(
-            {"eps": _num(eps, "nats"), "value": _num(report.value, units)}
-        )
-    for curve in cfg.curves():
-        if not check_conditions(curve).nonincreasing:
-            payload["rates"].append(
-                {"curve": curve.name, "skipped": "curve is not nonincreasing"}
-            )
+        quant = sup_entropy_quantile(summary, eps)
+        body["quantiles"].append({"eps": _num(eps, "nats"), "value": _num(quant.value, units)})
+    for curve, report in curves:
+        if not report.nonincreasing:
+            body["rates"].append({"curve": curve.name, "skipped": "curve is not nonincreasing"})
             continue
         for delta in cfg.deltas:
             kf = k_f_rate(summary, curve, delta)
             eps = 1 - _budget_threshold(curve, delta)
             quant = sup_entropy_quantile(summary, eps)
             h0, chosen = smooth_max_entropy(dist, eps)
-            payload["rates"].append(
+            body["rates"].append(
                 {
                     "curve": curve.name,
                     "delta": _num(delta, "nats"),
@@ -137,8 +134,7 @@ def _run_analyze(cfg: RunConfig) -> int:
                     "smooth_set": sorted(chosen),
                 }
             )
-    _write_json(Path(cfg.out_dir) / "analyze.json", payload)
-    return 0
+    return body, 0
 
 
 def _within(where: str, exact: Mass, lower: float, upper: float) -> bool:
@@ -153,10 +149,11 @@ def _within(where: str, exact: Mass, lower: float, upper: float) -> bool:
     return False
 
 
-def _run_construct(cfg: RunConfig) -> int:
+def _run_construct(cfg: RunConfig, curves: _Curves) -> tuple[dict, int]:
     dist = expand(cfg.source(), cfg.cap)
     summary = spectrum_cdf(dist)
     units = cfg.units
+    bounded = [curve for curve, report in curves if report.nonincreasing]
     all_within = True
     records = []
     for m in cfg.ms:
@@ -170,13 +167,13 @@ def _run_construct(cfg: RunConfig) -> int:
                 "trace": trace_to_jsonable(trace),
                 "curves": {},
             }
-            for curve in cfg.curves():
+            for curve, report in curves:
                 exact = divergence(dist, mapped, curve)
                 entry: dict = {
                     "divergence": _num(exact, units),
                     "baseline_divergence": _num(divergence(dist, base_law, curve), units),
                 }
-                if check_conditions(curve).nonincreasing:
+                if report.nonincreasing:
                     ach = achievability_bound(trace, curve)
                     con = converse_bound(summary, m, gamma, curve)
                     where = f"m={m} gamma={gamma} curve={curve.name}"
@@ -197,9 +194,7 @@ def _run_construct(cfg: RunConfig) -> int:
             records.append(record)
     entropy_records = []
     for gamma in cfg.gammas:
-        for curve in cfg.curves():
-            if not check_conditions(curve).nonincreasing:
-                continue
+        for curve in bounded:
             for delta in cfg.deltas:
                 mapping, trace = build_smooth_entropy_mapping(dist, curve, delta, gamma)
                 mapped = apply_mapping(dist, mapping)
@@ -220,30 +215,19 @@ def _run_construct(cfg: RunConfig) -> int:
                         "flags": list(trace.flags),
                     }
                 )
-    payload = {
-        "command": "construct",
-        "mode": cfg.mode,
-        "units": units,
-        "n": cfg.n,
+    body = {
         "mappings": records,
         "entropy_mappings": entropy_records,
         "all_within_bounds": all_within,
     }
-    _write_json(Path(cfg.out_dir) / "construct.json", payload)
-    return 0 if all_within else 3
+    return body, 0 if all_within else 3
 
 
-def _run_oracle(cfg: RunConfig) -> int:
+def _run_oracle(cfg: RunConfig, curves: _Curves) -> tuple[dict, int]:
     dist = expand(cfg.source(), cfg.cap)
-    units = cfg.units
-    fast = []
-    slow = []
-    for curve in cfg.curves():
-        report = check_conditions(curve)
-        if report.nonincreasing and curve.slope_at_infinity == 0:
-            fast.append(curve)
-        else:
-            slow.append(curve)
+    fast, slow = [], []
+    for curve, report in curves:
+        (fast if report.nonincreasing and curve.slope_at_infinity == 0 else slow).append(curve)
     records = []
     for m in cfg.ms:
         entry: dict = {"m": m, "curves": {}}
@@ -252,47 +236,39 @@ def _run_oracle(cfg: RunConfig) -> int:
             results.update(min_fdiv_bruteforce_full(dist, m, slow))
         for name, result in sorted(results.items()):
             entry["curves"][name] = {
-                "value": _num(result.value, units),
+                "value": _num(result.value, cfg.units),
                 "exact": result.exact,
                 "blocks": [list(b) for b in result.plan.blocks],
                 "representatives": list(result.plan.representatives),
             }
         records.append(entry)
-    payload = {
-        "command": "oracle",
-        "mode": cfg.mode,
-        "units": units,
-        "n": cfg.n,
-        "minima": records,
-    }
-    _write_json(Path(cfg.out_dir) / "oracle.json", payload)
-    return 0
+    return {"minima": records}, 0
 
 
-def _run_rdp(cfg: RunConfig) -> int:
+def _run_rdp(cfg: RunConfig, curves: _Curves) -> tuple[dict, int]:
     if not isinstance(cfg.variant, IID):
         raise SrnglabError("the rdp command needs an iid source")
     assert cfg.distortion is not None
-    dist = expand(cfg.source(), cfg.cap)
-    summary = spectrum_cdf(dist)
+    source = cfg.source()
+    summary = spectrum_cdf(expand(source, cfg.cap))
     units = cfg.units
-    pmf = cfg.source().variant.pmf  # type: ignore[union-attr]
+    pmf = source.variant.pmf  # type: ignore[union-attr]
     # R(d) depends on d alone, and k_f_rate and the threshold on (curve, δ)
     # alone, so each is solved once and every report is built from them.
     rd = {d: rd_function_iid(pmf, cfg.distortion, d) for d in dict.fromkeys(cfg.ds)}
     rd_rows = [{"d": _num(d, "nats"), "value": _num(rd[d], units)} for d in cfg.ds]
     reports = []
-    for curve in cfg.curves():
-        if not check_conditions(curve).nonincreasing:
+    for curve, report in curves:
+        if not report.nonincreasing:
             continue
         for delta in cfg.deltas:
             threshold = d_threshold(summary, curve, delta, cfg.distortion)
             kf_value = k_f_rate(summary, curve, delta).value
             for d in cfg.ds:
-                report = _rdp_report(rd[d], kf_value, threshold, d)
-                lower = _num(report.lower, units)
-                upper = None if report.upper is None else _num(report.upper, units)
-                if not report.consistent:
+                point = _rdp_report(rd[d], kf_value, threshold, d)
+                lower = _num(point.lower, units)
+                upper = None if point.upper is None else _num(point.upper, units)
+                if not point.consistent:
                     print(f"inconsistent: curve={curve.name} delta={delta} d={d}: "
                           f"lower {lower!r} > upper {upper!r}", file=sys.stderr)
                 reports.append(
@@ -300,34 +276,26 @@ def _run_rdp(cfg: RunConfig) -> int:
                         "curve": curve.name,
                         "delta": _num(delta, "nats"),
                         "d": _num(d, "nats"),
-                        "threshold": _num(threshold, units),
-                        "rd": _num(report.rd_value, units),
-                        "k_f_rate": _num(report.kf_value, units),
+                        # A distortion level, like d: never a rate to rescale.
+                        "threshold": _num(threshold, "nats"),
+                        "rd": _num(point.rd_value, units),
+                        "k_f_rate": _num(point.kf_value, units),
                         "lower": lower,
                         "upper": upper,
-                        "consistent": report.consistent,
+                        "consistent": point.consistent,
                     }
                 )
-    payload = {
-        "command": "rdp",
-        "mode": cfg.mode,
-        "units": units,
-        "n": cfg.n,
-        "rd_curve": rd_rows,
-        "reports": reports,
-    }
-    _write_json(Path(cfg.out_dir) / "rdp.json", payload)
-    return 0
+    return {"rd_curve": rd_rows, "reports": reports}, 0
 
 
-def _run_sweep(cfg: RunConfig) -> int:
+def _run_sweep(cfg: RunConfig, curves: _Curves) -> int:
     if isinstance(cfg.variant, Markov):
         raise SrnglabError("the sweep command needs an iid or mixture source")
     variant = cfg.source().variant
     scale = _LN2 if cfg.units == "bits" else 1.0
     pairs = []
-    for curve in cfg.curves():
-        if not check_conditions(curve).nonincreasing:
+    for curve, report in curves:
+        if not report.nonincreasing:
             print(f"skipping {curve.name}: not nonincreasing", file=sys.stderr)
             continue
         pairs += [(curve, delta) for delta in cfg.deltas]
@@ -344,13 +312,24 @@ def _run_sweep(cfg: RunConfig) -> int:
     return 0
 
 
-_RUNNERS = {
+#: The commands that write `<command>.json`: each runner returns the body
+#: and the exit code, and _run adds the envelope every such file shares.
+_JSON_RUNNERS = {
     "analyze": _run_analyze,
     "construct": _run_construct,
     "oracle": _run_oracle,
     "rdp": _run_rdp,
-    "sweep": _run_sweep,
 }
+
+
+def _run(cfg: RunConfig) -> int:
+    curves = [(curve, check_conditions(curve)) for curve in cfg.curves()]
+    if cfg.command == "sweep":
+        return _run_sweep(cfg, curves)
+    body, code = _JSON_RUNNERS[cfg.command](cfg, curves)
+    envelope = {"command": cfg.command, "mode": cfg.mode, "units": cfg.units, "n": cfg.n}
+    _write_json(Path(cfg.out_dir) / f"{cfg.command}.json", {**envelope, **body})
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -389,7 +368,7 @@ def main(argv: list[str] | None = None) -> int:
             updates["cap"] = args.cap
         if updates:
             cfg = dataclasses.replace(cfg, **updates)
-        return _RUNNERS[cfg.command](cfg)
+        return _run(cfg)
     except SrnglabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

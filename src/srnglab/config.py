@@ -23,16 +23,16 @@ from .rdp import DistortionSpec
 
 __all__ = ["RunConfig", "load_config"]
 
-COMMANDS = ("analyze", "construct", "oracle", "rdp", "sweep")
-
-_KNOWN_KEYS = {
-    "run": {"command", "mode", "units", "cap"},
-    "source": {"variant", "alphabet", "n", "pmf", "initial", "weights"},
-    "curves": {"names"},
-    "grid": {"gamma", "m", "delta", "eps", "d", "n_sweep"},
-    "distortion": {"kind"},
-    "output": {"dir"},
+#: The [grid] keys each command needs, in the order a missing one is named.
+_NEEDS = {
+    "analyze": ("delta",),
+    "construct": ("gamma", "m"),
+    "oracle": ("m",),
+    "rdp": ("delta", "d"),
+    "sweep": ("delta", "n_sweep"),
 }
+
+COMMANDS = tuple(_NEEDS)
 
 
 @dataclass(frozen=True)
@@ -171,6 +171,28 @@ def _int_list(located: _Located, section: str, key: str, text: str) -> tuple[int
     return tuple(values)
 
 
+#: Each [grid] key: the RunConfig field it fills, its list parser, the test
+#: every value must pass, and the message when one fails.  Keys are parsed,
+#: and their values tested, in this order.
+_GRID = {
+    "gamma": ("gammas", _fraction_list, lambda v: v > 0, "slack exponents must be positive"),
+    "m": ("ms", _int_list, lambda v: v >= 1, "codebook sizes must be positive"),
+    "n_sweep": ("sweep_ns", _int_list, lambda v: v >= 1, "blocklengths must be positive"),
+    "delta": ("deltas", _fraction_list, lambda v: v >= 0, "divergence budgets must be nonnegative"),
+    "eps": ("eps", _fraction_list, lambda v: v >= 0, "tail levels must be nonnegative"),
+    "d": ("ds", _fraction_list, lambda v: v >= 0, "distortion budgets must be nonnegative"),
+}
+
+_KNOWN_KEYS = {
+    "run": {"command", "mode", "units", "cap"},
+    "source": {"variant", "alphabet", "n", "pmf", "initial", "weights"},
+    "curves": {"names"},
+    "grid": _GRID.keys(),
+    "distortion": {"kind"},
+    "output": {"dir"},
+}
+
+
 def _check_known_keys(located: _Located) -> None:
     for section, items in located.sections.items():
         if section not in _KNOWN_KEYS:
@@ -288,30 +310,12 @@ def load_config(path: str | Path, command: str | None = None) -> RunConfig:
         except OutOfRange as exc:
             located.fail("curves", "names", str(exc))
 
-    def grid_fractions(key: str) -> tuple[Fraction, ...]:
+    grid = {}
+    for key, (_, parse, _, _) in _GRID.items():
         text = located.get("grid", key)
-        return _fraction_list(located, "grid", key, text) if text else ()
-
-    def grid_ints(key: str) -> tuple[int, ...]:
-        text = located.get("grid", key)
-        return _int_list(located, "grid", key, text) if text else ()
-
-    gammas = grid_fractions("gamma")
-    deltas = grid_fractions("delta")
-    eps = grid_fractions("eps")
-    ds = grid_fractions("d")
-    ms = grid_ints("m")
-    sweep_ns = grid_ints("n_sweep")
-
-    needs = {
-        "construct": [("gamma", gammas), ("m", ms)],
-        "oracle": [("m", ms)],
-        "analyze": [("delta", deltas)],
-        "rdp": [("delta", deltas), ("d", ds)],
-        "sweep": [("delta", deltas), ("n_sweep", sweep_ns)],
-    }
-    for key, values in needs[command]:
-        if not values:
+        grid[key] = parse(located, "grid", key, text) if text else ()
+    for key in _NEEDS[command]:
+        if not grid[key]:
             line = located.locate("grid") if "grid" in located.sections else 1
             raise ConfigError(f"{located.path}:{line}: command {command} needs [grid] {key}")
 
@@ -321,22 +325,9 @@ def load_config(path: str | Path, command: str | None = None) -> RunConfig:
 
     out_dir = located.get("output", "dir") or "out"
 
-    for gamma in gammas:
-        if gamma <= 0:
-            located.fail("grid", "gamma", "slack exponents must be positive")
-    for m in ms:
-        if m < 1:
-            located.fail("grid", "m", "codebook sizes must be positive")
-    for sweep_n in sweep_ns:
-        if sweep_n < 1:
-            located.fail("grid", "n_sweep", "blocklengths must be positive")
-    for key, values, what in (
-        ("delta", deltas, "divergence budgets"),
-        ("eps", eps, "tail levels"),
-        ("d", ds, "distortion budgets"),
-    ):
-        if any(value < 0 for value in values):
-            located.fail("grid", key, f"{what} must be nonnegative")
+    for key, (_, _, valid, message) in _GRID.items():
+        if not all(map(valid, grid[key])):
+            located.fail("grid", key, message)
 
     return RunConfig(
         command=command,
@@ -346,12 +337,7 @@ def load_config(path: str | Path, command: str | None = None) -> RunConfig:
         variant=variant,
         n=n,
         curve_names=curve_names,
-        gammas=gammas,
-        ms=ms,
-        deltas=deltas,
-        eps=eps,
-        ds=ds,
-        sweep_ns=sweep_ns,
         distortion=distortion,
         out_dir=out_dir,
+        **{field: grid[key] for key, (field, *_) in _GRID.items()},
     )

@@ -384,12 +384,18 @@ def _numeric_nonincreasing(curve: FCurve) -> bool:
     return all(b <= a + 1e-9 * scale for a, b in zip(values, values[1:]))
 
 
+def _param_scale(curve: FCurve) -> float:
+    """c = 1 + 2 sum |params|, which bounds the intermediates of a
+    parametrized curve's evaluation in the roundoff allowances here and in
+    the oracle."""
+    return 1 + 2 * math.fsum(abs(float(value)) for _, value in curve.params)
+
+
 def _numeric_convex(curve: FCurve) -> bool:
     # Slopes between grid neighbours must not fall beyond roundoff: a value
-    # is taken within 1e-9 (t + c + |f(t)|), c = 1 + 2 sum |params| bounding
-    # a parametrized curve's intermediates, so a slope within its two ends'
-    # errors over the step.
-    c = 1 + 2 * sum(abs(float(value)) for _, value in curve.params)
+    # is taken within 1e-9 (t + c + |f(t)|), c the curve's _param_scale, so
+    # a slope within its two ends' errors over the step.
+    c = _param_scale(curve)
     f = [(t, float(curve.eval_at(t))) for t in _GRID]
     slopes = [
         ((b - a) / (t - s), 1e-9 * (s + t + 2 * c + abs(a) + abs(b)) / (t - s))

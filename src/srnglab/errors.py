@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "CapExceeded",
+    "ConfigError",
+    "DimensionMismatch",
+    "InvalidModel",
+    "NoConvergence",
+    "OutOfRange",
+    "SrnglabError",
+    "ZeroMassOutcome",
+]
+
 
 class SrnglabError(Exception):
     """Base class for every error raised by this package."""

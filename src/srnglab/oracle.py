@@ -83,10 +83,10 @@ from functools import reduce
 from typing import Iterable, Iterator, Sequence
 
 from .construction import MappingPair
-from .divergence import FCurve, _numeric_convex, _term
+from .divergence import FCurve, _numeric_convex, _param_scale, _term
 from .errors import CapExceeded, OutOfRange
 from .probability import AtomicDistribution, Mass, sort_descending
-from .spectrum import _check_tail_budget
+from .spectrum import _tail_target
 
 __all__ = [
     "OracleResult",
@@ -235,7 +235,7 @@ def _margin(
     docstring): 2·(2γ_K·(K·A + S) + 2·6u·K·(p_max + c·q_max + A))."""
     a = max((abs(t) for t in itertools.chain(*rows.values()) if t != math.inf), default=0.0)
     s = max((abs(t) for t in itertools.chain(*strays.values()) if t != math.inf), default=0.0)
-    c = 1 + 2 * math.fsum(abs(float(value)) for _, value in curve.params)
+    c = _param_scale(curve)
     gamma = k_max * _UNIT_ROUNDOFF / (1 - k_max * _UNIT_ROUNDOFF)
     sums = 2 * gamma * (k_max * a + s)
     terms = 2 * 6 * _UNIT_ROUNDOFF * k_max * (p_max + c * q_max + a)
@@ -457,11 +457,10 @@ def min_set_bruteforce(dist: AtomicDistribution, delta: Mass) -> tuple[int, tupl
     the mode is always kept; if float accumulation never reaches the
     target, the whole support is returned.
     """
-    _check_tail_budget(delta)
+    target = _tail_target(delta, dist.exact)
     support = dist.support()
     if len(support) > SUBSET_CAP:
         raise CapExceeded(f"support of {len(support)} atoms exceeds the subset cap {SUBSET_CAP}")
-    target: Mass = 1 - Fraction(delta) if dist.exact else 1.0 - float(delta)
     for r in range(1, len(support) + 1):
         for combo in itertools.combinations(support, r):
             if dist._mass_of(combo) >= target:

@@ -27,7 +27,7 @@ depend on which function asked for it.
 IID and mixture sources are enumerated by type class through
 `probability._types`, in exact mode only: binomially many classes for a
 binary alphabet instead of 2**n.  Ternary (1/2, 1/3, 1/6) at n = 1000 has
-501 501; its class list and first k_f rate take about 3.3 s and 500 MB
+501 501; its class list and first k_f rate take about 3.3 s and 430 MB
 (Python 3.11.7, shared 2-CPU VM).  A convergence sweep reads one class
 list per blocklength for all of its (curve, budget) pairs and merges no
 points; a float source is expanded, up to 2**14 outcomes.
@@ -96,8 +96,11 @@ class _ClassList:
         nums = [num for num, _ in descending]
         counts = [count for _, count in descending]
         del descending  # the running totals below are as large again
-        cum = list(accumulate(map(operator.mul, nums, counts)))
-        return cls(n, den, nums, cum, list(accumulate(counts)))
+        sizes = list(accumulate(counts))
+        # The mass totals free each count once it is used, heaviest first.
+        counts.reverse()
+        cum = list(accumulate(num * counts.pop() for num in nums))
+        return cls(n, den, nums, cum, sizes)
 
     def reaching(self, level: Mass) -> int:
         """The class where the exact cdf reaches level <= 1: the first whose
@@ -313,9 +316,12 @@ def k_f_rate(summary: SpectrumSummary, curve: FCurve, delta: Mass) -> RateReport
     )
 
 
-def _check_tail_budget(delta: Mass) -> None:
+def _tail_target(delta: Mass, exact: bool) -> Mass:
+    """The mass 1 - delta a smooth set must reach, exact or float, once the
+    tail budget delta is checked to lie in [0, 1]."""
     if delta < 0 or delta > 1:
         raise OutOfRange(f"tail budget must lie in [0, 1], got {delta}")
+    return 1 - Fraction(delta) if exact else 1.0 - float(delta)
 
 
 def smooth_max_entropy(dist: AtomicDistribution, delta: Mass) -> tuple[float, frozenset[int]]:
@@ -327,8 +333,7 @@ def smooth_max_entropy(dist: AtomicDistribution, delta: Mass) -> tuple[float, fr
     yields a singleton.  In exact mode the target is met exactly; a float
     accumulation that never reaches it falls back to the full support.
     """
-    _check_tail_budget(delta)
-    target: Mass = 1 - Fraction(delta) if dist.exact else 1.0 - float(delta)
+    target = _tail_target(delta, dist.exact)
     chosen = _descending_prefix(dist, sort_descending(dist), target)[0]
     return math.log(len(chosen)), frozenset(chosen)
 
@@ -394,8 +399,8 @@ def typeclass_smooth_max_entropy(
     reach the target mass.  Matches the greedy atom-by-atom set size
     exactly, because atoms within a type are interchangeable.
     """
-    _check_tail_budget(delta)
-    size = _type_classes(variant, n).set_size(1 - Fraction(delta))
+    target = _tail_target(delta, exact=True)
+    size = _type_classes(variant, n).set_size(target)
     return math.log(size), size
 
 

@@ -419,6 +419,20 @@ def test_units_bits_divides_by_log_two(tmp_path):
     assert vd_bits["k_f_rate"] == pytest.approx(vd_nats["k_f_rate"] / ln2)
 
 
+def test_units_bits_leaves_distortion_levels_alone(tmp_path):
+    _, out_nats = run(tmp_path, "rdp", name="nats.ini", outname="nats")
+    code, out_bits = run(tmp_path, "rdp", extra=["--units", "bits"], name="bits.ini", outname="bits")
+    assert code == 0
+    nats = json.loads((out_nats / "rdp.json").read_text())["reports"]
+    bits = json.loads((out_bits / "rdp.json").read_text())["reports"]
+    assert len(bits) == len(nats) == 2
+    for low, high in zip(nats, bits):
+        # The threshold is a distortion level, compared with d; rates rescale.
+        assert high["threshold"] == low["threshold"]
+        assert high["d"] == low["d"] == "1/20"
+        assert high["k_f_rate"] == pytest.approx(low["k_f_rate"] / math.log(2.0))
+
+
 def test_float_flag_switches_arithmetic(tmp_path):
     code, out = run(tmp_path, "construct", extra=["--float"])
     assert code == 0

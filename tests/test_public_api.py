@@ -9,6 +9,7 @@ fails here until the snapshot is updated along with it.
 
 from __future__ import annotations
 
+import importlib
 import inspect
 import typing
 
@@ -128,3 +129,18 @@ def test_public_names_are_pinned() -> None:
 def test_public_signatures_are_pinned() -> None:
     got = {name: describe(getattr(srnglab, name)) for name in srnglab.__all__}
     assert got == PUBLIC_API
+
+
+def test_package_exports_exactly_its_modules_names() -> None:
+    modules = [
+        importlib.import_module(f"srnglab.{name}")
+        for name in (
+            "config", "construction", "divergence", "errors",
+            "oracle", "probability", "rdp", "spectrum",
+        )
+    ]
+    assert srnglab.__all__ == sorted({name for m in modules for name in m.__all__})
+    assert "main" not in srnglab.__all__
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(srnglab, name) is getattr(module, name), name
