@@ -304,11 +304,17 @@ def load_config(path: str | Path, command: str | None = None) -> RunConfig:
     curve_names = tuple(part.strip() for part in names_text.split(",") if part.strip())
     if not curve_names:
         located.fail("curves", "names", "empty curve list")
+    # Outputs key curves by their resolved names, so two spellings of one
+    # curve, such as e_gamma:2 and e_gamma:2.0, are one repeat.
+    resolved: set[str] = set()
     for name in curve_names:
         try:
-            curve_from_name(name)
+            curve = curve_from_name(name)
         except OutOfRange as exc:
             located.fail("curves", "names", str(exc))
+        if curve.name in resolved:
+            located.fail("curves", "names", f"{name!r} repeats curve {curve.name}")
+        resolved.add(curve.name)
 
     grid = {}
     for key, (_, parse, _, _) in _GRID.items():

@@ -17,12 +17,19 @@ kept otherwise unreduced so the reduction itself can be cross-checked on
 tiny instances.
 
 The plans are scanned once, per curve in one arithmetic, and the first
-plan that attains the minimum is the witness.  The terms come from one
-table per curve, built before the scan: a row per block mass over the
-candidate representatives, and a stray (uncovered-mass) term per plan,
-which depends on the representatives alone.  A rational curve on an exact
-source is tabled in integers over one common denominator, so its minimum
-is exact; every other curve in floats.  A plan's total is the same sum, in
+plan that attains the minimum is the witness.  One restricted-growth walk
+yields the partitions as live block lists together with each block's
+running totals of the atoms' masses (numerators in exact mode), added left
+to right in id order from 0, so a block's mass is its last running total,
+bit for bit the sum a block-by-block evaluation makes; a step moves only
+the items it relabels and their totals.  The terms come from one table
+per curve, built before the scan: a row per block mass over the candidate
+representatives, and a stray (uncovered-mass) term per plan, which
+depends on the representatives alone.  Atoms of one mass share a term,
+so a row costs one term evaluation per distinct pool mass, and the strays
+one per distinct uncovered mass.  A rational curve on an exact source is
+tabled in integers over one common denominator, so its minimum is exact;
+every other curve in floats.  A plan's total is the same sum, in
 the same order, as a term-by-term evaluation: left to right from 0, then
 the stray.  All plans of one partition are summed at once, and a
 partition whose lowest total is at least the running minimum is skipped
@@ -38,15 +45,23 @@ i-th heaviest block to the i-th heaviest representative, pool[i], has the
 partition's lowest term sum.  Every plan of one block count takes the same
 representatives, so the same uncovered mass; a float source adds it in
 plan order, so its strays may differ by rounding, and the lowest is used.
-This co-monotone total costs k table lookups per curve, the block masses
-sorted once per partition.  An integer table's co-monotone total is the
-partition's lowest plan total, so a partition is skipped exactly when its
-lowest total is at least the best.  With a float table a partition is
-skipped only when its co-monotone total minus a margin is at least the
-best, which leaves no plan of it below the best.
-Partitions that are not skipped, and every partition of the full search,
-are summed plan by plan as above, so the witness is still the first
-minimal plan.
+The co-monotone total depends on the partition only through its block
+masses sorted heaviest first, so the scan computes it, less the margin
+below, once per distinct tuple of them and keeps it for the rest of the
+search (on the criterion-7 source at m = 4, 251 tuples serve 2 795
+partitions).  The stored value depends on the tuple and the fixed table
+alone, never on the running best, which only falls; each partition
+compares it with the best as it stands then, so a tuple that allowed a
+skip once allows it at every later partition, and a partition whose tuple
+was seen before costs one lookup and one comparison per curve.  Block tuples
+are built only when a plan lowers a best, for its witness.  An integer
+table's co-monotone total is the partition's lowest plan total, so a
+partition is skipped exactly when its lowest total is at least the best.
+With a float table a partition is skipped only when its co-monotone total
+minus a margin is at least the best, which leaves no plan of it below the
+best.  Partitions that are not skipped, and every partition of the full
+search, are summed plan by plan as above, so the witness is still the
+first minimal plan.
 
 The margin is derived, for the largest block count K, from u = 2^-53, the
 largest finite |term| A and |stray| S of the curve's table, and the
@@ -141,10 +156,14 @@ class OracleResult:
     exact: bool
 
 
-def _set_partitions(
-    items: Sequence[int], max_blocks: int
-) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """All partitions of items into at most max_blocks >= 1 nonempty blocks.
+def _partition_walk(
+    items: Sequence[int], max_blocks: int, values: Sequence[Mass] | dict[int, Mass], zero: Mass
+) -> Iterator[tuple[list[list[int]], list[list[Mass]]]]:
+    """All partitions of items into at most max_blocks >= 1 nonempty blocks,
+    as the live block lists and, per block, the running totals of values
+    over its items: zero + values[x0], then + values[x1], and so on, the
+    additions reduce(operator.add, map(values.__getitem__, block), zero)
+    makes, so a block's total is its last running total.
 
     Restricted growth: item 0 opens block 0 and each later item joins an
     existing block or opens the next one, so every partition appears
@@ -152,33 +171,58 @@ def _set_partitions(
     their strings in lexicographic order: the last label that can still
     grow does, and every label after it restarts at block 0.  Blocks list
     their items in order, so the items from the grown label on are the
-    blocks' last ones, and only they move.
+    blocks' last ones, and only they and their running totals move.  The
+    lists are the walk's own: they change at the next step.
     """
     n = len(items)
     if n == 0:
         return
     labels = [0] * n
-    # opened[i]: blocks opened by items before i, so item i's label is at
-    # most min(opened[i], max_blocks - 1).
-    opened = [1] * n
+    # limits[i]: the largest label item i can take, that of a new block
+    # after those the items before it opened, at most max_blocks - 1.
+    limits = [min(1, max_blocks - 1)] * n
     blocks = [list(items)]
+    runs = [list(itertools.accumulate(map(values.__getitem__, items), initial=zero))[1:]]
     while True:
-        yield tuple(map(tuple, blocks))
+        yield blocks, runs
         i = n - 1
-        while i and labels[i] >= min(opened[i], max_blocks - 1):
+        while i and labels[i] >= limits[i]:
             i -= 1
         if not i:
             return
         for j in range(n - 1, i - 1, -1):
             blocks[labels[j]].pop()
-        del blocks[opened[i]:]
-        labels[i] += 1
-        if labels[i] == len(blocks):
-            blocks.append([])
-        blocks[labels[i]].append(items[i])
-        labels[i + 1:] = [0] * (n - 1 - i)
-        blocks[0].extend(items[i + 1:])
-        opened[i + 1:] = [len(blocks)] * (n - 1 - i)
+            runs[labels[j]].pop()
+        # Blocks opened from item i on are empty now, and only they.
+        while not blocks[-1]:
+            blocks.pop()
+            runs.pop()
+        label = labels[i] = labels[i] + 1
+        x = items[i]
+        if label == len(blocks):
+            blocks.append([x])
+            runs.append([zero + values[x]])
+        else:
+            blocks[label].append(x)
+            runs[label].append(runs[label][-1] + values[x])
+        if i < n - 1:
+            rest = items[i + 1:]
+            labels[i + 1:] = [0] * len(rest)
+            limits[i + 1:] = [min(len(blocks), max_blocks - 1)] * len(rest)
+            blocks[0] += rest
+            run = runs[0]
+            total = run[-1]
+            for x in rest:
+                total = total + values[x]
+                run.append(total)
+
+
+def _set_partitions(
+    items: Sequence[int], max_blocks: int
+) -> Iterator[tuple[tuple[int, ...], ...]]:
+    """The partitions of _partition_walk, blocks as tuples."""
+    for blocks, _ in _partition_walk(items, max_blocks, dict.fromkeys(items, 0), 0):
+        yield tuple(map(tuple, blocks))
 
 
 def _candidates(dist: AtomicDistribution, k: int, full: bool) -> list[int]:
@@ -242,6 +286,17 @@ def _margin(
     return 2 * (sums + terms)
 
 
+def _co_monotone(rows: dict, low: Mass, q_desc: Sequence[Mass], margin: Mass) -> Mass:
+    """The co-monotone total less the margin: the lowest stray, then the
+    i-th heaviest block's term at pool position i.  In integers it is the
+    partition's lowest plan total, in floats the margin keeps it at or
+    below every plan total; -inf where the total is infinite."""
+    total = low
+    for column, q in enumerate(q_desc):
+        total = total + rows[q][column]
+    return -math.inf if total == math.inf else total - margin
+
+
 def _scan(
     dist: AtomicDistribution,
     m: int,
@@ -254,29 +309,30 @@ def _scan(
     plan that attains it.  skips, in reduced mode only, holds per table the
     lowest stray of each block count and the float margin (0 for integers)
     of the co-monotone skip."""
-    values = dist._values
-    zero: Mass = 0 if dist.exact else 0.0
     best: list[Mass] = [math.inf] * len(tables)
     best_plan: list[PartitionPlan | None] = [None] * len(tables)
-    for blocks in _set_partitions(dist.support(), k_max):
-        q_values = [reduce(operator.add, map(values.__getitem__, b), zero) for b in blocks]
+    # Per tuple of block masses, heaviest first: each table's _co_monotone.
+    seen: dict[tuple, list[Mass]] = {}
+    zero: Mass = 0 if dist.exact else 0.0
+    for blocks, runs in _partition_walk(dist.support(), k_max, dist._values, zero):
+        q_values = [run[-1] for run in runs]
+        if skips:
+            q_desc = tuple(sorted(q_values, reverse=True))
+            floors = seen.get(q_desc)
+            if floors is None:
+                floors = seen[q_desc] = [
+                    _co_monotone(rows, lows[len(q_desc)], q_desc, margin)
+                    for (rows, _), (lows, margin) in zip(tables, skips)
+                ]
+            if all(map(operator.ge, floors, best)):
+                continue
         k = len(blocks)
         perms, columns, reps, _ = layouts[k]
-        # Shared across curves: the block masses, heaviest first, so the
-        # i-th of them pairs with pool position i.
-        q_desc = sorted(q_values, reverse=True) if skips else ()
+        plan_blocks = None
         for i, (rows, strays) in enumerate(tables):
-            if skips:
-                # The co-monotone total, the lowest stray first: in integers
-                # the partition's lowest plan total, in floats within the
-                # margin of it.  If it cannot lower the best, no plan can.
-                # An infinite one decides nothing.
-                lows, margin = skips[i]
-                bound = lows[k]
-                for column, q in enumerate(q_desc):
-                    bound = bound + rows[q][column]
-                if bound != math.inf and bound - margin >= best[i]:
-                    continue
+            # If the co-monotone total cannot lower the best, no plan can.
+            if skips and floors[i] >= best[i]:
+                continue
             # Every plan's total at once, with _total's additions: left to
             # right from 0, then the stray.  Where no total is infinite no
             # plan met an infinite term, so these are _total's values, and a
@@ -298,7 +354,9 @@ def _scan(
                 ]
             for j, value in enumerate(totals):
                 if best_plan[i] is None or value < best[i]:
-                    best[i], best_plan[i] = value, PartitionPlan(blocks, reps[j], m)
+                    if plan_blocks is None:
+                        plan_blocks = tuple(map(tuple, blocks))
+                    best[i], best_plan[i] = value, PartitionPlan(plan_blocks, reps[j], m)
     return best, best_plan
 
 
@@ -340,19 +398,25 @@ def _search(
         loose = [support_mass - dist._mass_of(r) for r in reps]
         layouts[k] = perms, list(zip(*perms)), reps, loose
 
+    # Atoms of one value have one mass, and so one term: each row is
+    # filled from one _term call per distinct pool value, and each stray
+    # from one per distinct uncovered mass.
+    pool_values = [values[y] for y in pool]
+    lefts = {u for *_, loose in layouts.values() for u in loose}
+
     def table(curve: FCurve, exact: bool) -> tuple[dict, dict]:
         """Per block mass, the curve's terms over the pool; per block count,
         each plan's stray (uncovered-mass) term, where 0, or -0.0 in floats,
         stands for none: adding it leaves every total unchanged."""
         masses, none = (dist.masses, 0) if exact else (floats, -0.0)
+        atoms = {values[y]: masses[y] for y in pool}
         rows = {}
         for q in sums:
             q_mass = Fraction(q, den) if exact else q / den
-            rows[q] = [_term(curve, masses[y], q_mass) for y in pool]
-        strays = {
-            k: [_term(curve, u if exact else float(u), 0) if u > 0 else none for u in loose]
-            for k, (*_, loose) in layouts.items()
-        }
+            terms = {v: _term(curve, p, q_mass) for v, p in atoms.items()}
+            rows[q] = list(map(terms.__getitem__, pool_values))
+        stray = {u: _term(curve, u if exact else float(u), 0) if u > 0 else none for u in lefts}
+        strays = {k: list(map(stray.__getitem__, loose)) for k, (*_, loose) in layouts.items()}
         return rows, strays
 
     # A rational curve on an exact source is scanned in integers over the

@@ -189,6 +189,19 @@ def test_unknown_curve_name_is_rejected(tmp_path):
         load_config(write(tmp_path, text))
 
 
+def test_repeated_curve_is_rejected_at_its_line(tmp_path):
+    # Two spellings of one curve resolve to one name, which the outputs key
+    # on; the repeat is reported at the names line.
+    for names, repeat in (
+        ("e_gamma:2, e_gamma:2.0", "'e_gamma:2.0' repeats curve e_gamma:2"),
+        ("variational, hellinger, variational", "'variational' repeats curve variational"),
+    ):
+        text = BASE.replace("names = variational", f"names = {names}")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(write(tmp_path, text))
+        assert str(excinfo.value).endswith(f"run.ini:9: {repeat}")
+
+
 def test_parameterized_curve_names_resolve(tmp_path):
     text = BASE.replace("names = variational", "names = e_gamma:2, e_gamma_sum:1.5")
     cfg = load_config(write(tmp_path, text))

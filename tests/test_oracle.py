@@ -39,7 +39,8 @@ from srnglab import (
 from srnglab import oracle
 from srnglab.divergence import _numeric_convex, _term, registered_curve_names
 from srnglab.oracle import (
-    _candidates, _is_rational, _iter_plans, _margin, _search, _set_partitions, _total,
+    _candidates, _is_rational, _iter_plans, _margin, _partition_walk, _search, _set_partitions,
+    _total,
 )
 
 F = Fraction
@@ -405,6 +406,17 @@ def test_co_monotone_skip_matches_the_unskipped_scan(monkeypatch) -> None:
         exact, twin = random_source(rng, rng.randint(1, 8), near=len(instances) % 3 == 0)
         instances.append(twin if rng.random() < 0.4 else exact)
     cases = [(dist, 1 + index % 4) for index, dist in enumerate(instances)]
+    # Sources where many partitions share one tuple of block masses, so the
+    # scan reads most co-monotone totals back from its per-tuple store: the
+    # criterion-7 source (251 tuples over 2 795 partitions at m = 4), a
+    # uniform support, and the float twin of each.
+    criterion7 = expand(SourceModel(IID((F(3, 4), F(1, 4))), 3))
+    uniform = single_letter(*[F(1, 8)] * 8)
+    for dist in (criterion7, uniform):
+        twin = AtomicDistribution.from_masses(
+            [float(x) for x in dist.masses], dist.n, dist.alphabet_size
+        )
+        cases += [(source, m) for source in (dist, twin) for m in (2, 3, 4)]
     got = [min_fdiv_bruteforce(dist, m, curves) for dist, m in cases]
     monkeypatch.setattr(oracle, "_scan", head_scan)
     for (dist, m), results in zip(cases, got):
@@ -584,6 +596,40 @@ def test_set_partitions_match_the_recursive_generator() -> None:
     assert [len(list(_set_partitions(range(size), size))) for size in range(8)] == [
         0, 1, 2, 5, 15, 52, 203, 877
     ]
+
+
+def test_walk_running_totals_are_the_block_totals() -> None:
+    # The scan reads each block's mass as its last running total from the
+    # walk; it must be the total the oracle added before, left to right in
+    # id order from 0 (0.0 in floats), bit for bit.  The float weights are
+    # chosen so that addition order matters: some block sums differently
+    # backwards, so a walk that added in another order would be caught.
+    rng = random.Random(19)
+    sources = [expand(SourceModel(IID((F(3, 4), F(1, 4))), 3))]
+    for size in range(1, 9):
+        weights = [rng.choice((1, 3, 7, 10**6, 10**16 + 1)) for _ in range(size)]
+        exact = single_letter(*(F(w, sum(weights)) for w in weights))
+        sources.append(exact)
+        sources.append(AtomicDistribution.from_masses([float(x) for x in exact.masses], 1, size))
+    order_matters = 0
+    for dist in sources:
+        values = dist._values
+        zero = 0 if dist.exact else 0.0
+        support = dist.support()
+        for max_blocks in range(1, 5):
+            walk = _partition_walk(support, max_blocks, values, zero)
+            old = recursive_set_partitions(support, max_blocks)
+            for (blocks, runs), want in zip(walk, old):
+                assert tuple(map(tuple, blocks)) == want
+                for block, run in zip(blocks, runs):
+                    assert run == list(itertools.accumulate(
+                        (values[x] for x in block), initial=zero))[1:]
+                    assert run[-1] == reduce(operator.add, map(values.__getitem__, block), zero)
+                    assert type(run[-1]) is type(zero)
+                    backwards = reduce(operator.add, map(values.__getitem__, block[::-1]), zero)
+                    order_matters += backwards != run[-1]
+            assert next(walk, None) is None and next(old, None) is None
+    assert order_matters > 0
 
 
 def test_search_arguments_out_of_range_are_rejected() -> None:
