@@ -620,7 +620,7 @@ def test_walk_running_totals_are_the_block_totals() -> None:
             walk = _partition_walk(support, max_blocks, values, zero)
             old = recursive_set_partitions(support, max_blocks)
             for (blocks, runs), want in zip(walk, old):
-                assert tuple(map(tuple, blocks)) == want
+                assert tuple(map(tuple, blocks)) == want and len(runs) == len(blocks)
                 for block, run in zip(blocks, runs):
                     assert run == list(itertools.accumulate(
                         (values[x] for x in block), initial=zero))[1:]
