@@ -27,6 +27,24 @@ exact terms) it adds each pair's term times its count in that prefix, and
 from the first atom whose term is a float on it adds one term per atom in
 atom order, as float additions do not reassociate.  The result is the
 atom-by-atom sum bit for bit, on any curve.
+
+With zero slope at infinity, the third condition of the paper's subclass,
+an atom off Q's support contributes P(z) * 0, a zero, so the sum runs over
+Q's support alone wherever those zeros cannot move it:
+
+    P exact, slope an exact 0:  the zeros are exact, and an exact zero
+                                moves neither the exact prefix nor a float
+    Q's support masses floats:  every term there is a float or infinite,
+                                so the sum turns float at Q's first support
+                                atom, and a float total, never -0.0 as it
+                                starts from exact + float, is unchanged by
+                                a zero added to it
+
+A skipped term is never infinite and never raises, so the first infinity
+or error is the same.  Everything else scans every atom: a float P on a
+Q with exact support masses, where the exact terms Q(z) f(0+) could follow
+a float zero; a float 0.0 slope on an exact P against such a Q; and curves
+whose slope at infinity is not 0 (kl, e_gamma_sum).
 """
 
 from __future__ import annotations
@@ -37,7 +55,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
+from itertools import compress, islice
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, OutOfRange
@@ -269,6 +287,15 @@ def divergence(p: AtomicDistribution, q: AtomicDistribution, curve: FCurve) -> M
             f"({p.alphabet_size}**{p.n}) vs ({q.alphabet_size}**{q.n})"
         )
     pv, qv = p._values, q._values
+    ids: Sequence[int] = range(len(pv))
+    slope = curve.slope_at_infinity
+    if slope == 0:
+        # Off q's support each term is p * slope, a zero, left out where it
+        # cannot move the sum (module docstring).
+        support = list(compress(ids, qv))
+        on = list(map(qv.__getitem__, support))
+        if p.exact and _is_exact(slope) or all(isinstance(v, float) for v in on):
+            ids, pv, qv = support, list(map(pv.__getitem__, support)), on
     size = len(pv)
     # Each pair's first atom, whose masses its term is computed from; terms
     # are computed in atom order so the first error or infinity is the same.
@@ -276,7 +303,7 @@ def divergence(p: AtomicDistribution, q: AtomicDistribution, curve: FCurve) -> M
     terms: dict[tuple[Mass, Mass], Mass] = {}
     cut = size  # the first atom whose term is not exact
     for pair, x in sorted(first.items(), key=operator.itemgetter(1)):
-        term = _term(curve, p.masses[x], q.masses[x])
+        term = _term(curve, p.masses[ids[x]], q.masses[ids[x]])
         if term == math.inf:
             return math.inf
         if cut == size and not _is_exact(term):
@@ -347,7 +374,10 @@ def log_sum_check(
         if term == math.inf:
             return True
         split = split + term
-    merged = _term(curve, sum(numerators), sum(denominators))
+    # Totals left to right from 0, not with built-in sum, which compensates
+    # floats since Python 3.12.
+    p_total, q_total = (reduce(operator.add, row, 0) for row in (numerators, denominators))
+    merged = _term(curve, p_total, q_total)
     if merged == math.inf:
         return False
     if isinstance(split, Fraction) and isinstance(merged, Fraction):

@@ -262,9 +262,12 @@ def _total(terms: Iterable[Mass], stray: Mass) -> Mass:
     return total
 
 
-def _over(terms: list[Mass], scale: int) -> list[Mass]:
+def _over(terms: dict, scale: int) -> dict:
     """Rational terms as numerators over scale; infinities stay."""
-    return [t if t == math.inf else t.numerator * (scale // t.denominator) for t in terms]
+    return {
+        key: t.numerator * (scale // t.denominator) if isinstance(t, (int, Fraction)) else t
+        for key, t in terms.items()
+    }
 
 
 def _is_rational(curve: FCurve) -> bool:
@@ -398,46 +401,50 @@ def _search(
         loose = [support_mass - dist._mass_of(r) for r in reps]
         layouts[k] = perms, list(zip(*perms)), reps, loose
 
-    # Atoms of one value have one mass, and so one term: each row is
-    # filled from one _term call per distinct pool value, and each stray
-    # from one per distinct uncovered mass.
+    # Atoms of one value have one mass, and so one term: each row takes
+    # one _term call per distinct pool value, and the strays one per
+    # distinct uncovered mass.
     pool_values = [values[y] for y in pool]
     lefts = {u for *_, loose in layouts.values() for u in loose}
 
-    def table(curve: FCurve, exact: bool) -> tuple[dict, dict]:
-        """Per block mass, the curve's terms over the pool; per block count,
-        each plan's stray (uncovered-mass) term, where 0, or -0.0 in floats,
+    def terms(curve: FCurve, exact: bool) -> tuple[dict, dict]:
+        """Per block mass, the curve's term for each distinct pool value;
+        per uncovered mass, its stray term, where 0, or -0.0 in floats,
         stands for none: adding it leaves every total unchanged."""
         masses, none = (dist.masses, 0) if exact else (floats, -0.0)
         atoms = {values[y]: masses[y] for y in pool}
         rows = {}
         for q in sums:
             q_mass = Fraction(q, den) if exact else q / den
-            terms = {v: _term(curve, p, q_mass) for v, p in atoms.items()}
-            rows[q] = list(map(terms.__getitem__, pool_values))
+            rows[q] = {v: _term(curve, p, q_mass) for v, p in atoms.items()}
         stray = {u: _term(curve, u if exact else float(u), 0) if u > 0 else none for u in lefts}
-        strays = {k: list(map(stray.__getitem__, loose)) for k, (*_, loose) in layouts.items()}
-        return rows, strays
+        return rows, stray
+
+    def table(rows: dict, stray: dict) -> tuple[dict, dict]:
+        """The table the scan reads: per block mass, the terms over the pool;
+        per block count, each plan's stray term."""
+        return (
+            {q: list(map(row.__getitem__, pool_values)) for q, row in rows.items()},
+            {k: list(map(stray.__getitem__, loose)) for k, (*_, loose) in layouts.items()},
+        )
 
     # A rational curve on an exact source is scanned in integers over the
     # lcm of its terms' denominators, so its minimum and witness are exact.
     # Every other curve, and one whose table holds a float term, is scanned
-    # in floats.
+    # in floats.  Each distinct term is tested and converted once.
     tables: list[tuple[dict, dict]] = []
     scales: list[int | None] = []
     for curve in curves:
         scale = None
         if dist.exact and _is_rational(curve):
-            rows, strays = table(curve, True)
-            terms = [t for t in itertools.chain(*rows.values(), *strays.values()) if t != math.inf]
-            if all(isinstance(t, (int, Fraction)) for t in terms):
-                scale = math.lcm(*(t.denominator for t in terms))
-                tables.append((
-                    {q: _over(row, scale) for q, row in rows.items()},
-                    {k: _over(row, scale) for k, row in strays.items()},
-                ))
+            rows, stray = terms(curve, True)
+            finite = [t for row in (*rows.values(), stray) for t in row.values() if t != math.inf]
+            if all(isinstance(t, (int, Fraction)) for t in finite):
+                scale = math.lcm(*(t.denominator for t in finite))
+                rows = {q: _over(row, scale) for q, row in rows.items()}
+                tables.append(table(rows, _over(stray, scale)))
         if scale is None:
-            tables.append(table(curve, False))
+            tables.append(table(*terms(curve, False)))
         scales.append(scale)
 
     # The reduced search skips partitions from their co-monotone totals

@@ -3,20 +3,28 @@
 from __future__ import annotations
 
 import math
+import random
+import sys
 from fractions import Fraction
 
 import pytest
+from test_atom_integer_path import old_divergence, same
 
 from srnglab import (
+    IID,
     AtomicDistribution,
     DimensionMismatch,
     FCurve,
     OutOfRange,
+    SourceModel,
+    apply_mapping,
+    build_mapping,
     check_conditions,
     curve_from_name,
     divergence,
     e_gamma,
     e_gamma_sum,
+    expand,
     f_inverse,
     hellinger,
     kl,
@@ -134,6 +142,84 @@ def test_zero_q_on_positive_p_uses_slope_at_infinity() -> None:
     assert divergence(p, q, e_gamma_sum(2)) == F(1, 2)
     assert divergence(p, q, kl()) == math.inf
     assert divergence(p, q, reverse_kl()) == pytest.approx(math.log(2), abs=1e-15)
+
+
+def recorded_terms(monkeypatch) -> list:
+    """The (p, q) masses of every _term call made from now on."""
+    module = sys.modules["srnglab.divergence"]
+    module_term = module._term
+    seen = []
+
+    def term(curve, p, q):
+        seen.append((p, q))
+        return module_term(curve, p, q)
+
+    monkeypatch.setattr(module, "_term", term)
+    return seen
+
+
+@pytest.mark.parametrize("pmf", [(F(3, 4), F(1, 4)), (0.75, 0.25)], ids=["exact", "float"])
+def test_zero_slope_sums_over_the_reference_support(pmf, monkeypatch) -> None:
+    # With f'(inf) = 0 an atom off the decoded law's support costs nothing,
+    # so no term is computed there; other slopes still pay for such atoms.
+    source = expand(SourceModel(IID(pmf), 6))
+    mapping, _ = build_mapping(source, 8, F(1, 2))
+    decoded = apply_mapping(source, mapping)
+    seen = recorded_terms(monkeypatch)
+    for name in ("variational", "reverse_kl", "hellinger", "e_gamma:2", "kl", "e_gamma_sum:3/2"):
+        seen.clear()
+        divergence(source, decoded, curve_from_name(name))
+        off_support = [q for _, q in seen if q == 0]
+        assert seen and bool(off_support) == (name in ("kl", "e_gamma_sum:3/2")), name
+
+
+def _exact_past_1000(t):
+    # Exact on any input; it raises far past t = 1, so the first error is
+    # compared along with values.
+    if t >= 1000:
+        raise ZeroDivisionError("ratio out of range")
+    return F(1, 2) if t < 1 else F(0)
+
+
+DIFFERENTIAL_CURVES = tuple(
+    curve_from_name(name)
+    for name in ("variational", "reverse_kl", "hellinger", "e_gamma:2", "e_gamma_sum:3/2", "kl")
+) + (
+    FCurve("float-zero-slope", variational().eval_at, 1.0, 0.0),
+    FCurve("exact-on-floats", _exact_past_1000, F(1, 2), F(0)),
+    FCurve("int-zero-slope", reverse_kl().eval_at, math.inf, 0),
+)
+
+
+def _drawn(rng: random.Random, n: int) -> AtomicDistribution:
+    """Weights from {0, 1, 2, 3, 7, 10**6}: exact, float, or float mode
+    holding Fraction masses, as the constructor accepts."""
+    weights = [0]
+    while not any(weights):
+        weights = [rng.choice((0, 1, 2, 3, 7, 10**6)) for _ in range(2**n)]
+    masses = [F(w, sum(weights)) for w in weights]
+    kind = rng.randrange(3)
+    if kind == 2:
+        return AtomicDistribution(tuple(masses), n, 2, False)
+    return AtomicDistribution.from_masses(masses, n, 2, exact=kind == 0)
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except Exception as exc:  # compared by type below
+        return type(exc)
+
+
+def test_divergence_matches_the_per_atom_loop_on_random_pairs() -> None:
+    rng = random.Random(20211)
+    for _ in range(800):
+        n = rng.choice((2, 3))
+        p, q = _drawn(rng, n), _drawn(rng, n)
+        for curve in DIFFERENTIAL_CURVES:
+            got = _outcome(divergence, p, q, curve)
+            want = _outcome(old_divergence, p.masses, q.masses, curve)
+            assert same(got, want), (curve.name, p.masses, q.masses, got, want)
 
 
 def test_dimension_mismatch_rejected() -> None:
@@ -379,3 +465,13 @@ def test_log_sum_check_on_rational_data() -> None:
 def test_log_sum_check_rejects_length_mismatch() -> None:
     with pytest.raises(DimensionMismatch):
         log_sum_check(variational(), [F(1, 2)], [F(1, 4), F(1, 4)])
+
+
+def test_log_sum_check_totals_left_to_right(monkeypatch) -> None:
+    # Built-in sum compensates floats since Python 3.12 and would give
+    # 1.0000000000000002 here; the split side adds left to right.
+    seen = recorded_terms(monkeypatch)
+    row = [1.0, 1e-16, 1e-16]
+    log_sum_check(variational(), row, row)
+    total = (1.0 + 1e-16) + 1e-16
+    assert same(seen[-1][0], total) and same(seen[-1][1], total)
