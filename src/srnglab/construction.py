@@ -17,8 +17,10 @@ the step at which the pool ran dry, so tests can audit the invariants the
 guarantees lean on, and derives the core conditional on demand (exact: the
 core's numerators over their sum).  The greedy walks the pool as runs of
 equal mass: once one atom of a run misfits, every later atom of that run
-misfits too, so a step takes a prefix of each run and costs O(#runs)
-rather than O(|pool|).
+misfits too, so a step takes a prefix of each run.  The runs are cut once
+and prefixes are found without visiting atoms in Python bytecode, so a
+step costs O(#runs) interpreted operations; the C-level work that remains
+is one pass over the pool and, in float mode, one addition per taken atom.
 
 The spectrum-split construction and its collapse baseline share one
 classification (_classify), computed through the same expressions the
@@ -29,9 +31,10 @@ compared against a cdf bit-identical between construction and bounds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, takewhile
+from itertools import accumulate, chain, groupby, repeat, takewhile
 from typing import Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
@@ -174,49 +177,68 @@ def _greedy_allocate(
     that survives the last representative is dumped onto it wholesale.
 
     The pool is held as runs, maximal stretches of consecutive atoms of
-    equal mass, each with the position of its first unallocated atom.
-    Once one atom of a run does not fit, the load is unchanged, so no
-    later atom of that run fits either: a representative takes a prefix of
-    each run's unallocated suffix.  In exact mode masses are numerators
-    over the distribution's denominator D and core_mass is C / D, so a
+    equal mass, each with the position of its first unallocated atom; the
+    runs are cut by `itertools.groupby` on the mass.  Once one atom of a
+    run does not fit, the load is unchanged, so no later atom of that run
+    fits either: a representative takes a prefix of each run's unallocated
+    suffix, as one slice.  In exact mode masses are numerators over the
+    distribution's denominator D and core_mass is C / D, so a
     representative of numerator p has capacity p (D - C) / C over D,
     floored to an integer without changing any fit; the prefix then has
     length min(available, (capacity - load) // mass), one division in place
-    of one comparison per atom.  In float mode the atoms of a run are
-    still added one at a time up to the first misfit, since k * mass can
-    round differently from k additions; the rest of the run is then
-    skipped at once.  The allocations equal those of scanning every
-    remaining atom per representative, at a cost of
-    O(|core| * #runs + |pool|) instead of O(|core| * |pool|).
+    of one comparison per atom.
+
+    In float mode k * mass can round differently from k additions.  A run
+    whose next atom fits gets a window of want = (capacity - load) // mass
+    + 2 atoms: `accumulate` adds the mass to the load once per atom, left
+    to right, and `bisect` finds the first load above capacity (adding a
+    nonnegative float never lowers the load, so the loads are sorted).
+    Rounding can make the estimate fall short, so while a whole window
+    fits and atoms remain, the next window starts from its last load.
+    These are the additions, in order, of adding one atom at a time up to
+    the first misfit, so float allocations are bit-identical to that scan.
+
+    Cost: the runs are cut once; after that a call makes one interpreted
+    step per representative and live run, O(|core| * #runs), and visits
+    no atom in Python bytecode.  What remains is C-level work: one pass
+    over the pool, one slice per taken prefix and, in float mode, one
+    addition per taken atom and two more per window.  The allocations
+    equal those of rescanning every remaining atom per representative,
+    which costs O(|core| * |pool|).
     """
-    values, den = dist._values, dist._den
-    runs: list[list] = []  # [mass, ids, first unallocated position]
-    for atom in pool:
-        mass = values[atom]
-        if runs and runs[-1][0] == mass:
-            runs[-1][1].append(atom)
-        else:
-            runs.append([mass, [atom], 0])
-    core_value = int(core_mass * den) if dist.exact else core_mass
+    values, den, exact = dist._values, dist._den, dist.exact
+    # [mass, ids, first unallocated position] per run
+    runs = [[mass, list(ids), 0] for mass, ids in groupby(pool, values.__getitem__)]
+    core_value = int(core_mass * den) if exact else core_mass
     allocations: list[list[int]] = []
     taken: list[int] = []
     for rep in core:
         p = values[rep]
-        capacity = p * (den - core_value) // core_value if dist.exact else p / core_value - p
+        capacity = p * (den - core_value) // core_value if exact else p / core_value - p
         taken = []
         load: Mass = 0
         for run in runs:
             mass, ids, start = run
             end = start
-            if dist.exact:
+            if exact:
                 end = min(len(ids), start + (capacity - load) // mass) if mass else len(ids)
                 load += (end - start) * mass
             else:
                 while end < len(ids) and load + mass <= capacity:
-                    load = load + mass
-                    end += 1
-            taken.extend(ids[start:end])
-            run[2] = end
+                    want = len(ids) - end
+                    if mass:
+                        want = int(min(want, (capacity - load) // mass + 2))
+                    loads = list(accumulate(repeat(mass, want), initial=load))
+                    # The atoms of the window that fit: those whose load
+                    # after them is at most capacity.
+                    fit = bisect_right(loads, capacity, 1) - 1
+                    end += fit
+                    load = loads[fit]
+                    if fit < want:
+                        break
+            if end > start:
+                taken.extend(ids[start:end])
+                run[2] = end
         runs = [run for run in runs if run[2] < len(run[1])]
         allocations.append(taken)
         if not runs:
@@ -265,8 +287,9 @@ def _encode(
     for x, j in position.items():
         phi[x] = j
     for rep, atoms in zip(core, allocations):
+        j = position[rep]
         for atom in atoms:
-            phi[atom] = position[rep]
+            phi[atom] = j
     psi = tuple(representatives) + (representatives[-1],) * (m - len(representatives))
     return MappingPair(phi=tuple(phi), psi=psi, m_n=m)
 
@@ -293,7 +316,7 @@ def build_mapping(
     size = len(dist.masses)
     order, heavy, core = _classify(dist, m, gamma)
     # Zero masses form a suffix of the descending order.
-    live = len(order) - dist._values.count(0)
+    live = len(dist.support())
     light, off = order[len(heavy):live], order[live:]
     in_core = set(core)
     band = [x for x in heavy if x not in in_core]
@@ -361,7 +384,7 @@ def build_smooth_entropy_mapping(
 
     representatives = order[:m]
     band = representatives[len(core):]
-    live = max(m, len(order) - dist._values.count(0))  # zero masses come last
+    live = max(m, len(dist.support()))  # zero masses come last
     pool, off = order[m:live], order[live:]
     allocations, stop = _greedy_allocate(dist, core, pool, core_mass)
     trace = ConstructionTrace(

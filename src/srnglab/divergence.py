@@ -34,17 +34,20 @@ Q's support alone wherever those zeros cannot move it:
 
     P exact, slope an exact 0:  the zeros are exact, and an exact zero
                                 moves neither the exact prefix nor a float
-    Q's support masses floats:  every term there is a float or infinite,
-                                so the sum turns float at Q's first support
-                                atom, and a float total, never -0.0 as it
-                                starts from exact + float, is unchanged by
-                                a zero added to it
+    Q in float mode:            Q's masses are floats, so every term on its
+                                support is a float or infinite, the sum
+                                turns float at Q's first support atom, and
+                                a float total, never -0.0 as it starts from
+                                exact + float, is unchanged by a zero added
+                                to it
 
-A skipped term is never infinite and never raises, so the first infinity
-or error is the same.  Everything else scans every atom: a float P on a
-Q with exact support masses, where the exact terms Q(z) f(0+) could follow
-a float zero; a float 0.0 slope on an exact P against such a Q; and curves
-whose slope at infinity is not 0 (kl, e_gamma_sum).
+Q's support is computed once per distribution (`AtomicDistribution.support`)
+and shared by every divergence against it.  A skipped term is never
+infinite and never raises, so the first infinity or error is the same.
+Everything else scans every atom: a float P on an exact Q, where the exact
+terms Q(z) f(0+) could follow a float zero; a float 0.0 slope on an exact
+P against an exact Q; and curves whose slope at infinity is not 0 (kl,
+e_gamma_sum).
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import compress, islice
+from itertools import islice
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, OutOfRange
@@ -289,13 +292,11 @@ def divergence(p: AtomicDistribution, q: AtomicDistribution, curve: FCurve) -> M
     pv, qv = p._values, q._values
     ids: Sequence[int] = range(len(pv))
     slope = curve.slope_at_infinity
-    if slope == 0:
+    if slope == 0 and (p.exact and _is_exact(slope) or not q.exact):
         # Off q's support each term is p * slope, a zero, left out where it
         # cannot move the sum (module docstring).
-        support = list(compress(ids, qv))
-        on = list(map(qv.__getitem__, support))
-        if p.exact and _is_exact(slope) or all(isinstance(v, float) for v in on):
-            ids, pv, qv = support, list(map(pv.__getitem__, support)), on
+        ids = q.support()
+        pv, qv = list(map(pv.__getitem__, ids)), list(map(qv.__getitem__, ids))
     size = len(pv)
     # Each pair's first atom, whose masses its term is computed from; terms
     # are computed in atom order so the first error or infinity is the same.

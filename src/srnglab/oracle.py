@@ -233,8 +233,8 @@ def _candidates(dist: AtomicDistribution, k: int, full: bool) -> list[int]:
     if full:
         zeros = [x for x, mass in enumerate(dist.masses) if not mass > 0]
         return sorted(dist.support() + tuple(zeros[:k]))
-    heaviest = [x for x in sort_descending(dist) if dist.masses[x] > 0]
-    return heaviest[:k]
+    # Positive masses form a prefix of the descending order.
+    return list(sort_descending(dist)[: min(k, len(dist.support()))])
 
 
 def _iter_plans(

@@ -41,8 +41,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import accumulate, cycle, repeat
+from functools import cached_property, partial, reduce
+from itertools import accumulate, compress, cycle, repeat
 from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import CapExceeded, InvalidModel, ZeroMassOutcome
@@ -147,7 +147,8 @@ class AtomicDistribution:
     """An explicit pmf over the enumerated outcome space X^n.
 
     masses[i] is the probability of the outcome with id i.  The tuple has
-    exactly alphabet_size**n entries.  `exact` records the arithmetic mode.
+    exactly alphabet_size**n entries.  `exact` records the arithmetic mode;
+    a float distribution stores its masses as floats whatever it is given.
     An exact distribution also holds _nums[i] / _den, integer numerators
     over one shared denominator, checked in ints to sum to it, and its
     masses are rationals equal to them.  Built from masses, the numerators
@@ -172,6 +173,7 @@ class AtomicDistribution:
                 f"expected {self.alphabet_size}**{self.n}"
             )
         if not self.exact:
+            object.__setattr__(self, "masses", tuple(map(float, self.masses)))
             _validate_pmf(self.masses, "mass vector")
             return
         if self._nums is None:
@@ -209,7 +211,7 @@ class AtomicDistribution:
     ) -> "AtomicDistribution":
         """The distribution whose _values are values over den, checked."""
         if not exact:
-            return cls.from_masses(values, n, alphabet_size, exact=False)
+            return cls(values, n, alphabet_size, False)
         nums = tuple(values)
         shared = {num: Fraction(num, den) for num in set(nums)}
         masses = tuple(map(shared.__getitem__, nums))
@@ -236,8 +238,6 @@ class AtomicDistribution:
             exact = all(_is_exact(m) for m in entries)
         if exact:
             entries = tuple(Fraction(m) for m in entries)
-        else:
-            entries = tuple(float(m) for m in entries)
         return cls(entries, n, alphabet_size, exact)
 
     def mass(self, oid: int) -> Mass:
@@ -248,7 +248,26 @@ class AtomicDistribution:
 
     def support(self) -> tuple[int, ...]:
         """Ids of all outcomes with positive mass, in ascending order."""
-        return tuple(i for i, value in enumerate(self._values) if value > 0)
+        return self._support
+
+    # Derived views, computed on first read and kept in the instance dict:
+    # not fields, so equality, hash and repr do not see them.
+
+    @cached_property
+    def _support(self) -> tuple[int, ...]:
+        # Masses are nonnegative, so the nonzero ones are the positive ones.
+        return tuple(compress(range(len(self._values)), self._values))
+
+    @cached_property
+    def _descending(self) -> tuple[int, ...]:
+        # The stable sort of every id, built as the support sorted and then
+        # the zero masses in ascending id order, so that both views hold the
+        # same int objects: one set per distribution, not two.
+        keys, support = self._values, self._support
+        order = sorted(support, key=keys.__getitem__, reverse=True)
+        if len(order) < len(keys):
+            order.extend(compress(range(len(keys)), map(operator.not_, keys)))
+        return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -477,10 +496,10 @@ def sort_descending(dist: AtomicDistribution) -> tuple[int, ...]:
 
     Python's sort is stable, so reversing on the mass key alone keeps equal
     masses in their original ascending-id order.  Exact distributions sort
-    on their integer numerators.
+    on their integer numerators.  The order is computed once per
+    distribution, on the first call, and every later call returns it.
     """
-    keys = dist._values
-    return tuple(sorted(range(len(keys)), key=keys.__getitem__, reverse=True))
+    return dist._descending
 
 
 def self_information_value(mass: Mass, n: int) -> float:

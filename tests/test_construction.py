@@ -445,6 +445,44 @@ def test_run_wise_greedy_matches_the_per_atom_greedy() -> None:
     assert all(count > 10 for count in seen.values()), seen
 
 
+def test_float_windows_match_the_per_atom_greedy_on_long_runs() -> None:
+    from functools import reduce
+    from itertools import accumulate, repeat
+    from operator import add
+
+    from srnglab.construction import _greedy_allocate
+
+    def allocate(capacity, pool_masses):
+        # Representative 0 has the given capacity: with core_mass 1/2 it is
+        # p / (1/2) - p = p, exactly.  Representative 1 takes what is left,
+        # and a last atom brings the total to 1.
+        masses = [capacity, 0.125, *pool_masses]
+        masses.append(1.0 - reduce(add, masses, 0.0))
+        dist = AtomicDistribution.from_masses(masses, 1, len(masses), exact=False)
+        pool = tuple(range(2, len(masses) - 1))
+        got = _greedy_allocate(dist, (0, 1), pool, 0.5)
+        assert got == per_atom_greedy(dist, (0, 1), pool, 0.5)
+        return len(got[0][0])
+
+    # One run of 2 500 equal, non-dyadic masses: a capacity on the k-atom
+    # partial sum takes k atoms, one ulp below it k - 1, one ulp above k.
+    mass = 1 / 70000
+    loads = list(accumulate(repeat(mass, 2500), initial=0.0))
+    assert loads[2499] != 2499 * mass
+    for k in (1, 2, 999, 2001, 2499):
+        assert allocate(loads[k], [mass] * 2500) == k
+        assert allocate(math.nextafter(loads[k], 0), [mass] * 2500) == k - 1
+        assert allocate(math.nextafter(loads[k], 1), [mass] * 2500) == k
+    # After a heavy atom, a mass below half an ulp of the load leaves the
+    # load unchanged: (capacity - load) // mass + 2 = 7 atoms, the whole
+    # window fits and atoms remain, so windows repeat until the run is
+    # spent.  Just above half an ulp, each addition rounds up a whole ulp,
+    # so the 162-atom window ends after 100 atoms.
+    ulp = math.ulp(0.25)
+    assert allocate(0.25 + ulp, [0.25] + [ulp * 3 / 8] * 2000) == 2001
+    assert allocate(0.25 + 100 * ulp, [0.25] + [ulp * 5 / 8] * 2000) == 101
+
+
 def test_constructions_match_the_per_atom_greedy_on_benchmark_sources(monkeypatch) -> None:
     from srnglab import construction
 

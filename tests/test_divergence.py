@@ -193,7 +193,7 @@ DIFFERENTIAL_CURVES = tuple(
 
 def _drawn(rng: random.Random, n: int) -> AtomicDistribution:
     """Weights from {0, 1, 2, 3, 7, 10**6}: exact, float, or float mode
-    holding Fraction masses, as the constructor accepts."""
+    given Fraction masses, which the constructor stores as floats."""
     weights = [0]
     while not any(weights):
         weights = [rng.choice((0, 1, 2, 3, 7, 10**6)) for _ in range(2**n)]
@@ -220,6 +220,17 @@ def test_divergence_matches_the_per_atom_loop_on_random_pairs() -> None:
             got = _outcome(divergence, p, q, curve)
             want = _outcome(old_divergence, p.masses, q.masses, curve)
             assert same(got, want), (curve.name, p.masses, q.masses, got, want)
+
+
+def test_float_mode_given_fractions_answers_in_floats() -> None:
+    # The constructor stores float-mode masses as floats, so the divergence
+    # and _mass_of agree on the arithmetic.
+    p = AtomicDistribution((F(1, 2), F(1, 4), F(1, 4), F(0)), 2, 2, False)
+    q = AtomicDistribution((F(1, 4),) * 4, 2, 2, False)
+    assert all(isinstance(m, float) for m in p.masses + q.masses)
+    got = divergence(p, q, variational())
+    assert got == 0.25 and isinstance(got, float)
+    assert p._mass_of([0, 1]) == 0.75
 
 
 def test_dimension_mismatch_rejected() -> None:

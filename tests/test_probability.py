@@ -185,6 +185,20 @@ def test_sort_descending_is_a_permutation() -> None:
     assert masses == sorted(masses, reverse=True)
 
 
+def test_derived_views_are_computed_once_and_stay_out_of_identity() -> None:
+    masses = [F(1, 4), F(0), F(1, 2), F(0), F(1, 4), F(0), F(0), F(0)]
+    for exact in (True, False):
+        d = AtomicDistribution.from_masses(masses, 3, 2, exact=exact)
+        twin = AtomicDistribution.from_masses(masses, 3, 2, exact=exact)
+        order = sort_descending(d)
+        assert sort_descending(d) is order and d.support() is d.support()
+        # The stable sort of every id; zero masses last, by ascending id.
+        assert order == tuple(sorted(range(8), key=d.masses.__getitem__, reverse=True))
+        assert order == (2, 0, 4, 1, 3, 5, 6, 7)
+        assert d.support() == tuple(i for i, m in enumerate(d.masses) if m > 0) == (0, 2, 4)
+        assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
+
+
 def test_self_information_survives_tiny_masses() -> None:
     # float(mass) would underflow to 0 long before 2**-2000; the value
     # must still come out right.
