@@ -344,8 +344,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--units", choices=("nats", "bits"), help="override display units")
         group = p.add_mutually_exclusive_group()
-        group.add_argument("--exact", action="store_true", help="force exact arithmetic")
-        group.add_argument("--float", dest="float_mode", action="store_true",
+        group.add_argument("--exact", dest="mode", action="store_const", const="exact",
+                           help="force exact arithmetic")
+        group.add_argument("--float", dest="mode", action="store_const", const="float",
                            help="force float arithmetic")
         p.add_argument("--cap", type=int, help="override the atom cap")
     args = parser.parse_args(argv)
@@ -355,17 +356,9 @@ def main(argv: list[str] | None = None) -> int:
         )
     try:
         cfg = load_config(args.config, command=args.subcommand)
-        updates: dict[str, Any] = {}
-        if args.out:
-            updates["out_dir"] = args.out
-        if args.units:
-            updates["units"] = args.units
-        if args.exact:
-            updates["mode"] = "exact"
-        if args.float_mode:
-            updates["mode"] = "float"
-        if args.cap is not None:
-            updates["cap"] = args.cap
+        # An empty --out is ignored; --cap is positive by now.
+        overrides = {"out_dir": args.out, "units": args.units, "mode": args.mode, "cap": args.cap}
+        updates = {key: value for key, value in overrides.items() if value}
         if updates:
             cfg = dataclasses.replace(cfg, **updates)
         return _run(cfg)

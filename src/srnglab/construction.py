@@ -18,9 +18,11 @@ guarantees lean on, and derives the core conditional on demand (exact: the
 core's numerators over their sum).  The greedy walks the pool as runs of
 equal mass: once one atom of a run misfits, every later atom of that run
 misfits too, so a step takes a prefix of each run.  The runs are cut once
-and prefixes are found without visiting atoms in Python bytecode, so a
-step costs O(#runs) interpreted operations; the C-level work that remains
-is one pass over the pool and, in float mode, one addition per taken atom.
+per distribution, beside its descending order; the pool is that order's
+suffix from a start position to the end of the support, and prefixes are
+found without visiting atoms in Python bytecode, so a step costs O(#runs)
+interpreted operations; the C-level work that remains is one slice per
+taken prefix and, in float mode, one addition per taken atom.
 
 The spectrum-split construction and its collapse baseline share one
 classification (_classify), computed through the same expressions the
@@ -34,7 +36,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, groupby, repeat, takewhile
+from itertools import accumulate, chain, repeat
 from typing import Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
@@ -163,30 +165,34 @@ class BoundReport:
 def _greedy_allocate(
     dist: AtomicDistribution,
     core: Sequence[int],
-    pool: Sequence[int],
+    start: int,
     core_mass: Mass,
 ) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Merge pool atoms onto core representatives without exceeding targets.
 
-    For each representative in order the capacity is the gap between its
-    conditional mass P(x)/core_mass and its own mass; every remaining pool
-    atom that still fits is taken, in pool order.  Maximality is the
-    point: when an atom is skipped, the unfilled gap is smaller than that
-    atom, and pool atoms are lighter than 1/m, which is what caps the final
-    overshoot.  The step that empties the pool is the stop index; a pool
-    that survives the last representative is dumped onto it wholesale.
+    The pool is the descending order from position start to the end of the
+    support.  For each representative in order the capacity is the gap
+    between its conditional mass P(x)/core_mass and its own mass; every
+    remaining pool atom that still fits is taken, in pool order.
+    Maximality is the point: when an atom is skipped, the unfilled gap is
+    smaller than that atom, and pool atoms are lighter than 1/m, which is
+    what caps the final overshoot.  The step that empties the pool is the
+    stop index; a pool that survives the last representative is dumped
+    onto it wholesale.
 
-    The pool is held as runs, maximal stretches of consecutive atoms of
-    equal mass, each with the position of its first unallocated atom; the
-    runs are cut by `itertools.groupby` on the mass.  Once one atom of a
-    run does not fit, the load is unchanged, so no later atom of that run
-    fits either: a representative takes a prefix of each run's unallocated
-    suffix, as one slice.  In exact mode masses are numerators over the
-    distribution's denominator D and core_mass is C / D, so a
-    representative of numerator p has capacity p (D - C) / C over D,
-    floored to an integer without changing any fit; the prefix then has
-    length min(available, (capacity - load) // mass), one division in place
-    of one comparison per atom.
+    The pool is held as the distribution's runs (`_runs`, maximal
+    stretches of equal mass in the descending order, cut once per
+    distribution) that end past start, each with the positions in the
+    order of its end and of its first unallocated atom, which is start
+    for a run that start cuts.  Once one atom of a run does not fit, the load is unchanged, so no later atom of that run fits
+    either: a representative takes a prefix of each run's unallocated
+    suffix, as one slice of the order.  In exact mode masses are
+    numerators over the distribution's denominator D and core_mass is
+    C / D, so a representative of numerator p has capacity p (D - C) / C
+    over D, floored to an integer without changing any fit; the prefix
+    then has length min(available, (capacity - load) // mass), one
+    division in place of one comparison per atom.  The pool holds no
+    zero mass, since the support ends where the zeros begin.
 
     In float mode k * mass can round differently from k additions.  A run
     whose next atom fits gets a window of want = (capacity - load) // mass
@@ -198,17 +204,20 @@ def _greedy_allocate(
     These are the additions, in order, of adding one atom at a time up to
     the first misfit, so float allocations are bit-identical to that scan.
 
-    Cost: the runs are cut once; after that a call makes one interpreted
-    step per representative and live run, O(|core| * #runs), and visits
-    no atom in Python bytecode.  What remains is C-level work: one pass
-    over the pool, one slice per taken prefix and, in float mode, one
-    addition per taken atom and two more per window.  The allocations
-    equal those of rescanning every remaining atom per representative,
-    which costs O(|core| * |pool|).
+    Cost: one interpreted step per run to place the pool, then one per
+    representative and live run, O(|core| * #runs), and no atom visited
+    in Python bytecode.  What remains is C-level work: one slice per taken
+    prefix and, in float mode, one addition per taken atom and two more
+    per window.  The allocations equal those of rescanning every
+    remaining atom per representative, which costs O(|core| * |pool|).
     """
-    values, den, exact = dist._values, dist._den, dist.exact
-    # [mass, ids, first unallocated position] per run
-    runs = [[mass, list(ids), 0] for mass, ids in groupby(pool, values.__getitem__)]
+    order, values, den, exact = sort_descending(dist), dist._values, dist._den, dist.exact
+    # [mass, end, first unallocated position] per run, positions into order
+    runs, end = [], 0
+    for mass, length in dist._runs:
+        end += length
+        if end > start:
+            runs.append([mass, end, max(start, end - length)])
     core_value = int(core_mass * den) if exact else core_mass
     allocations: list[list[int]] = []
     taken: list[int] = []
@@ -218,36 +227,34 @@ def _greedy_allocate(
         taken = []
         load: Mass = 0
         for run in runs:
-            mass, ids, start = run
-            end = start
+            mass, end, first = run
+            last = first
             if exact:
-                end = min(len(ids), start + (capacity - load) // mass) if mass else len(ids)
-                load += (end - start) * mass
+                last = min(end, first + (capacity - load) // mass)
+                load += (last - first) * mass
             else:
-                while end < len(ids) and load + mass <= capacity:
-                    want = len(ids) - end
-                    if mass:
-                        want = int(min(want, (capacity - load) // mass + 2))
+                while last < end and load + mass <= capacity:
+                    want = int(min(end - last, (capacity - load) // mass + 2))
                     loads = list(accumulate(repeat(mass, want), initial=load))
                     # The atoms of the window that fit: those whose load
                     # after them is at most capacity.
                     fit = bisect_right(loads, capacity, 1) - 1
-                    end += fit
+                    last += fit
                     load = loads[fit]
                     if fit < want:
                         break
-            if end > start:
-                taken.extend(ids[start:end])
-                run[2] = end
-        runs = [run for run in runs if run[2] < len(run[1])]
+            if last > first:
+                taken.extend(order[first:last])
+                run[2] = last
+        runs = [run for run in runs if run[2] < run[1]]
         allocations.append(taken)
         if not runs:
             break
     else:
         # The pool outlived the core: the last representative takes the rest
         # (with no core, nothing does).
-        for _, ids, start in runs:
-            taken.extend(ids[start:])
+        for _, end, first in runs:
+            taken.extend(order[first:end])
     stop = len(allocations) - 1
     return tuple(map(tuple, allocations)) + ((),) * (len(core) - len(allocations)), stop
 
@@ -266,10 +273,9 @@ def _classify(
     the heavy outcomes at or below the rate_window low line."""
     _check_window(m, gamma)
     r_low, _ = rate_window(m, dist.n, gamma)
-    values, cut = dist._values, Fraction(dist._den, m)
-    order = sort_descending(dist)
-    # Heavy outcomes form a prefix of the descending order.
-    heavy = list(takewhile(lambda x: values[x] >= cut, order))
+    cut, order = Fraction(dist._den, m), sort_descending(dist)
+    # Heavy outcomes form a prefix of the descending order: its heaviest runs.
+    heavy = list(order[: sum(length for mass, length in dist._runs if mass >= cut)])
     core = [x for x in heavy if self_information(dist, x) <= r_low]
     return order, heavy, core
 
@@ -335,7 +341,7 @@ def build_mapping(
         return _encode(size, kept, kept[:1], (pool,), m), trace
 
     core_mass = dist._mass_of(core)
-    allocations, stop = _greedy_allocate(dist, core, light, core_mass)
+    allocations, stop = _greedy_allocate(dist, core, len(heavy), core_mass)
     trace = ConstructionTrace(
         kind="spectrum_split", core=tuple(core), band=tuple(band), pool=light,
         off_support=off, representatives=tuple(heavy), allocations=allocations,
@@ -386,7 +392,7 @@ def build_smooth_entropy_mapping(
     band = representatives[len(core):]
     live = max(m, len(dist.support()))  # zero masses come last
     pool, off = order[m:live], order[live:]
-    allocations, stop = _greedy_allocate(dist, core, pool, core_mass)
+    allocations, stop = _greedy_allocate(dist, core, m, core_mass)
     trace = ConstructionTrace(
         kind="entropy_prefix", core=tuple(core), band=band, pool=pool, off_support=off,
         representatives=representatives, allocations=allocations, stop_index=stop,
@@ -416,10 +422,9 @@ def apply_mapping(dist: AtomicDistribution, mapping: MappingPair) -> AtomicDistr
     values = dist._values
     # One shared zero: float mode would otherwise make one 0.0 per empty atom.
     out = [0 if dist.exact else 0.0] * len(values)
-    for x, mass in enumerate(values):
-        if mass != 0:
-            target = mapping.psi[mapping.phi[x]]
-            out[target] = out[target] + mass
+    for x in dist.support():
+        target = mapping.psi[mapping.phi[x]]
+        out[target] = out[target] + values[x]
     return AtomicDistribution._from_values(out, dist._den, dist.n, dist.alphabet_size, dist.exact)
 
 

@@ -230,11 +230,12 @@ def _candidates(dist: AtomicDistribution, k: int, full: bool) -> list[int]:
     mode.  Zero-mass atoms give equal terms and leave the same mass
     uncovered, so the full pool keeps only the first k of them: any plan
     with others has an equal plan over these that comes first."""
+    # Positive masses form a prefix of the descending order, and the zero
+    # masses follow in ascending id order.
+    order, live = sort_descending(dist), len(dist.support())
     if full:
-        zeros = [x for x, mass in enumerate(dist.masses) if not mass > 0]
-        return sorted(dist.support() + tuple(zeros[:k]))
-    # Positive masses form a prefix of the descending order.
-    return list(sort_descending(dist)[: min(k, len(dist.support()))])
+        return sorted(dist.support() + order[live:live + k])
+    return list(order[: min(k, live)])
 
 
 def _iter_plans(

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial, reduce
@@ -268,6 +269,14 @@ class AtomicDistribution:
         if len(order) < len(keys):
             order.extend(compress(range(len(keys)), map(operator.not_, keys)))
         return tuple(order)
+
+    @cached_property
+    def _runs(self) -> tuple[tuple[Mass, int], ...]:
+        # The support's runs, maximal stretches of one mass in _descending,
+        # heaviest first, as (mass in _values, length): one count of the
+        # positive values, one sort of the distinct ones.
+        values = self._values
+        return tuple(sorted(Counter(compress(values, values)).items(), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -502,6 +511,17 @@ def sort_descending(dist: AtomicDistribution) -> tuple[int, ...]:
     return dist._descending
 
 
+def _reduced_value(num: int, den: int, n: int) -> float:
+    """(1/n) log(den / num) for positive ints, from the logs of the reduced
+    numerator and denominator, so it is the same float for every (num, den)
+    of one ratio."""
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    return (math.log(den) - math.log(num)) / n
+
+
 def self_information_value(mass: Mass, n: int) -> float:
     """(1/n) log(1/mass) in nats, robust for exact masses of any magnitude.
 
@@ -509,10 +529,8 @@ def self_information_value(mass: Mass, n: int) -> float:
     below the double-precision range (deep type classes at large n) do not
     underflow on conversion.
     """
-    if isinstance(mass, int):
-        mass = Fraction(mass)
-    if isinstance(mass, Fraction):
-        return (math.log(mass.denominator) - math.log(mass.numerator)) / n
+    if isinstance(mass, (int, Fraction)):
+        return _reduced_value(mass.numerator, mass.denominator, n)
     return -math.log(mass) / n
 
 

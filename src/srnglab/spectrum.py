@@ -38,11 +38,10 @@ from __future__ import annotations
 import bisect
 import math
 import operator
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate, chain, islice
 from typing import Iterable, Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
@@ -54,6 +53,7 @@ from .probability import (
     Mass,
     Mixture,
     SourceModel,
+    _reduced_value,
     _types,
     expand,
     self_information_value,
@@ -195,15 +195,13 @@ class SpectrumSummary:
 def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
     """Summarize a materialized distribution into its information spectrum.
 
-    An exact distribution becomes a class list, one class per distinct
-    numerator.  A float one merges the outcomes of one computed value, each
+    An exact distribution's runs become its class list, one class per
+    distinct numerator.  A float one merges the outcomes of one computed value, each
     distinct mass valued once, adding masses atom by atom in id order.
     """
     if dist.exact:
-        counts = Counter(dist._values)
-        counts.pop(0, None)
-        return SpectrumSummary._of(_ClassList.build(dist.n, dist._den, counts.items()))
-    value_of = {mass: self_information_value(mass, dist.n) for mass in set(dist.masses) if mass}
+        return SpectrumSummary._of(_ClassList.build(dist.n, dist._den, dist._runs))
+    value_of = {mass: self_information_value(mass, dist.n) for mass, _ in dist._runs}
     acc: dict[float, Mass] = {}
     for mass in filter(None, dist.masses):
         value = value_of[mass]
@@ -354,9 +352,7 @@ def _descending_prefix(
             goal = math.nextafter(goal, math.inf)
     ids: list[int] = []
     total: Mass = 0
-    for x in order:
-        if values[x] == 0:
-            break
+    for x in islice(order, len(dist.support())):
         ids.append(x)
         total = total + values[x]
         if total >= goal:
@@ -376,17 +372,6 @@ def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:
     """Spectrum of an IID or mixture source from its type classes, without
     materializing X^n; its points are merged only when read."""
     return SpectrumSummary._of(_type_classes(variant, n))
-
-
-def _reduced_value(num: int, den: int, n: int) -> float:
-    """self_information_value(Fraction(num, den), n) for positive ints,
-    without the Fraction: the same gcd, and the same logs of the reduced
-    numerator and denominator."""
-    g = math.gcd(num, den)
-    if g != 1:
-        num //= g
-        den //= g
-    return (math.log(den) - math.log(num)) / n
 
 
 def typeclass_smooth_max_entropy(

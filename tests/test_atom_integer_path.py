@@ -159,7 +159,7 @@ def old_build_mapping(dist, m, gamma):
         )
         return _encode(len(order), kept, kept[:1], (pool,), m), trace
     core_mass = old_total(dist, core)
-    allocations, stop = _greedy_allocate(dist, core, light, core_mass)
+    allocations, stop = _greedy_allocate(dist, core, len(heavy), core_mass)
     trace = ConstructionTrace(
         kind="spectrum_split", core=tuple(core), band=tuple(band), pool=tuple(light),
         off_support=off, representatives=tuple(heavy), allocations=allocations,
@@ -196,7 +196,7 @@ def old_build_entropy(dist, curve, delta, gamma):
         return _encode(len(order), order, (), (), len(order)), trace
     pool = [x for x in order[m:] if dist.masses[x] > 0]
     off = tuple(x for x in order[m:] if dist.masses[x] == 0)
-    allocations, stop = _greedy_allocate(dist, core, pool, core_mass)
+    allocations, stop = _greedy_allocate(dist, core, m, core_mass)
     trace = ConstructionTrace(
         kind="entropy_prefix", core=tuple(core), band=order[len(core):m], pool=tuple(pool),
         off_support=off, representatives=order[:m], allocations=allocations,

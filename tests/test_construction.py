@@ -414,7 +414,7 @@ def test_run_wise_greedy_matches_the_per_atom_greedy() -> None:
     from srnglab.construction import _greedy_allocate
 
     rng = random.Random(20231)
-    seen = {"zero_mass": 0, "mid_run": 0, "dump": 0, "empty_pool": 0, "early_stop": 0}
+    seen = {"zero_tail": 0, "mid_run": 0, "dump": 0, "empty_pool": 0, "early_stop": 0}
     for trial in range(300):
         # Few distinct weights, so runs of equal mass are long; some zeros.
         palette = [0] + [rng.randint(1, 12) for _ in range(rng.randint(1, 4))]
@@ -429,14 +429,17 @@ def test_run_wise_greedy_matches_the_per_atom_greedy() -> None:
             cut = rng.randint(1, min(6, len(order)))
             core = order[:cut]
             start = rng.choice([cut, cut, rng.randint(cut, len(order))])
-            pool = order[start:] if trial % 5 else ()
+            if not trial % 5:
+                start = len(order)
+            # The pool is the order from start to the end of the support.
+            live = len(dist.support())
+            pool = order[start:live]
             core_mass = sum(dist.masses[x] for x in core)
-            got = _greedy_allocate(dist, core, pool, core_mass)
+            got = _greedy_allocate(dist, core, start, core_mass)
             assert got == per_atom_greedy(dist, core, pool, core_mass)
             allocations, stop = got
-            masses = [dist.masses[x] for x in pool]
-            seen["zero_mass"] += 0 in masses
-            seen["mid_run"] += 0 < start < len(order) and dist.masses[order[start - 1]] == dist.masses[order[start]]
+            seen["zero_tail"] += bool(pool) and live < len(order)
+            seen["mid_run"] += 0 < start < live and dist.masses[order[start - 1]] == dist.masses[order[start]]
             seen["empty_pool"] += not pool
             seen["early_stop"] += bool(pool) and stop < len(core) - 1
             last = core[-1]
@@ -454,14 +457,16 @@ def test_float_windows_match_the_per_atom_greedy_on_long_runs() -> None:
 
     def allocate(capacity, pool_masses):
         # Representative 0 has the given capacity: with core_mass 1/2 it is
-        # p / (1/2) - p = p, exactly.  Representative 1 takes what is left,
-        # and a last atom brings the total to 1.
-        masses = [capacity, 0.125, *pool_masses]
-        masses.append(1.0 - reduce(add, masses, 0.0))
+        # p / (1/2) - p = p, exactly.  Representative 1 has the remaining
+        # mass and takes what is left.  Both are at least as heavy as every
+        # pool atom, so the pool is the descending order from position 2.
+        rest = 1.0 - reduce(add, [capacity, *pool_masses], 0.0)
+        masses = [capacity, rest, *pool_masses]
         dist = AtomicDistribution.from_masses(masses, 1, len(masses), exact=False)
-        pool = tuple(range(2, len(masses) - 1))
-        got = _greedy_allocate(dist, (0, 1), pool, 0.5)
-        assert got == per_atom_greedy(dist, (0, 1), pool, 0.5)
+        order = sort_descending(dist)
+        assert order[:2] == (1, 0)
+        got = _greedy_allocate(dist, (0, 1), 2, 0.5)
+        assert got == per_atom_greedy(dist, (0, 1), order[2:], 0.5)
         return len(got[0][0])
 
     # One run of 2 500 equal, non-dyadic masses: a capacity on the k-atom
@@ -469,9 +474,12 @@ def test_float_windows_match_the_per_atom_greedy_on_long_runs() -> None:
     mass = 1 / 70000
     loads = list(accumulate(repeat(mass, 2500), initial=0.0))
     assert loads[2499] != 2499 * mass
+    # One ulp below one atom's mass, representative 0 would be lighter than
+    # its pool, which no construction produces, so k = 1 skips that case.
     for k in (1, 2, 999, 2001, 2499):
         assert allocate(loads[k], [mass] * 2500) == k
-        assert allocate(math.nextafter(loads[k], 0), [mass] * 2500) == k - 1
+        if k > 1:
+            assert allocate(math.nextafter(loads[k], 0), [mass] * 2500) == k - 1
         assert allocate(math.nextafter(loads[k], 1), [mass] * 2500) == k
     # After a heavy atom, a mass below half an ulp of the load leaves the
     # load unchanged: (capacity - load) // mass + 2 = 7 atoms, the whole
@@ -501,7 +509,13 @@ def test_constructions_match_the_per_atom_greedy_on_benchmark_sources(monkeypatc
                 build_smooth_entropy_mapping(dist, variational(), F(1, 10), F(1, 20)),
             ]
             with monkeypatch.context() as patch:
-                patch.setattr(construction, "_greedy_allocate", per_atom_greedy)
+                patch.setattr(
+                    construction,
+                    "_greedy_allocate",
+                    lambda d, core, start, core_mass: per_atom_greedy(
+                        d, core, sort_descending(d)[start:len(d.support())], core_mass
+                    ),
+                )
                 expected = [
                     build_mapping(dist, 1024, F(1, 20)),
                     build_smooth_entropy_mapping(dist, variational(), F(1, 10), F(1, 20)),
@@ -531,7 +545,7 @@ def test_greedy_with_no_core_allocates_nothing() -> None:
     dist = single_letter(F(1, 2), F(1, 4), F(1, 8), F(1, 8))
     # No representative to merge onto: no allocation, and the stop index
     # sits before the first position.
-    assert _greedy_allocate(dist, (), (2, 3), F(1)) == ((), -1)
+    assert _greedy_allocate(dist, (), 2, F(1)) == ((), -1)
 
 
 def test_conditional_is_the_source_restricted_to_the_core() -> None:

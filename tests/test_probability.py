@@ -199,6 +199,59 @@ def test_derived_views_are_computed_once_and_stay_out_of_identity() -> None:
         assert d == twin and hash(d) == hash(twin) and repr(d) == repr(twin)
 
 
+def test_runs_are_the_descending_order_cut_by_mass() -> None:
+    import random
+    from collections import Counter
+    from itertools import groupby
+
+    from srnglab import spectrum_cdf
+    from srnglab.spectrum import _ClassList
+
+    rng = random.Random(2309)
+    dists = []
+    for _ in range(60):
+        # Few distinct weights, so runs are long; some zeros.
+        palette = [0] + [rng.randint(1, 9) for _ in range(rng.randint(1, 4))]
+        weights = [rng.choice(palette) for _ in range(rng.randint(1, 16))]
+        weights[0] = weights[0] or 1
+        total = sum(weights)
+        for exact in (True, False):
+            masses = [F(w, total) for w in weights]
+            dists.append(AtomicDistribution.from_masses(masses, 1, len(masses), exact=exact))
+    # Float near-ties: masses one ulp apart are distinct runs.
+    eighth = 0.125
+    up, down = math.nextafter(eighth, 1), math.nextafter(eighth, 0)
+    near = [eighth, up, down, eighth, 0.0]
+    rest = 1.0 - sum(near)
+    near_ties = AtomicDistribution.from_masses(near + [rest, 0.0, 0.0], 3, 2, exact=False)
+    assert near_ties._runs == ((rest, 1), (up, 1), (eighth, 2), (down, 1))
+    dists.append(near_ties)
+    for variant in (
+        IID((F(2, 3), F(1, 3))),
+        Markov((F(1, 2), F(1, 2)), ((F(9, 10), F(1, 10)), (F(1, 5), F(4, 5)))),
+        Mixture((F(1, 2), F(1, 2)), (IID((F(9, 10), F(1, 10))), IID((F(1, 5), F(4, 5))))),
+        IID((F(1, 2), F(1, 2), F(0))),
+    ):
+        dists.append(expand(SourceModel(variant, 7)))
+        dists.append(AtomicDistribution.from_masses(dists[-1].masses, 7, variant.alphabet_size, exact=False))
+    seen = {"zeros": 0, "float_runs": 0, "ties": 0}
+    for d in dists:
+        order, values = sort_descending(d), d._values
+        live = len(d.support())
+        want = tuple((mass, len(list(ids))) for mass, ids in groupby(order[:live], values.__getitem__))
+        assert d._runs == want
+        assert all(mass > 0 for mass, _ in d._runs)
+        seen["zeros"] += live < len(order)
+        seen["ties"] += any(length > 1 for _, length in d._runs)
+        if d.exact:
+            counts = Counter(values)
+            counts.pop(0, None)
+            assert spectrum_cdf(d)._classes == _ClassList.build(d.n, d._den, counts.items())
+        else:
+            seen["float_runs"] += 1
+    assert all(count > 10 for count in seen.values()), seen
+
+
 def test_self_information_survives_tiny_masses() -> None:
     # float(mass) would underflow to 0 long before 2**-2000; the value
     # must still come out right.

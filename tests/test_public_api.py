@@ -4,14 +4,21 @@ Pins `srnglab.__all__`, and for every public name its parameters: names,
 kinds (the `/` and `*` markers) and defaults, rendered without annotations,
 which print differently across Python versions.  Exceptions are pinned by
 their base class and constants by their value.  A change to the public API
-fails here until the snapshot is updated along with it.
+fails here until the snapshot is updated along with it.  Importing the
+package and its CLI in a fresh interpreter must load no module from
+outside the standard library.
 """
 
 from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import site
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import srnglab
 
@@ -144,3 +151,16 @@ def test_package_exports_exactly_its_modules_names() -> None:
     for module in modules:
         for name in module.__all__:
             assert getattr(srnglab, name) is getattr(module, name), name
+
+
+def test_the_package_loads_only_the_standard_library() -> None:
+    # -S keeps the site hooks from loading third-party modules at startup;
+    # the site-packages stay importable through PYTHONPATH.
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), *site.getsitepackages()]
+    code = "import sys, srnglab, srnglab.cli; print(*{name.partition('.')[0] for name in sys.modules})"
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+    )
+    loaded = set(result.stdout.split()) - {"__main__"}
+    assert loaded - set(sys.stdlib_module_names) == {"srnglab"}

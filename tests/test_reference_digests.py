@@ -5,7 +5,9 @@ for the criterion-7 INI (all five subcommands) and for the two type-class
 sweep INIs.  Each of those operations runs once here, built by
 `perfbench/workloads.py` as the benchmark builds it, and its own check must
 report no problems: exit code 0 and every file's digest as pinned.  The
-benchmark's files are only read.
+atoms-exact pass at the default seed replays too: its exact values and
+the digests of both constructions' mappings, as pinned.  The benchmark's
+files are only read.
 """
 
 from __future__ import annotations
@@ -40,5 +42,14 @@ def test_cli_outputs_match_the_pinned_digests(name, tmp_path) -> None:
     assert reference[name], name
     ops = workloads.build(name, workloads.DEFAULT_SEED, tmp_path, reference)
     assert len(ops) == len(reference[name])
+    for op in ops:
+        assert op.check(op.run(srnglab)) == [], op.label
+
+
+def test_atoms_exact_matches_the_pinned_reference(tmp_path) -> None:
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    assert reference["atoms-exact"]
+    ops = workloads.build("atoms-exact", workloads.DEFAULT_SEED, tmp_path, reference)
+    assert len(ops) == len(reference["atoms-exact"])
     for op in ops:
         assert op.check(op.run(srnglab)) == [], op.label
