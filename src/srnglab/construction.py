@@ -10,7 +10,10 @@ plus a matching converse that floors every possible mapping.
 The common mechanism: pick a set of representatives rich enough to carry
 the source's weight, keep them fixed under the mapping, and merge every
 lighter outcome upward onto a high-probability core so that the decoded
-law imitates the source conditioned on that core.  The merge is a greedy
+law imitates the source conditioned on that core.  The representatives
+are always a prefix of the descending order, so a construction, fallbacks
+included, is a start position and a core; _construct assembles the pair
+and its trace from those two for both builders.  The merge is a greedy
 first-fit pass whose overshoot is provably below e^{-n gamma}; the trace
 returned alongside the mapping records every set, every allocation, and
 the step at which the pool ran dry, so tests can audit the invariants the
@@ -41,8 +44,8 @@ from typing import Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
 from .errors import DimensionMismatch, InvalidModel, OutOfRange
-from .probability import AtomicDistribution, Mass, self_information, sort_descending
-from .spectrum import SpectrumSummary, _descending_prefix, cdf_at
+from .probability import AtomicDistribution, Mass, self_information_value, sort_descending
+from .spectrum import SpectrumSummary, _check_budget, _descending_prefix, cdf_at
 
 __all__ = [
     "BoundReport",
@@ -184,8 +187,9 @@ def _greedy_allocate(
     stretches of equal mass in the descending order, cut once per
     distribution) that end past start, each with the positions in the
     order of its end and of its first unallocated atom, which is start
-    for a run that start cuts.  Once one atom of a run does not fit, the load is unchanged, so no later atom of that run fits
-    either: a representative takes a prefix of each run's unallocated
+    for a run that start cuts.  Once one atom of a run does not fit, the
+    load is unchanged, so no later atom of that run fits either: a
+    representative takes a prefix of each run's unallocated
     suffix, as one slice of the order.  In exact mode masses are
     numerators over the distribution's denominator D and core_mass is
     C / D, so a representative of numerator p has capacity p (D - C) / C
@@ -268,15 +272,21 @@ def _check_window(m: int, gamma: Mass) -> None:
 
 def _classify(
     dist: AtomicDistribution, m: int, gamma: Mass
-) -> tuple[tuple[int, ...], list[int], list[int]]:
-    """Descending order, heavy outcomes (exactly mass >= 1/m) and the core:
-    the heavy outcomes at or below the rate_window low line."""
+) -> tuple[tuple[int, ...], int, list[int]]:
+    """Descending order, the number of heavy outcomes (exactly mass >= 1/m)
+    and the core: the heavy outcomes at or below the rate_window low line."""
     _check_window(m, gamma)
     r_low, _ = rate_window(m, dist.n, gamma)
-    cut, order = Fraction(dist._den, m), sort_descending(dist)
-    # Heavy outcomes form a prefix of the descending order: its heaviest runs.
-    heavy = list(order[: sum(length for mass, length in dist._runs if mass >= cut)])
-    core = [x for x in heavy if self_information(dist, x) <= r_low]
+    cut, order, den = Fraction(dist._den, m), sort_descending(dist), dist._den
+    # Heavy outcomes form a prefix of the descending order, its heaviest
+    # runs; the atoms of one run share one self-information value.
+    heavy, core = 0, []
+    for mass, length in dist._runs:
+        if mass < cut:
+            break
+        if self_information_value(Fraction(mass, den) if dist.exact else mass, dist.n) <= r_low:
+            core.extend(order[heavy : heavy + length])
+        heavy += length
     return order, heavy, core
 
 
@@ -300,6 +310,38 @@ def _encode(
     return MappingPair(phi=tuple(phi), psi=psi, m_n=m)
 
 
+def _construct(
+    kind: str, dist: AtomicDistribution, start: int, core: Sequence[int], core_mass: Mass,
+    gamma: Mass, m: int, m_n: int, flags: tuple[str, ...],
+) -> tuple[MappingPair, ConstructionTrace]:
+    """The pair and trace that keep the descending order's first start ids
+    and merge the rest of the support onto core, a subset of those ids.
+
+    The representatives outside the core form the band.  A nonempty core
+    takes the pool by _greedy_allocate; an empty one leaves the whole pool
+    to the top representative.  m is the trace's codebook size and m_n the
+    encoder's, which differ only on the identity path."""
+    order = sort_descending(dist)
+    live = max(start, len(dist.support()))  # zero masses come last
+    representatives, pool, core = order[:start], order[start:live], tuple(core)
+    band = representatives[len(core):]
+    if representatives[: len(core)] != core:
+        # Float self-information values of nearby masses can invert at the
+        # spectrum-split line and leave a core that is not a prefix.
+        in_core = set(core)
+        band = tuple(x for x in representatives if x not in in_core)
+    if core:
+        allocations, stop = _greedy_allocate(dist, core, start, core_mass)
+    else:
+        allocations, stop = (pool,), 0
+    trace = ConstructionTrace(
+        kind=kind, core=core, band=band, pool=pool, off_support=order[live:],
+        representatives=representatives, allocations=allocations, stop_index=stop,
+        gamma=gamma, m=m, core_mass=core_mass, flags=flags, source=dist,
+    )
+    return _encode(len(order), representatives, core or order[:1], allocations, m_n), trace
+
+
 def build_mapping(
     dist: AtomicDistribution, m: int, gamma: Mass
 ) -> tuple[MappingPair, ConstructionTrace]:
@@ -312,42 +354,19 @@ def build_mapping(
     decoded law matches the core conditional to within one pool atom per
     step.  Membership in the representative set is decided by exact
     comparison against 1/m; the core line is the shared float threshold
-    from rate_window.
+    from rate_window.  Like the entropy-prefix construction, this one only
+    chooses a start position (the number of heavy outcomes, at least one)
+    and a core, and _construct assembles the pair.
 
     Degenerate sources are handled by explicit fallbacks: with an empty
     core the band keeps the identity and the pool collapses onto its top
     element, and with nothing heavy at all every outcome collapses onto
     the mode.
     """
-    size = len(dist.masses)
-    order, heavy, core = _classify(dist, m, gamma)
-    # Zero masses form a suffix of the descending order.
-    live = len(dist.support())
-    light, off = order[len(heavy):live], order[live:]
-    in_core = set(core)
-    band = [x for x in heavy if x not in in_core]
-
-    if not core:
-        # The band keeps the identity and the pool collapses onto its top
-        # element; with nothing heavy at all the mode stands in for the band.
-        kept = heavy or [order[0]]
-        pool = tuple(x for x in light if x != kept[0])
-        flags = ("empty_core",) if heavy else ("empty_core", "empty_core_and_band")
-        trace = ConstructionTrace(
-            kind="spectrum_split", core=(), band=tuple(kept), pool=pool, off_support=off,
-            representatives=tuple(kept), allocations=(pool,), stop_index=0, gamma=gamma,
-            m=m, core_mass=dist._mass_of(core), flags=flags, source=dist,
-        )
-        return _encode(size, kept, kept[:1], (pool,), m), trace
-
+    _, heavy, core = _classify(dist, m, gamma)
+    flags = () if core else ("empty_core",) if heavy else ("empty_core", "empty_core_and_band")
     core_mass = dist._mass_of(core)
-    allocations, stop = _greedy_allocate(dist, core, len(heavy), core_mass)
-    trace = ConstructionTrace(
-        kind="spectrum_split", core=tuple(core), band=tuple(band), pool=light,
-        off_support=off, representatives=tuple(heavy), allocations=allocations,
-        stop_index=stop, gamma=gamma, m=m, core_mass=core_mass, flags=(), source=dist,
-    )
-    return _encode(size, heavy, core, allocations, m), trace
+    return _construct("spectrum_split", dist, max(heavy, 1), core, core_mass, gamma, m, m, flags)
 
 
 def build_smooth_entropy_mapping(
@@ -358,15 +377,17 @@ def build_smooth_entropy_mapping(
     The core is the smallest descending prefix whose mass reaches
     f^{-1}(delta), the codebook size is |core| e^{n gamma} rounded up, and
     the representatives are simply the heaviest m outcomes: identity on
-    them, greedy merge of everything lighter onto the core.  When the
-    demanded codebook already exceeds the whole space the identity mapping
-    is returned and flagged, since zero divergence is then free.
+    them, greedy merge of everything lighter onto the core.  So the start
+    position is m and _construct assembles the pair, as for the
+    spectrum-split construction.  When the demanded codebook already
+    exceeds the whole space the start is the space size: the pool is
+    empty, the mapping is the identity and it is flagged, since zero
+    divergence is then free.  Only nonincreasing curves are accepted, as
+    the budget threshold f^{-1}(delta) is only a budget for them.
     """
     if gamma <= 0:
         raise OutOfRange(f"slack exponent must be positive, got {gamma}")
-    if delta < 0:
-        raise OutOfRange(f"divergence budget must be nonnegative, got {delta}")
-    size = len(dist.masses)
+    _check_budget(curve, delta)
     order = sort_descending(dist)
     core, core_mass = _descending_prefix(dist, order, _budget_threshold(curve, delta))
     try:
@@ -375,30 +396,12 @@ def build_smooth_entropy_mapping(
         raise OutOfRange(
             f"codebook size |core| e^(n gamma) overflows a float at n = {dist.n}, gamma = {gamma}"
         ) from None
-
-    if m > size:
-        # The demanded codebook does not fit in the space, so the pair is
-        # the identity on all of it; m_n is the space size, not m, which
-        # could be astronomically large.
-        trace = ConstructionTrace(
-            kind="entropy_prefix", core=tuple(core), band=order[len(core):], pool=(),
-            off_support=(), representatives=order, allocations=((),) * len(core),
-            stop_index=0, gamma=gamma, m=m, core_mass=core_mass,
-            flags=("size_exceeds_space",), source=dist,
-        )
-        return _encode(size, order, (), (), size), trace
-
-    representatives = order[:m]
-    band = representatives[len(core):]
-    live = max(m, len(dist.support()))  # zero masses come last
-    pool, off = order[m:live], order[live:]
-    allocations, stop = _greedy_allocate(dist, core, m, core_mass)
-    trace = ConstructionTrace(
-        kind="entropy_prefix", core=tuple(core), band=band, pool=pool, off_support=off,
-        representatives=representatives, allocations=allocations, stop_index=stop,
-        gamma=gamma, m=m, core_mass=core_mass, flags=(), source=dist,
-    )
-    return _encode(size, representatives, core, allocations, m), trace
+    # When m does not fit in the space, the start and the codebook are the
+    # space size, not m, which could be astronomically large: the pool is
+    # then empty and the pair is the identity.
+    m_n = min(m, len(order))
+    flags = ("size_exceeds_space",) if m > m_n else ()
+    return _construct("entropy_prefix", dist, m_n, core, core_mass, gamma, m, m_n, flags)
 
 
 def baseline_collapse_mapping(dist: AtomicDistribution, m: int, gamma: Mass) -> MappingPair:

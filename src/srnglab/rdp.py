@@ -105,13 +105,11 @@ def mapping_distortion(
         raise DimensionMismatch("distortion table does not match the outcome space")
     exact = all(map(_is_exact, chain.from_iterable(spec.entries)))
     total = dist._mass_of(()) if exact else 0.0
-    for x, mass in enumerate(dist.masses):
-        if mass == 0:
-            continue
+    for x in dist.support():
         y = mapping.psi[mapping.phi[x]]
         if y == x:
             continue
-        total = total + mass * spec.block_value(x, y, dist.n, dist.alphabet_size)
+        total = total + dist.masses[x] * spec.block_value(x, y, dist.n, dist.alphabet_size)
     return total / dist.n
 
 

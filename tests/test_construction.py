@@ -30,6 +30,7 @@ from srnglab import (
     cdf_at,
     converse_bound,
     divergence,
+    e_gamma_sum,
     entropy_mapping_bound,
     expand,
     f_inverse,
@@ -37,6 +38,7 @@ from srnglab import (
     kl,
     rate_window,
     reverse_kl,
+    self_information_value,
     smooth_max_entropy,
     sort_descending,
     spectrum_cdf,
@@ -210,6 +212,28 @@ def test_heavy_without_core_keeps_the_identity() -> None:
     assert trace.off_support == (3,)
     decoded = apply_mapping(d, mapping)
     assert decoded.masses == d.masses
+
+
+def test_core_past_an_inverted_self_information_is_not_a_prefix() -> None:
+    # Over a denominator of 10^17 the float self-information of a mass can
+    # exceed that of the next lighter one.  With the low line between the
+    # two, the lighter heavy atom is core and the heavier one band: the
+    # per-atom classification, done once per run.
+    den, m = 10**17, 4
+
+    def value(num: int) -> float:
+        return self_information_value(F(num, den), 1)
+
+    a = next(a for a in range(3 * den // 10, den) if value(a + 1) > value(a))
+    gamma = F(math.log(m) - value(a))
+    assert value(a) <= rate_window(m, 1, gamma)[0] < value(a + 1)
+    rest = den - 2 * a - 1
+    d = single_letter(F(a + 1, den), F(a, den), F(rest // 2, den), F(rest - rest // 2, den))
+    mapping, trace = build_mapping(d, m, gamma)
+    got = (trace.representatives, trace.core, trace.band, trace.pool)
+    assert got == ((0, 1), (1,), (0,), (3, 2))
+    assert trace.flags == ()
+    assert [mapping.psi[j] for j in mapping.phi] == [0, 1, 1, 1]
 
 
 def test_partition_invariant_holds_on_degenerate_paths() -> None:
@@ -537,6 +561,17 @@ def test_entropy_prefix_arguments_and_trace_kinds_are_checked() -> None:
     with pytest.raises(InvalidModel) as excinfo:
         achievability_bound(trace, variational())
     assert str(excinfo.value) == "bound applies to spectrum_split traces, got entropy_prefix"
+
+
+def test_entropy_prefix_rejects_curves_that_are_not_nonincreasing() -> None:
+    # f^{-1}(delta) is a budget only for nonincreasing curves.  kl has
+    # f(0+) = 0 <= 1/10 and would get a one-atom core whose mapping sits at
+    # kl divergence inf; e_gamma_sum:2 would get one at 37/64 > 1/10.
+    dist = expand(SourceModel(IID((F(3, 4), F(1, 4))), 4))
+    for curve in (kl(), e_gamma_sum(2)):
+        with pytest.raises(OutOfRange) as excinfo:
+            build_smooth_entropy_mapping(dist, curve, F(1, 10), F(1, 20))
+        assert str(excinfo.value).startswith(f"{curve.name} is not nonincreasing")
 
 
 def test_greedy_with_no_core_allocates_nothing() -> None:
