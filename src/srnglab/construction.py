@@ -20,12 +20,13 @@ the step at which the pool ran dry, so tests can audit the invariants the
 guarantees lean on, and derives the core conditional on demand (exact: the
 core's numerators over their sum).  The greedy walks the pool as runs of
 equal mass: once one atom of a run misfits, every later atom of that run
-misfits too, so a step takes a prefix of each run.  The runs are cut once
-per distribution, beside its descending order; the pool is that order's
-suffix from a start position to the end of the support, and prefixes are
-found without visiting atoms in Python bytecode, so a step costs O(#runs)
-interpreted operations; the C-level work that remains is one slice per
-taken prefix and, in float mode, one addition per taken atom.
+misfits too, so a step takes a prefix of each run.  The runs are the
+classes of the distribution's class list, built once beside its
+descending order; the pool is that order's suffix from a start position
+to the end of the support, and prefixes are found without visiting atoms
+in Python bytecode, so a step costs O(#runs) interpreted operations; the
+C-level work that remains is one slice per taken prefix and, in float
+mode, one addition per taken atom.
 
 The spectrum-split construction and its collapse baseline share one
 classification (_classify), computed through the same expressions the
@@ -45,7 +46,7 @@ from typing import Sequence
 from .divergence import FCurve, _budget_threshold, check_conditions
 from .errors import DimensionMismatch, InvalidModel, OutOfRange
 from .probability import AtomicDistribution, Mass, self_information_value, sort_descending
-from .spectrum import SpectrumSummary, _check_budget, _descending_prefix, cdf_at
+from .spectrum import SpectrumSummary, cdf_at
 
 __all__ = [
     "BoundReport",
@@ -183,13 +184,14 @@ def _greedy_allocate(
     stop index; a pool that survives the last representative is dumped
     onto it wholesale.
 
-    The pool is held as the distribution's runs (`_runs`, maximal
-    stretches of equal mass in the descending order, cut once per
-    distribution) that end past start, each with the positions in the
-    order of its end and of its first unallocated atom, which is start
-    for a run that start cuts.  Once one atom of a run does not fit, the
-    load is unchanged, so no later atom of that run fits either: a
-    representative takes a prefix of each run's unallocated
+    The pool is held as the distribution's runs, maximal stretches of
+    equal mass in the descending order: the classes of its class list
+    (`_classes`, built once per distribution), whose running sizes are
+    the runs' ends in the order.  Each run that ends past start keeps
+    its end and the position of its first unallocated atom, which is
+    start for the run that start cuts.  Once one atom of a run does not
+    fit, the load is unchanged, so no later atom of that run fits
+    either: a representative takes a prefix of each run's unallocated
     suffix, as one slice of the order.  In exact mode masses are
     numerators over the distribution's denominator D and core_mass is
     C / D, so a representative of numerator p has capacity p (D - C) / C
@@ -216,12 +218,12 @@ def _greedy_allocate(
     remaining atom per representative, which costs O(|core| * |pool|).
     """
     order, values, den, exact = sort_descending(dist), dist._values, dist._den, dist.exact
-    # [mass, end, first unallocated position] per run, positions into order
-    runs, end = [], 0
-    for mass, length in dist._runs:
-        end += length
-        if end > start:
-            runs.append([mass, end, max(start, end - length)])
+    # [mass, end, first unallocated position] per run that ends past start,
+    # positions into order; start cuts the first of them.
+    classes = dist._classes
+    past = bisect_right(classes.sizes, start)
+    ends = classes.sizes[past:]
+    runs = [list(run) for run in zip(classes.nums[past:], ends, chain((start,), ends))]
     core_value = int(core_mass * den) if exact else core_mass
     allocations: list[list[int]] = []
     taken: list[int] = []
@@ -281,12 +283,12 @@ def _classify(
     # Heavy outcomes form a prefix of the descending order, its heaviest
     # runs; the atoms of one run share one self-information value.
     heavy, core = 0, []
-    for mass, length in dist._runs:
+    for mass, end in zip(dist._classes.nums, dist._classes.sizes):
         if mass < cut:
             break
         if self_information_value(Fraction(mass, den) if dist.exact else mass, dist.n) <= r_low:
-            core.extend(order[heavy : heavy + length])
-        heavy += length
+            core.extend(order[heavy:end])
+        heavy = end
     return order, heavy, core
 
 
@@ -375,21 +377,25 @@ def build_smooth_entropy_mapping(
     """Entropy-prefix construction meeting divergence budget delta.
 
     The core is the smallest descending prefix whose mass reaches
-    f^{-1}(delta), the codebook size is |core| e^{n gamma} rounded up, and
-    the representatives are simply the heaviest m outcomes: identity on
-    them, greedy merge of everything lighter onto the core.  So the start
-    position is m and _construct assembles the pair, as for the
-    spectrum-split construction.  When the demanded codebook already
-    exceeds the whole space the start is the space size: the pool is
-    empty, the mapping is the identity and it is flagged, since zero
-    divergence is then free.  Only nonincreasing curves are accepted, as
-    the budget threshold f^{-1}(delta) is only a budget for them.
+    f^{-1}(delta), as long as the class list's set_size, the codebook
+    size is |core| e^{n gamma} rounded up, and the representatives are
+    simply the heaviest m outcomes: identity on them, greedy merge of
+    everything lighter onto the core.  So the start position is m and
+    _construct assembles the pair, as for the spectrum-split
+    construction.  When the demanded codebook already exceeds the whole
+    space the start is the space size: the pool is empty, the mapping is
+    the identity and it is flagged, since zero divergence is then free.
+    Only nonincreasing curves are accepted, as the budget threshold
+    f^{-1}(delta) is only a budget for them.
     """
     if gamma <= 0:
         raise OutOfRange(f"slack exponent must be positive, got {gamma}")
-    _check_budget(curve, delta)
+    if delta < 0:
+        raise OutOfRange(f"divergence budget must be nonnegative, got {delta}")
+    _require_nonincreasing(curve, "the entropy-prefix construction")
     order = sort_descending(dist)
-    core, core_mass = _descending_prefix(dist, order, _budget_threshold(curve, delta))
+    core = order[: dist._classes.set_size(_budget_threshold(curve, delta))]
+    core_mass = dist._mass_of(core)
     try:
         m = math.ceil(len(core) * math.exp(dist.n * float(gamma)))
     except OverflowError:

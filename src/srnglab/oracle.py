@@ -254,7 +254,8 @@ def _iter_plans(
 
 def _total(terms: Iterable[Mass], stray: Mass) -> Mass:
     """Sum one plan's terms in order, then its stray; an infinite term ends
-    the sum."""
+    the sum.  The scan's vector totals equal it; tests use it as their
+    reference."""
     total: Mass = 0
     for term in itertools.chain(terms, (stray,)):
         if term == math.inf:
@@ -338,24 +339,17 @@ def _scan(
             if skips and floors[i] >= best[i]:
                 continue
             # Every plan's total at once, with _total's additions: left to
-            # right from 0, then the stray.  Where no total is infinite no
-            # plan met an infinite term, so these are _total's values, and a
-            # partition whose lowest total does not lower the best changes
-            # nothing for this curve.
-            terms = [rows[q] for q in q_values]
+            # right from 0, then the stray.  No term is -inf, so a plan that
+            # meets an infinite term totals inf, as _total returns, and
+            # these are _total's values.  Once a witness is set, a partition
+            # whose lowest total does not lower the best changes nothing
+            # for this curve.
             totals = [0] * len(perms)
-            for row, column in zip(terms, columns):
-                totals = list(map(operator.add, totals, map(row.__getitem__, column)))
+            for q, column in zip(q_values, columns):
+                totals = list(map(operator.add, totals, map(rows[q].__getitem__, column)))
             totals = list(map(operator.add, totals, strays[k]))
-            # Not math.isfinite: it raises on ints beyond the float range.
-            if math.inf not in totals:
-                if min(totals) >= best[i]:
-                    continue
-            else:
-                totals = [
-                    _total(map(operator.getitem, terms, perm), stray)
-                    for perm, stray in zip(perms, strays[k])
-                ]
+            if best_plan[i] is not None and min(totals) >= best[i]:
+                continue
             for j, value in enumerate(totals):
                 if best_plan[i] is None or value < best[i]:
                     if plan_blocks is None:

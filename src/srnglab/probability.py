@@ -33,10 +33,17 @@ n-th power of the lcm of the pmf denominators).
 
 This module alone knows how masses are stored: the rest of the package
 reads them as `_values` over `_den`, and totals outcome sets with `_mass_of`.
+The class list (`_ClassList`) lives here too: classes of equally likely
+atoms by descending mass, one list per distribution (its `_classes`, a
+class per distinct mass, each a run of its descending order) and one per
+rational (source, n) (a class per type, built by the spectrum module).
+Its `set_size` is the one rule for the smallest set of heaviest outcomes
+that reaches a mass, in both modes.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from collections import Counter
@@ -141,6 +148,76 @@ def _common(values: Sequence[Mass]) -> tuple[int, list[int]]:
     """One denominator for rational values, and every value's numerator over it."""
     den = math.lcm(*{v.denominator for v in values})
     return den, [v.numerator * (den // v.denominator) for v in values]
+
+
+@dataclass(frozen=True)
+class _ClassList:
+    """Classes of equally likely atoms by descending mass: class i holds
+    atoms of mass nums[i] / den, and cum[i] / den and sizes[i] are the mass
+    and atom count of classes 0..i.  There is one list per distribution
+    (its `_classes`, a class per distinct mass) and one per rational
+    (source, n) (a class per type).
+
+    An exact list holds integer numerators.  A float distribution's list
+    holds its float masses over den 1 and is read only through nums, sizes
+    and set_size: cum, reaching and value_at are for exact lists.
+    """
+
+    n: int
+    den: int
+    nums: list[int | float]
+    cum: list[int | float]
+    sizes: list[int]
+
+    @classmethod
+    def build(cls, n: int, den: int, classes: Iterable[tuple[int | float, int]]) -> _ClassList:
+        """From (atom mass times den, atom count) pairs of positive mass."""
+        descending = sorted(classes, reverse=True)
+        nums = [num for num, _ in descending]
+        counts = [count for _, count in descending]
+        del descending  # the running totals below are as large again
+        sizes = list(accumulate(counts))
+        # The mass totals free each count once it is used, heaviest first.
+        counts.reverse()
+        cum = list(accumulate(num * counts.pop() for num in nums))
+        return cls(n, den, nums, cum, sizes)
+
+    def reaching(self, level: Mass) -> int:
+        """The class where the exact cdf reaches level <= 1: the first whose
+        running numerator reaches level * den rounded up."""
+        level = Fraction(level)
+        return bisect.bisect_left(self.cum, -(-level.numerator * self.den // level.denominator))
+
+    def value_at(self, level: Mass) -> float:
+        """The value of the class where the exact cdf reaches level."""
+        return _reduced_value(self.nums[self.reaching(level)], self.den, self.n)
+
+    def set_size(self, target: Mass) -> int:
+        """Fewest atoms, heaviest first, whose mass reaches target; at least
+        one.  Exact: whole classes, and the ceiling count the class where
+        the cdf reaches target <= 1 needs, by integer cross-multiplication.
+        Float: the masses added left to right from 0, a class at a time in
+        C, against the least float at or above target; every atom if the
+        total never reaches it."""
+        if isinstance(self.nums[0], float):
+            goal = float(target)
+            if goal < target:
+                goal = math.nextafter(goal, math.inf)
+            total, before = 0.0, 0
+            for mass, size in zip(self.nums, self.sizes):
+                loads = list(accumulate(repeat(mass, size - before), initial=total))
+                reach = bisect.bisect_left(loads, goal, 1)
+                if reach < len(loads):
+                    return before + reach
+                total, before = loads[-1], size
+            return before
+        target = Fraction(target)
+        if target <= 0:
+            return 1
+        last = self.reaching(target)
+        need, scale = target.numerator * self.den, target.denominator
+        cum_before, size_before = (self.cum[last - 1], self.sizes[last - 1]) if last else (0, 0)
+        return size_before - (cum_before * scale - need) // (self.nums[last] * scale)
 
 
 @dataclass(frozen=True)
@@ -271,12 +348,12 @@ class AtomicDistribution:
         return tuple(order)
 
     @cached_property
-    def _runs(self) -> tuple[tuple[Mass, int], ...]:
-        # The support's runs, maximal stretches of one mass in _descending,
-        # heaviest first, as (mass in _values, length): one count of the
-        # positive values, one sort of the distinct ones.
+    def _classes(self) -> _ClassList:
+        # One class per distinct positive value, heaviest first: the runs of
+        # _descending's support prefix, from one count of the positive
+        # values and one sort of the distinct ones.
         values = self._values
-        return tuple(sorted(Counter(compress(values, values)).items(), reverse=True))
+        return _ClassList.build(self.n, self._den, Counter(compress(values, values)).items())
 
 
 @dataclass(frozen=True)

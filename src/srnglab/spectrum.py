@@ -6,16 +6,19 @@ statistic the resolution rate quantities need.  Values are per-symbol nats
 computed through integer logarithms, immune to underflow even far below
 double-precision range.
 
-A rational source's spectrum is one class list per (source, n): classes of
-equally likely atoms (a type class, or the atoms of one distinct mass) by
-descending mass, their mass numerators over one shared denominator, and
-the integer running totals of the class masses and sizes.  A quantile or a
-k_f rate is the value of the class where the exact cdf reaches its level,
-found by bisecting those totals, and a smooth max entropy counts the atoms
-up to that class plus the part of it the level needs; only the answering
-class's value is computed.  The order is the masses', not the computed
-values', so rate = quantile holds exactly even where the float values of
-nearby masses tie or invert.
+A rational source's spectrum is one class list (`probability._ClassList`)
+per (source, n) or per distribution: classes of equally likely atoms (a
+type class, or the atoms of one distinct mass, the list an exact
+distribution keeps) by descending mass, their mass numerators over one
+shared denominator, and the integer running totals of the class masses
+and sizes.  A quantile or a k_f rate is the value of the class where the
+exact cdf reaches its level, found by bisecting those totals; only the
+answering class's value is computed.  Every smooth set, on atoms or types
+and in either mode, is sized by the list's set_size: the atoms up to the
+class where the mass reaches its target plus the part of it the target
+needs.  The order is the masses', not the computed values', so rate =
+quantile holds exactly even where the float values of nearby masses tie
+or invert.
 
 The (value, mass) points merge the classes by computed value, once, when
 first read; tails at a value (tail_above, tail_from, cdf_at) bisect that
@@ -30,7 +33,8 @@ binary alphabet instead of 2**n.  Ternary (1/2, 1/3, 1/6) at n = 1000 has
 501 501; its class list and first k_f rate take about 3.3 s and 430 MB
 (Python 3.11.7, shared 2-CPU VM).  A convergence sweep reads one class
 list per blocklength for all of its (curve, budget) pairs and merges no
-points; a float source is expanded, up to 2**14 outcomes.
+points; a float source is expanded, up to 2**14 outcomes, and its sizes
+come from the expanded distribution's list.
 """
 
 from __future__ import annotations
@@ -41,8 +45,8 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain, islice
-from typing import Iterable, Sequence
+from itertools import accumulate, chain
+from typing import Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
 from .errors import InvalidModel, OutOfRange
@@ -53,6 +57,7 @@ from .probability import (
     Mass,
     Mixture,
     SourceModel,
+    _ClassList,
     _reduced_value,
     _types,
     expand,
@@ -75,53 +80,6 @@ __all__ = [
     "typeclass_smooth_max_entropy",
     "typeclass_spectrum",
 ]
-
-
-@dataclass(frozen=True)
-class _ClassList:
-    """The exact spectrum of one rational source at blocklength n: class i,
-    by descending atom mass, holds atoms of mass nums[i] / den, and
-    cum[i] / den and sizes[i] are the mass and atom count of classes 0..i."""
-
-    n: int
-    den: int
-    nums: list[int]
-    cum: list[int]
-    sizes: list[int]
-
-    @classmethod
-    def build(cls, n: int, den: int, classes: Iterable[tuple[int, int]]) -> _ClassList:
-        """From (atom mass times den, atom count) pairs of positive mass."""
-        descending = sorted(classes, reverse=True)
-        nums = [num for num, _ in descending]
-        counts = [count for _, count in descending]
-        del descending  # the running totals below are as large again
-        sizes = list(accumulate(counts))
-        # The mass totals free each count once it is used, heaviest first.
-        counts.reverse()
-        cum = list(accumulate(num * counts.pop() for num in nums))
-        return cls(n, den, nums, cum, sizes)
-
-    def reaching(self, level: Mass) -> int:
-        """The class where the exact cdf reaches level <= 1: the first whose
-        running numerator reaches level * den rounded up."""
-        level = Fraction(level)
-        return bisect.bisect_left(self.cum, -(-level.numerator * self.den // level.denominator))
-
-    def value_at(self, level: Mass) -> float:
-        """The value of the class where the exact cdf reaches level."""
-        return _reduced_value(self.nums[self.reaching(level)], self.den, self.n)
-
-    def set_size(self, target: Fraction) -> int:
-        """Fewest atoms, heaviest first, whose mass reaches target <= 1:
-        whole classes, and the ceiling count the class where the cdf reaches
-        target needs, by integer cross-multiplication.  At least one."""
-        if target <= 0:
-            return 1
-        last = self.reaching(target)
-        need, scale = target.numerator * self.den, target.denominator
-        cum_before, size_before = (self.cum[last - 1], self.sizes[last - 1]) if last else (0, 0)
-        return size_before - (cum_before * scale - need) // (self.nums[last] * scale)
 
 
 @dataclass(frozen=True)
@@ -195,13 +153,14 @@ class SpectrumSummary:
 def spectrum_cdf(dist: AtomicDistribution) -> SpectrumSummary:
     """Summarize a materialized distribution into its information spectrum.
 
-    An exact distribution's runs become its class list, one class per
-    distinct numerator.  A float one merges the outcomes of one computed value, each
-    distinct mass valued once, adding masses atom by atom in id order.
+    An exact distribution's summary holds the class list the distribution
+    keeps, one class per distinct numerator.  A float one merges the
+    outcomes of one computed value, each distinct mass of that list valued
+    once, adding masses atom by atom in id order.
     """
     if dist.exact:
-        return SpectrumSummary._of(_ClassList.build(dist.n, dist._den, dist._runs))
-    value_of = {mass: self_information_value(mass, dist.n) for mass, _ in dist._runs}
+        return SpectrumSummary._of(dist._classes)
+    value_of = {mass: self_information_value(mass, dist.n) for mass in dist._classes.nums}
     acc: dict[float, Mass] = {}
     for mass in filter(None, dist.masses):
         value = value_of[mass]
@@ -325,39 +284,16 @@ def _tail_target(delta: Mass, exact: bool) -> Mass:
 def smooth_max_entropy(dist: AtomicDistribution, delta: Mass) -> tuple[float, frozenset[int]]:
     """log of the smallest outcome set holding mass at least 1 - delta.
 
-    Returns the log size in nats together with the achieving set, built
-    greedily by descending mass with ascending-id ties.  The set always
-    contains the heaviest outcome, so a tail budget of one or more still
-    yields a singleton.  In exact mode the target is met exactly; a float
-    accumulation that never reaches it falls back to the full support.
+    Returns the log size in nats together with the achieving set: the
+    descending order (ascending-id ties) cut at the distribution's class
+    list's set_size, what a greedy pass by descending mass takes.  The
+    set always contains the heaviest outcome, so a tail budget of one
+    still yields a singleton; budgets outside [0, 1] are rejected.  In
+    exact mode the target is met exactly; a float accumulation that never
+    reaches it falls back to the full support.
     """
-    target = _tail_target(delta, dist.exact)
-    chosen = _descending_prefix(dist, sort_descending(dist), target)[0]
+    chosen = sort_descending(dist)[: dist._classes.set_size(_tail_target(delta, dist.exact))]
     return math.log(len(chosen)), frozenset(chosen)
-
-
-def _descending_prefix(
-    dist: AtomicDistribution, order: Sequence[int], target: Mass
-) -> tuple[list[int], Mass]:
-    """Shortest prefix of the descending order whose mass reaches target,
-    and that mass; never empty, and never past the last positive mass."""
-    values = dist._values
-    # Integer numerators reach target once they reach target * _den rounded
-    # up, and float totals once they reach the least float at or above it.
-    if dist.exact:
-        goal = math.ceil(Fraction(target) * dist._den)
-    else:
-        goal = float(target)
-        if goal < target:
-            goal = math.nextafter(goal, math.inf)
-    ids: list[int] = []
-    total: Mass = 0
-    for x in islice(order, len(dist.support())):
-        ids.append(x)
-        total = total + values[x]
-        if total >= goal:
-            break
-    return ids, dist._mass_of(ids)
 
 
 def _type_classes(variant: IID | Mixture, n: int) -> _ClassList:
@@ -462,15 +398,14 @@ def _sweep_point(
 ) -> tuple[list[float], list[float]]:
     """k_f_rate at every cdf threshold f^{-1}(delta), and the normalized
     smooth max entropy at every matching tail level, at one blocklength:
-    from its class list if the source is rational, else expanded."""
+    from its type classes if the source is rational, else from the class
+    list of the expanded distribution."""
     n = model.n
     if model.exact:
         classes = _type_classes(model.variant, n)
-        sizes = [classes.set_size(1 - Fraction(eps)) for eps in levels]
         summary = SpectrumSummary._of(classes)
     else:
         dist = expand(model, cap)
-        order = sort_descending(dist)
-        sizes = [len(_descending_prefix(dist, order, 1.0 - float(eps))[0]) for eps in levels]
-        summary = spectrum_cdf(dist)
+        classes, summary = dist._classes, spectrum_cdf(dist)
+    sizes = [classes.set_size(_tail_target(eps, model.exact)) for eps in levels]
     return [_crossing(summary, thr) for thr in thresholds], [math.log(size) / n for size in sizes]

@@ -60,7 +60,12 @@ def quarter_block(n: int) -> AtomicDistribution:
 def assert_trace_invariants(dist: AtomicDistribution, mapping: MappingPair, trace) -> None:
     ids = sorted(trace.core + trace.band + trace.pool + trace.off_support)
     assert ids == list(range(len(dist.masses)))
-    assert trace.representatives == trace.core + trace.band
+    # Core and band partition the representatives, each in their order; the
+    # core need not be their prefix.
+    assert not set(trace.core) & set(trace.band)
+    assert set(trace.core) | set(trace.band) == set(trace.representatives)
+    for part in (trace.core, trace.band):
+        assert part == tuple(x for x in trace.representatives if x in part)
     assert len(set(mapping.psi)) <= trace.m
     decoded = apply_mapping(dist, mapping)
     assert sum(1 for v in decoded.masses if v > 0) <= trace.m
@@ -234,6 +239,7 @@ def test_core_past_an_inverted_self_information_is_not_a_prefix() -> None:
     assert got == ((0, 1), (1,), (0,), (3, 2))
     assert trace.flags == ()
     assert [mapping.psi[j] for j in mapping.phi] == [0, 1, 1, 1]
+    assert_trace_invariants(d, mapping, trace)
 
 
 def test_partition_invariant_holds_on_degenerate_paths() -> None:
@@ -571,7 +577,10 @@ def test_entropy_prefix_rejects_curves_that_are_not_nonincreasing() -> None:
     for curve in (kl(), e_gamma_sum(2)):
         with pytest.raises(OutOfRange) as excinfo:
             build_smooth_entropy_mapping(dist, curve, F(1, 10), F(1, 20))
-        assert str(excinfo.value).startswith(f"{curve.name} is not nonincreasing")
+        assert str(excinfo.value) == (
+            "the entropy-prefix construction is only proved for nonincreasing curves, "
+            f"not {curve.name}"
+        )
 
 
 def test_greedy_with_no_core_allocates_nothing() -> None:

@@ -447,6 +447,18 @@ def test_full_search_tries_only_the_first_zero_mass_outcomes() -> None:
     assert res.plan.representatives == twelve.support()
 
 
+def test_witness_is_the_first_plan_when_every_plan_is_infinite() -> None:
+    # kl puts inf on every uncovered atom, and with m below the support
+    # size every plan leaves one uncovered: every total is inf, so the
+    # witness is the first plan, the whole support onto the first candidate.
+    for exact in (True, False):
+        d = AtomicDistribution.from_masses([F(0), F(1, 2), F(1, 4), F(1, 4)], 1, 4, exact=exact)
+        for m in (1, 2):
+            res = min_fdiv_bruteforce_full(d, m, [kl()])["kl"]
+            assert res.value == math.inf
+            assert res.plan == oracle.PartitionPlan(((1, 2, 3),), (0,), m)
+
+
 def test_exact_refinement_follows_the_curve_arithmetic() -> None:
     d = single_letter(F(4, 10), F(3, 10), F(2, 10), F(1, 10))
     custom = FCurve("half_l1", variational().eval_at, F(1), F(0))

@@ -47,7 +47,7 @@ from srnglab import (
 )
 from srnglab.divergence import _budget_threshold
 from srnglab.probability import _types, self_information_value
-from srnglab.spectrum import SweepRow, _descending_prefix, _sweep_pairs
+from srnglab.spectrum import SweepRow, _sweep_pairs, _type_classes
 
 F = Fraction
 
@@ -594,7 +594,7 @@ def test_k_f_rate_is_the_quantile_on_near_tie_sources() -> None:
 
 
 def test_float_prefix_goal_matches_the_fraction_comparison() -> None:
-    # The float prefix compares its running float total with the least
+    # The float set size compares its running float total with the least
     # float at or above the target; the old loop compared it with the
     # target itself.  Targets: every prefix total exactly, one ulp to each
     # side, rationals strictly between, int 0 and rationals past the total.
@@ -612,6 +612,40 @@ def test_float_prefix_goal_matches_the_fraction_comparison() -> None:
             targets += [F(total) + (F(up) - F(total)) / 3, F(total) - (F(total) - F(down)) / 3]
         for target in targets:
             chosen, mass = old_prefix(dist, target, 0.0)
-            ids, got = _descending_prefix(dist, order, target)
+            ids = list(order[: dist._classes.set_size(target)])
+            got = dist._mass_of(ids)
             assert ids == chosen
             assert same(got, mass)
+
+
+def test_atoms_and_types_read_one_class_list() -> None:
+    # An expanded distribution's class list (a class per distinct mass) and
+    # the type-class list (a class per type; types of one mass are separate
+    # classes) answer every set size and every quantile alike, at every
+    # class boundary of either list, one numerator to each side, and
+    # inside classes.
+    rng = random.Random(9173)
+    sources = [
+        (IID((F(1, 4), F(1, 4), F(1, 2))), 6),
+        (IID((F(1, 2), F(1, 2))), 10),
+        (IID((F(3, 10), F(0), F(7, 10))), 6),
+        (BENCHMARK_MIXTURE, 10),
+        (FIXED_TYPE_CLASS_INPUTS[3][0], 5),
+        (NEAR_TIE_SOURCES[0], 5),
+    ]
+    sources += [(v, 9 if v.alphabet_size == 2 else 5) for v in map(random_variant, [rng] * 6)]
+    merged = 0
+    for variant, n in sources:
+        atoms = expand(SourceModel(variant, n))._classes
+        types = _type_classes(variant, n)
+        assert atoms.den == types.den
+        merged += len(atoms.nums) < len(types.nums)
+        den = types.den
+        keys = {0, den} | {c + d for c in atoms.cum + types.cum for d in (-1, 0, 1)}
+        keys |= {(a + b) // 2 for a, b in zip(types.cum, types.cum[1:])}
+        for key in sorted(k for k in keys if 0 <= k <= den):
+            level = F(key, den)
+            assert atoms.set_size(level) == types.set_size(level), (variant, n, key)
+            assert atoms.value_at(level) == types.value_at(level), (variant, n, key)
+    # Some sources have types of one mass, so the two lists differ.
+    assert 0 < merged < len(sources)
