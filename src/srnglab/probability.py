@@ -24,21 +24,26 @@ one mass computed for its type, so equal types share float masses bit for
 bit.  Exact Markov numerators are over the initial pmf's denominator
 times the (n-1)-th power of the lcm of the transition denominators.
 
-The type-class walk lives here, once: `_types` yields every positive-mass
-type of an IID or mixture source with its key, one sequence's mass and
-its class size.  `expand` reads it in both modes; the spectrum and the
-sweep read it in exact mode, where the masses are integer numerators over
-the type-class denominator (the lcm of the weight denominators times the
-n-th power of the lcm of the pmf denominators).
+The type-class walk lives here, once: `_types` lists every positive-mass
+type of an IID or mixture source by its key, one sequence's mass and its
+class size, three parallel lists built a column at a time (the types that
+share all but the last two symbol counts) by C-level maps, with no Python
+step per type but the class-size recurrence.  `expand` reads it in both
+modes; the spectrum and the sweep read it in exact mode, where the masses
+are integer numerators over the type-class denominator (the lcm of the
+weight denominators times the n-th power of the lcm of the pmf
+denominators).
 
 This module alone knows how masses are stored: the rest of the package
 reads them as `_values` over `_den`, and totals outcome sets with `_mass_of`.
 The class list (`_ClassList`) lives here too: classes of equally likely
-atoms by descending mass, one list per distribution (its `_classes`, a
-class per distinct mass, each a run of its descending order) and one per
-rational (source, n) (a class per type, built by the spectrum module).
-Its `set_size` is the one rule for the smallest set of heaviest outcomes
-that reaches a mass, in both modes.
+atoms by descending mass, each a mass and an atom count, one list per
+distribution (its `_classes`, a class per distinct mass, each a run of its
+descending order) and one per rational (source, n) (a class per type,
+built by the spectrum module).  Its running totals of mass and size are
+computed only as far as a query reads them.  Its `set_size` is the one
+rule for the smallest set of heaviest outcomes that reaches a mass, in
+both modes.
 """
 
 from __future__ import annotations
@@ -49,9 +54,9 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, partial, reduce
+from functools import cached_property, reduce
 from itertools import accumulate, compress, cycle, repeat
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 from .errors import CapExceeded, InvalidModel, ZeroMassOutcome
 
@@ -153,40 +158,72 @@ def _common(values: Sequence[Mass]) -> tuple[int, list[int]]:
 @dataclass(frozen=True)
 class _ClassList:
     """Classes of equally likely atoms by descending mass: class i holds
-    atoms of mass nums[i] / den, and cum[i] / den and sizes[i] are the mass
-    and atom count of classes 0..i.  There is one list per distribution
-    (its `_classes`, a class per distinct mass) and one per rational
-    (source, n) (a class per type).
+    counts[i] atoms of mass nums[i] / den, and cum[i] / den and sizes[i]
+    are the mass and atom count of classes 0..i.  There is one list per
+    distribution (its `_classes`, a class per distinct mass) and one per
+    rational (source, n) (a class per type).
+
+    The running totals are computed only as far as they are read: a query
+    at a level extends them, heaviest first, until they reach it, and cum
+    and sizes extend them over every class.  Classes of one mass keep the
+    order they were given in: set sizes, quantiles and merged points are
+    the same in any order of them.
 
     An exact list holds integer numerators.  A float distribution's list
-    holds its float masses over den 1 and is read only through nums, sizes
-    and set_size: cum, reaching and value_at are for exact lists.
+    holds its float masses over den 1 and is read only through nums,
+    counts, sizes and set_size: cum, reaching and value_at are for exact
+    lists.
     """
 
     n: int
     den: int
     nums: list[int | float]
-    cum: list[int | float]
-    sizes: list[int]
+    counts: list[int]
+    _cum: list[int | float] = field(default_factory=list, init=False, repr=False, compare=False)
+    _sizes: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
 
     @classmethod
-    def build(cls, n: int, den: int, classes: Iterable[tuple[int | float, int]]) -> _ClassList:
-        """From (atom mass times den, atom count) pairs of positive mass."""
-        descending = sorted(classes, reverse=True)
-        nums = [num for num, _ in descending]
-        counts = [count for _, count in descending]
-        del descending  # the running totals below are as large again
-        sizes = list(accumulate(counts))
-        # The mass totals free each count once it is used, heaviest first.
-        counts.reverse()
-        cum = list(accumulate(num * counts.pop() for num in nums))
-        return cls(n, den, nums, cum, sizes)
+    def build(
+        cls, n: int, den: int, nums: Sequence[int | float], counts: Sequence[int]
+    ) -> _ClassList:
+        """From the mass times den and the atom count of each class, all of
+        positive mass: one sort on the masses alone."""
+        order = sorted(range(len(nums)), key=nums.__getitem__, reverse=True)
+        return cls(n, den, list(map(nums.__getitem__, order)), list(map(counts.__getitem__, order)))
+
+    @property
+    def cum(self) -> list[int | float]:
+        self._extend(None)
+        return self._cum
+
+    @property
+    def sizes(self) -> list[int]:
+        self._extend(None)
+        return self._sizes
+
+    def _extend(self, goal: int | None) -> None:
+        """Extend the running totals until the mass total reaches goal, or
+        over every class for None: in chunks that double what is there,
+        each one C-level accumulate per total."""
+        cum, nums = self._cum, self.nums
+        while len(cum) < len(nums) and (goal is None or not cum or cum[-1] < goal):
+            start = len(cum)
+            stop = len(nums) if goal is None else 2 * start + 64
+            counts = self.counts[start:stop]
+            for totals, steps in (
+                (cum, map(operator.mul, nums[start:stop], counts)), (self._sizes, counts)
+            ):
+                running = accumulate(steps, initial=totals[-1] if totals else 0)
+                next(running)
+                totals.extend(running)
 
     def reaching(self, level: Mass) -> int:
         """The class where the exact cdf reaches level <= 1: the first whose
         running numerator reaches level * den rounded up."""
         level = Fraction(level)
-        return bisect.bisect_left(self.cum, -(-level.numerator * self.den // level.denominator))
+        goal = -(-level.numerator * self.den // level.denominator)
+        self._extend(goal)
+        return bisect.bisect_left(self._cum, goal)
 
     def value_at(self, level: Mass) -> float:
         """The value of the class where the exact cdf reaches level."""
@@ -204,19 +241,19 @@ class _ClassList:
             if goal < target:
                 goal = math.nextafter(goal, math.inf)
             total, before = 0.0, 0
-            for mass, size in zip(self.nums, self.sizes):
-                loads = list(accumulate(repeat(mass, size - before), initial=total))
+            for mass, count in zip(self.nums, self.counts):
+                loads = list(accumulate(repeat(mass, count), initial=total))
                 reach = bisect.bisect_left(loads, goal, 1)
                 if reach < len(loads):
                     return before + reach
-                total, before = loads[-1], size
+                total, before = loads[-1], before + count
             return before
         target = Fraction(target)
         if target <= 0:
             return 1
         last = self.reaching(target)
         need, scale = target.numerator * self.den, target.denominator
-        cum_before, size_before = (self.cum[last - 1], self.sizes[last - 1]) if last else (0, 0)
+        cum_before, size_before = (self._cum[last - 1], self._sizes[last - 1]) if last else (0, 0)
         return size_before - (cum_before * scale - need) // (self.nums[last] * scale)
 
 
@@ -353,7 +390,8 @@ class AtomicDistribution:
         # _descending's support prefix, from one count of the positive
         # values and one sort of the distinct ones.
         values = self._values
-        return _ClassList.build(self.n, self._den, Counter(compress(values, values)).items())
+        counts = Counter(compress(values, values))
+        return _ClassList.build(self.n, self._den, list(counts), list(counts.values()))
 
 
 @dataclass(frozen=True)
@@ -457,10 +495,11 @@ def _powers(p: Mass, n: int) -> list[Mass]:
     return [1] + [p**c for c in range(1, n + 1)]
 
 
-def _types(variant: IID | Mixture, n: int) -> tuple[int, Iterator[tuple[int, Mass, int]]]:
-    """Denominator D, and (key, mass times D of one string, class size) of
-    every positive-mass type (symbol counts) of length-n strings, the first
-    count descending; the key is the counts in base n + 1.
+def _types(variant: IID | Mixture, n: int) -> tuple[int, list[int], list[Mass], list[int]]:
+    """Denominator D, and three parallel lists over every positive-mass
+    type (symbol counts) of length-n strings, the first count descending:
+    its key (the counts in base n + 1), the mass times D of one string of
+    the type, and its class size.
 
     Exact weights and pmfs become numerators over the lcm w_den of the
     weight denominators and the lcm p_den of the pmf denominators, so D is
@@ -469,6 +508,8 @@ def _types(variant: IID | Mixture, n: int) -> tuple[int, Iterator[tuple[int, Mas
     count does, C(r, c - 1) = C(r, c) * c // (r - c + 1).  A component
     multiplies its powers left to right and its weight last; components
     add left to right (built-in sum compensates floats since Python 3.12).
+    The walk goes by columns: the types that share the counts of all but
+    the last two symbols are one column, built by C-level maps.
     """
     if not isinstance(variant, (IID, Mixture)):
         raise InvalidModel("type classes need an IID or mixture source")
@@ -485,46 +526,50 @@ def _types(variant: IID | Mixture, n: int) -> tuple[int, Iterator[tuple[int, Mas
         den = w_den * p_den**n
     # tables[s][j][c] = (pmf j's value for symbol s) ** c
     tables = [[_powers(pmf[s], n) for pmf in pmfs] for s in range(k)]
-    digits = [(n + 1) ** s for s in range(k)]
-    return den, _walk(tables, weights, digits, 0, n, 0, 1, [1] * len(pmfs))
+    if k == 1:
+        # One type, of positive mass: a one-symbol pmf is (1,).
+        return den, [n], [reduce(operator.add, [w * t[n] for w, t in zip(weights, tables[0])])], [1]
+    out: tuple[list[int], list[Mass], list[int]] = ([], [], [])
+    _walk(tables, weights, [(n + 1) ** s for s in range(k)], 0, n, 0, 1, [1] * len(pmfs), out)
+    return (den, *out)
 
 
 def _walk(
     tables: Sequence[Sequence[Sequence[Mass]]], weights: Sequence[Mass], digits: Sequence[int],
     s: int, rest: int, key: int, size: int, prods: Sequence[Mass],
-) -> Iterator[tuple[int, Mass, int]]:
-    """Types whose counts for symbols s on sum to rest, given the key, the
-    class size and the per-component products of the counts before s; the
-    count of symbol s runs down from rest, and the last symbol takes what
-    remains."""
+    out: tuple[list[int], list[Mass], list[int]],
+) -> None:
+    """Append to out the positive-mass types whose counts for symbols s on
+    sum to rest, given the key, the class size and the per-component
+    products of the counts before s; the count of symbol s runs down from
+    rest, and the last symbol takes what remains."""
     here = tables[s]
-    if s == len(tables) - 1:
-        num = reduce(operator.add, [w * (p * t[rest]) for w, p, t in zip(weights, prods, here)])
-        if num:
-            yield key + rest * digits[s], num, size
-        return
     if s < len(tables) - 2:
         for c in range(rest, -1, -1):
             prefix = [p * t[c] for p, t in zip(prods, here)]
-            yield from _walk(
-                tables, weights, digits, s + 1, rest - c, key + c * digits[s], size, prefix
-            )
+            _walk(tables, weights, digits, s + 1, rest - c, key + c * digits[s], size, prefix, out)
             size = size * c // (rest - c + 1)
         return
-    # The last two symbols: per component, the masses for counts rest..0,
-    # lazily, so no column of big ints is held at once.
+    # The last two symbols, one column: per component the masses for counts
+    # rest..0 of symbol s, skipping products by 1, which change no bit.
     mul = operator.mul
-    columns = [
-        map(mul, repeat(w), map(mul, map(mul, repeat(p), t[rest::-1]), u))
-        for w, p, t, u in zip(weights, prods, here, tables[s + 1])
-    ]
+    nums = None
+    for w, p, t, u in zip(weights, prods, here, tables[s + 1]):
+        powers = t[rest::-1] if p == 1 else map(mul, repeat(p), t[rest::-1])
+        column = map(mul, powers, u)
+        if w != 1:
+            column = map(mul, repeat(w), column)
+        nums = column if nums is None else map(operator.add, nums, column)
+    nums = list(nums)
     low, high = digits[s], digits[s + 1]
     keys = range(key + rest * low, key + rest * high + 1, high - low)
-    masses = reduce(partial(map, operator.add), columns)
-    for c, key, num in zip(range(rest, -1, -1), keys, masses):
-        if num:
-            yield key, num, size
-        size = size * c // (rest - c + 1)
+    top = rest + 1
+    sizes = accumulate(range(rest, 0, -1), lambda size, c: size * c // (top - c), initial=size)
+    if 0 in nums:
+        keys, sizes = compress(keys, nums), compress(sizes, nums)
+        nums = list(compress(nums, nums))
+    for column, values in zip(out, (keys, nums, sizes)):
+        column.extend(values)
 
 
 def _chain_numerators(
@@ -566,9 +611,9 @@ def expand(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> AtomicDistributio
         values = _chain_numerators(init, rows, n)
     else:
         # A string's type key is its symbol counts in base n + 1; the walk
-        # yields no type of zero mass.
-        den, types = _types(variant, n)
-        by_type = {key: num for key, num, _ in types}
+        # lists no type of zero mass.
+        den, keys, nums, _ = _types(variant, n)
+        by_type = dict(zip(keys, nums))
         digits = [(n + 1) ** s for s in range(k)]
         index = digits
         for _ in range(n - 1):

@@ -10,15 +10,15 @@ A rational source's spectrum is one class list (`probability._ClassList`)
 per (source, n) or per distribution: classes of equally likely atoms (a
 type class, or the atoms of one distinct mass, the list an exact
 distribution keeps) by descending mass, their mass numerators over one
-shared denominator, and the integer running totals of the class masses
-and sizes.  A quantile or a k_f rate is the value of the class where the
-exact cdf reaches its level, found by bisecting those totals; only the
-answering class's value is computed.  Every smooth set, on atoms or types
-and in either mode, is sized by the list's set_size: the atoms up to the
-class where the mass reaches its target plus the part of it the target
-needs.  The order is the masses', not the computed values', so rate =
-quantile holds exactly even where the float values of nearby masses tie
-or invert.
+shared denominator and their atom counts.  A quantile or a k_f rate is
+the value of the class where the exact cdf reaches its level, found by
+bisecting the integer running totals of the class masses, which the list
+extends only as far as that level; only the answering class's value is
+computed.  Every smooth set, on atoms or types and in either mode, is
+sized by the list's set_size: the atoms up to the class where the mass
+reaches its target plus the part of it the target needs.  The order is
+the masses', not the computed values', so rate = quantile holds exactly
+even where the float values of nearby masses tie or invert.
 
 The (value, mass) points merge the classes by computed value, once, when
 first read; tails at a value (tail_above, tail_from, cdf_at) bisect that
@@ -30,7 +30,7 @@ depend on which function asked for it.
 IID and mixture sources are enumerated by type class through
 `probability._types`, in exact mode only: binomially many classes for a
 binary alphabet instead of 2**n.  Ternary (1/2, 1/3, 1/6) at n = 1000 has
-501 501; its class list and first k_f rate take about 3.3 s and 430 MB
+501 501; its class list and first k_f rate take about 0.66 s and 265 MB
 (Python 3.11.7, shared 2-CPU VM).  A convergence sweep reads one class
 list per blocklength for all of its (curve, budget) pairs and merges no
 points; a float source is expanded, up to 2**14 outcomes, and its sizes
@@ -41,11 +41,10 @@ from __future__ import annotations
 
 import bisect
 import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import accumulate
 from typing import Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
@@ -136,9 +135,9 @@ class SpectrumSummary:
         if self._classes is None:
             return tuple(v for v, _ in self.points), [m for _, m in self.points]
         c, acc = self._classes, {}
-        for num, before, total in zip(c.nums, chain((0,), c.cum), c.cum):
+        for num, count in zip(c.nums, c.counts):
             value = _reduced_value(num, c.den, c.n)
-            acc[value] = acc.get(value, 0) + total - before
+            acc[value] = acc.get(value, 0) + num * count
         values = sorted(acc)
         return tuple(values), [acc[v] for v in values]
 
@@ -300,8 +299,8 @@ def _type_classes(variant: IID | Mixture, n: int) -> _ClassList:
     """Class list of a rational IID or mixture source, a class per type."""
     if not SourceModel(variant, n).exact:
         raise InvalidModel("type-class enumeration needs rational source parameters")
-    den, types = _types(variant, n)
-    return _ClassList.build(n, den, map(operator.itemgetter(1, 2), types))
+    den, _, nums, sizes = _types(variant, n)
+    return _ClassList.build(n, den, nums, sizes)
 
 
 def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:

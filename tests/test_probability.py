@@ -252,7 +252,8 @@ def test_runs_are_the_descending_order_cut_by_mass() -> None:
         if d.exact:
             counts = Counter(values)
             counts.pop(0, None)
-            assert spectrum_cdf(d)._classes == _ClassList.build(d.n, d._den, counts.items())
+            built = _ClassList.build(d.n, d._den, list(counts), list(counts.values()))
+            assert spectrum_cdf(d)._classes == built
         else:
             seen["float_runs"] += 1
     assert all(count > 10 for count in seen.values()), seen

@@ -25,6 +25,7 @@ import pytest
 from srnglab import (
     IID,
     AtomicDistribution,
+    Markov,
     Mixture,
     SourceModel,
     build_smooth_entropy_mapping,
@@ -165,6 +166,17 @@ def old_types(variant, n):
             assert num.denominator == 1
             types.append((num.numerator, old_multinomial(n, counts)))
     return den, types
+
+
+def old_keys(variant, n):
+    """Every positive type's key, sum of counts[s] * (n + 1)**s, in
+    composition order."""
+    weighted = old_weighted(variant)
+    return [
+        sum(c * (n + 1) ** s for s, c in enumerate(counts))
+        for counts in old_compositions(n, variant.alphabet_size)
+        if sum(w * _iid_type_mass(pmf, counts) for w, pmf in weighted)
+    ]
 
 
 def old_typeclass_points(variant, n):
@@ -329,6 +341,14 @@ BENCHMARK_MIXTURE = Mixture(
     (F(1, 2), F(1, 2)), (IID((F(9, 10), F(1, 10))), IID((F(1, 5), F(4, 5))))
 )
 
+#: The four sources of the atom benchmarks.
+ATOM_BENCHMARK_SOURCES = (
+    IID((F(9, 10), F(1, 10))),
+    IID((F(3, 4), F(1, 4))),
+    Markov((F(1, 2), F(1, 2)), ((F(9, 10), F(1, 10)), (F(1, 5), F(4, 5)))),
+    BENCHMARK_MIXTURE,
+)
+
 SWEEP_PAIRS = (
     (variational(), F(1, 20)),
     (variational(), F(1, 5)),
@@ -435,13 +455,15 @@ def test_type_enumeration_matches_the_comb_and_power_loop() -> None:
         variant = random_variant(rng)
         inputs.append((variant, rng.randint(1, 40 if variant.alphabet_size == 2 else 16)))
     for variant, n in inputs:
-        den, types = _types(variant, n)
+        den, keys, nums, sizes = _types(variant, n)
         old_den, old = old_types(variant, n)
         assert den == old_den
         # Same pairs in the same order, every one a pair of ints.
-        new = [(num, size) for _, num, size in types]
+        new = list(zip(nums, sizes))
         assert new == old
         assert all(type(num) is int and type(size) is int for num, size in new)
+        # Each key is the type's counts in base n + 1.
+        assert keys == old_keys(variant, n)
 
 
 def public_sweep_rows(variant, ns, pairs):
@@ -465,9 +487,9 @@ def public_sweep_rows(variant, ns, pairs):
 def full_spectrum_crossings(variant, n, keys):
     """For every key, the first value of the whole merged float spectrum
     whose cdf numerator reaches it: every type's value from its Fraction."""
-    den, types = _types(variant, n)
+    den, _, nums, sizes = _types(variant, n)
     acc = {}
-    for _, num, size in types:
+    for num, size in zip(nums, sizes):
         value = self_information_value(F(num, den), n)
         acc[value] = acc.get(value, 0) + num * size
     values = sorted(acc)
@@ -502,8 +524,8 @@ def test_type_class_sweep_rows_match_the_public_functions_at_large_n() -> None:
 def exact_order_classes(variant, n):
     """Shared denominator, and the types' numerators by descending mass with
     their running mass numerators (the class boundaries)."""
-    den, types = _types(variant, n)
-    descending = sorted(((num, size) for _, num, size in types), reverse=True)
+    den, _, nums, sizes = _types(variant, n)
+    descending = sorted(zip(nums, sizes), reverse=True)
     cdfs = list(accumulate(num * size for num, size in descending))
     return den, [num for num, _ in descending], cdfs
 
@@ -516,8 +538,8 @@ def exact_order_crossing(den, nums, cdfs, n, key):
 
 def values_rise_strictly(variant, n):
     """Whether the computed values rise strictly as the distinct masses fall."""
-    den, types = _types(variant, n)
-    masses = sorted({num for _, num, _ in types}, reverse=True)
+    den, _, nums, _ = _types(variant, n)
+    masses = sorted(set(nums), reverse=True)
     values = [self_information_value(F(num, den), n) for num in masses]
     return all(a < b for a, b in zip(values, values[1:]))
 
@@ -649,3 +671,88 @@ def test_atoms_and_types_read_one_class_list() -> None:
             assert atoms.value_at(level) == types.value_at(level), (variant, n, key)
     # Some sources have types of one mass, so the two lists differ.
     assert 0 < merged < len(sources)
+
+
+def boundary_levels(den, cums):
+    """Levels at every running numerator in cums, one numerator to each
+    side, and halfway between consecutive ones, within [0, 1]."""
+    keys = {0, den}
+    for cum in cums:
+        keys |= {c + d for c in cum for d in (-1, 0, 1)}
+        keys |= {(a + b) // 2 for a, b in zip(cum, cum[1:])}
+    return [F(key, den) for key in sorted(keys) if 0 <= key <= den]
+
+
+def class_answers(classes, levels):
+    return [(classes.reaching(l), classes.value_at(l), classes.set_size(l)) for l in levels]
+
+
+def test_running_totals_extend_only_as_far_as_queries_read() -> None:
+    # A fresh list computes its running totals only as far as each query
+    # needs.  Asked at every class boundary, one numerator to each side and
+    # mid-class, in ascending, descending and shuffled order, it answers as
+    # a list whose totals were all read first.
+    rng = random.Random(6607)
+    fresh_lists = [
+        lambda: _type_classes(IID((F(1, 2), F(1, 3), F(1, 6))), 60),
+        lambda: _type_classes(BENCHMARK_MIXTURE, 1000),
+    ]
+    fresh_lists += [
+        lambda variant=variant: expand(SourceModel(variant, 10))._classes
+        for variant in ATOM_BENCHMARK_SOURCES
+    ]
+    for fresh in fresh_lists:
+        full = fresh()
+        levels = boundary_levels(full.den, [full.cum])
+        want = class_answers(full, levels)
+        shuffled = list(range(len(levels)))
+        rng.shuffle(shuffled)
+        for order in (range(len(levels)), range(len(levels) - 1, -1, -1), shuffled):
+            classes = fresh()
+            assert not classes._cum and not classes._sizes
+            got = dict(zip(order, class_answers(classes, [levels[i] for i in order])))
+            assert [got[i] for i in range(len(levels))] == want
+            assert classes == full
+    # A quantile at a low level reads only the heaviest classes.
+    classes = _type_classes(IID((F(9, 10), F(1, 10))), 1000)
+    classes.value_at(F(1, 10))
+    assert 0 < len(classes._cum) == len(classes._sizes) < len(classes.nums)
+
+
+#: A mixture whose types c and n - c have one mass.
+MIRRORED_MIXTURE = Mixture((F(1, 2), F(1, 2)), (IID((F(1, 4), F(3, 4))), IID((F(3, 4), F(1, 4)))))
+
+
+def test_classes_of_one_mass_answer_alike_in_any_order() -> None:
+    # The class list sorts on the masses alone, so types of one mass keep
+    # the walk's order; the reference sorts (mass, size) pairs, the larger
+    # class of a mass first, and runs its totals over every class.  Set
+    # sizes, quantiles and merged points must not tell the two apart.
+    cases = [(IID((F(1, 3), F(1, 3), F(1, 3))), n) for n in range(1, 13)]
+    cases += [(MIRRORED_MIXTURE, n) for n in range(1, 41)]
+    reordered = 0
+    for variant, n in cases:
+        classes = _type_classes(variant, n)
+        den, _, nums, sizes = _types(variant, n)
+        descending = sorted(zip(nums, sizes), reverse=True)
+        ref_nums = [num for num, _ in descending]
+        ref_cum = list(accumulate(num * size for num, size in descending))
+        ref_sizes = list(accumulate(size for _, size in descending))
+        assert len(set(nums)) < len(nums) or n == 1
+        reordered += classes.counts != [size for _, size in descending]
+        for level in boundary_levels(den, [ref_cum, classes.cum]):
+            last = bisect.bisect_left(ref_cum, math.ceil(level * den))
+            assert classes.value_at(level) == self_information_value(F(ref_nums[last], den), n)
+            want = 1
+            if level > 0:
+                cum_before, size_before = (ref_cum[last - 1], ref_sizes[last - 1]) if last else (0, 0)
+                want = size_before + math.ceil((level * den - cum_before) / ref_nums[last])
+            assert classes.set_size(level) == want
+        acc = {}
+        for num, before, total in zip(ref_nums, [0] + ref_cum, ref_cum):
+            value = self_information_value(F(num, den), n)
+            acc[value] = acc.get(value, 0) + total - before
+        points = tuple((value, F(acc[value], den)) for value in sorted(acc))
+        assert typeclass_spectrum(variant, n).points == points
+    # The ternary types of one mass come in a different order.
+    assert reordered > 0
