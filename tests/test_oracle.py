@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -78,6 +79,30 @@ def recursive_set_partitions(items, max_blocks):
             yield from rec(i + 1, max(used, lab + 1))
 
     yield from rec(1, 1)
+
+
+def hashed_dead(placed, runs):
+    """A deterministic walk hook: prunes some prefixes, chosen from the
+    placed count and the blocks' last running totals, so that a walk that
+    passed other totals would prune other prefixes."""
+    return hash((placed, *(run[-1] for run in runs))) % 4 == 1
+
+
+def alive(partitions, items, values, zero, dead):
+    """The partitions none of whose prefixes, of 1 to len(items) - 1 placed
+    items, dead declares dead; a prefix's runs are its blocks' running
+    totals from zero, blocks by first member."""
+    for blocks in partitions:
+        for i in range(1, len(items)):
+            placed = items[:i]
+            runs = [
+                list(itertools.accumulate((values[x] for x in b if x in placed), initial=zero))[1:]
+                for b in blocks if b[0] in placed
+            ]
+            if dead(i, runs):
+                break
+        else:
+            yield blocks
 
 
 # ---------------------------------------------------------------------------
@@ -427,6 +452,129 @@ def test_co_monotone_skip_matches_the_unskipped_scan(monkeypatch) -> None:
             ), (dist.masses, m, name)
 
 
+def partition_scan(dist, m, k_max, layouts, tables, skips):
+    """The oracle's scan before subtree pruning: the walk yields every
+    partition, and each one is skipped, or not, from its own co-monotone
+    totals, kept per tuple of block masses."""
+    best = [math.inf] * len(tables)
+    best_plan = [None] * len(tables)
+    seen = {}
+    zero = 0 if dist.exact else 0.0
+    for blocks, runs in _partition_walk(dist.support(), k_max, dist._values, zero):
+        q_values = [run[-1] for run in runs]
+        if skips:
+            q_desc = tuple(sorted(q_values, reverse=True))
+            floors = seen.get(q_desc)
+            if floors is None:
+                floors = seen[q_desc] = [
+                    oracle._co_monotone(rows, lows[len(q_desc)], q_desc, margin)
+                    for (rows, _), (lows, margin) in zip(tables, skips)
+                ]
+            if all(map(operator.ge, floors, best)):
+                continue
+        k = len(blocks)
+        perms, columns, reps, _ = layouts[k]
+        plan_blocks = None
+        for i, (rows, strays) in enumerate(tables):
+            if skips and floors[i] >= best[i]:
+                continue
+            totals = [0] * len(perms)
+            for q, column in zip(q_values, columns):
+                totals = list(map(operator.add, totals, map(rows[q].__getitem__, column)))
+            totals = list(map(operator.add, totals, strays[k]))
+            if best_plan[i] is not None and min(totals) >= best[i]:
+                continue
+            for j, value in enumerate(totals):
+                if best_plan[i] is None or value < best[i]:
+                    if plan_blocks is None:
+                        plan_blocks = tuple(map(tuple, blocks))
+                    best[i], best_plan[i] = value, oracle.PartitionPlan(plan_blocks, reps[j], m)
+    return best, best_plan
+
+
+def float_twin(dist):
+    return AtomicDistribution.from_masses(
+        [float(x) for x in dist.masses], dist.n, dist.alphabet_size
+    )
+
+
+def test_pruned_scan_matches_the_partition_by_partition_scan(monkeypatch) -> None:
+    # The reduced search skips a prefix's whole subtree when, for every
+    # curve, the least co-monotone total of its completions is at least the
+    # best: exactly when the scan would skip each of those partitions one
+    # at a time.  Values, arithmetic and witnesses are those of the scan
+    # that visits every partition, on tied, distinct, near-tie and float
+    # sources, with every registered curve.
+    curves = registered_curves()
+    criterion7 = expand(SourceModel(IID((F(3, 4), F(1, 4))), 3))
+    weights = single_letter(*(F(w, 55) for w in range(10, 0, -1)))
+    chain = Markov((F(1, 2), F(1, 2)), ((F(9, 10), F(1, 10)), (F(1, 5), F(4, 5))))
+    cases = [(source, m) for source in (criterion7, float_twin(criterion7)) for m in (1, 2, 3, 4)]
+    cases += [(single_letter(*[F(1, size)] * size), 4) for size in (8, 10)]
+    cases += [(weights, 4)]
+    cases += [(expand(SourceModel(model, 3)), m)
+              for model in (IID((F(2, 3), F(1, 3))), chain) for m in (2, 4)]
+    rng = random.Random(27)
+    for _ in range(20):
+        exact, twin = random_source(rng, rng.randint(2, 8), near=True)
+        cases.append((twin if rng.random() < 0.4 else exact, rng.randint(1, 4)))
+
+    # kl leaves mass uncovered at infinite cost in every plan once m is
+    # below the support size, so its best stays +inf and no prefix is dead.
+    # Every case runs without it, where subtrees die; the small ones run
+    # again with it.
+    finite = [curve for curve in curves if curve.name != "kl"]
+    searches = [(dist, m, finite) for dist, m in cases]
+    searches += [(dist, m, curves) for dist, m in cases if len(dist.support()) <= 8]
+    # The float twin of weights 10..1 keeps most partitions, as a float tie
+    # with the best is never skipped, so it takes each family at one
+    # parameter: the second ones double its time.
+    one_each = [curve_from_name(name.replace(":G", ":2")) for name in registered_curve_names()]
+    searches.append((float_twin(weights), 4, [c for c in one_each if c.name != "kl"]))
+
+    # With the criterion-7 command's curves, criterion 7 at m = 4 reaches
+    # few of its 2 795 partitions.
+    reached = 0
+
+    def counted_walk(*args, **kwargs):
+        nonlocal reached
+        for partition in _partition_walk(*args, **kwargs):
+            reached += 1
+            yield partition
+
+    monkeypatch.setattr(oracle, "_partition_walk", counted_walk)
+    four = [curve_from_name(c) for c in ("variational", "reverse_kl", "hellinger", "e_gamma:2")]
+    min_fdiv_bruteforce(criterion7, 4, four)
+    assert 0 < reached <= 279
+    monkeypatch.setattr(oracle, "_partition_walk", _partition_walk)
+    got = [min_fdiv_bruteforce(dist, m, chosen) for dist, m, chosen in searches]
+    monkeypatch.setattr(oracle, "_scan", partition_scan)
+    for (dist, m, chosen), results in zip(searches, got):
+        for name, want in min_fdiv_bruteforce(dist, m, chosen).items():
+            res = results[name]
+            assert (res.value, res.exact, res.plan.blocks, res.plan.representatives) == (
+                want.value, want.exact, want.plan.blocks, want.plan.representatives
+            ), (dist.masses, m, name)
+
+
+def test_searches_leave_no_cyclic_garbage() -> None:
+    # The pruning hook and its memoised bound must not tie themselves into
+    # reference cycles: every search's objects are freed by reference
+    # counts alone, so nothing is left for the cycle collector.
+    dist = expand(SourceModel(IID((F(3, 4), F(1, 4))), 3))
+    curves = [curve_from_name(c) for c in ("variational", "reverse_kl", "hellinger", "e_gamma:2")]
+    small = single_letter(F(4, 10), F(3, 10), F(2, 10), F(1, 10))
+    gc.collect()
+    gc.disable()
+    try:
+        min_fdiv_bruteforce(dist, 4, curves)
+        min_fdiv_bruteforce(float_twin(dist), 4, curves)
+        min_fdiv_bruteforce_full(small, 3, curves + [kl()])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_full_search_tries_only_the_first_zero_mass_outcomes() -> None:
     # A deterministic chain: two sequences carry all the mass, and every
     # other outcome is an interchangeable zero-mass representative.
@@ -610,6 +758,37 @@ def test_set_partitions_match_the_recursive_generator() -> None:
     ]
 
 
+def test_walk_skips_the_subtrees_of_dead_prefixes() -> None:
+    # With a dead hook the walk yields, in the recursive generator's order,
+    # exactly the partitions none of whose prefixes is dead, and asks the
+    # hook about proper prefixes only; a hook that is never true changes
+    # nothing.  Integer values, ids with gaps.
+    rng = random.Random(27)
+    pruned = kept = 0
+    for size in range(9):
+        items = [3 * i + 1 for i in range(size)]
+        values = {x: rng.randint(1, 9) for x in items}
+        for max_blocks in range(1, 6):
+            asked = []
+
+            def dead(placed, runs):
+                asked.append(placed)
+                return hashed_dead(placed, runs)
+
+            def walk(hook):
+                walked = _partition_walk(items, max_blocks, values, 0, hook)
+                return [tuple(map(tuple, blocks)) for blocks, _ in walked]
+
+            everything = list(recursive_set_partitions(items, max_blocks))
+            want = list(alive(everything, items, values, 0, hashed_dead))
+            assert walk(dead) == want, (items, max_blocks)
+            assert all(0 < placed < size for placed in asked)
+            assert walk(lambda placed, runs: False) == everything
+            pruned += len(everything) - len(want)
+            kept += len(want)
+    assert pruned > 0 and kept > 0
+
+
 def test_walk_running_totals_are_the_block_totals() -> None:
     # The scan reads each block's mass as its last running total from the
     # walk; it must be the total the oracle added before, left to right in
@@ -623,14 +802,22 @@ def test_walk_running_totals_are_the_block_totals() -> None:
         exact = single_letter(*(F(w, sum(weights)) for w in weights))
         sources.append(exact)
         sources.append(AtomicDistribution.from_masses([float(x) for x in exact.masses], 1, size))
-    order_matters = 0
+    # A walk pruned by hashed_dead carries the same totals through its
+    # prefixes: hashed_dead reads them, so it prunes the prefixes alive
+    # marks dead only if they match.
+    order_matters = pruned = 0
     for dist in sources:
         values = dist._values
         zero = 0 if dist.exact else 0.0
         support = dist.support()
-        for max_blocks in range(1, 5):
-            walk = _partition_walk(support, max_blocks, values, zero)
+        for max_blocks, dead in itertools.product(range(1, 5), (None, hashed_dead)):
+            walk = _partition_walk(support, max_blocks, values, zero, dead)
             old = recursive_set_partitions(support, max_blocks)
+            if dead:
+                everything = list(old)
+                kept = list(alive(everything, support, values, zero, dead))
+                pruned += len(everything) - len(kept)
+                old = iter(kept)
             for (blocks, runs), want in zip(walk, old):
                 assert tuple(map(tuple, blocks)) == want and len(runs) == len(blocks)
                 for block, run in zip(blocks, runs):
@@ -641,7 +828,7 @@ def test_walk_running_totals_are_the_block_totals() -> None:
                     backwards = reduce(operator.add, map(values.__getitem__, block[::-1]), zero)
                     order_matters += backwards != run[-1]
             assert next(walk, None) is None and next(old, None) is None
-    assert order_matters > 0
+    assert order_matters > 0 and pruned > 0
 
 
 def test_search_arguments_out_of_range_are_rejected() -> None:
