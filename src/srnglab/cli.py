@@ -46,7 +46,7 @@ from .divergence import (
 )
 from .errors import SrnglabError
 from .oracle import min_fdiv_bruteforce, min_fdiv_bruteforce_full
-from .probability import IID, Markov, Mass, expand
+from .probability import IID, Mass, expand
 from .rdp import _rdp_report, d_threshold, rd_function_iid
 from .spectrum import (
     _sweep_pairs,
@@ -289,9 +289,6 @@ def _run_rdp(cfg: RunConfig, curves: _Curves) -> tuple[dict, int]:
 
 
 def _run_sweep(cfg: RunConfig, curves: _Curves) -> int:
-    if isinstance(cfg.variant, Markov):
-        raise SrnglabError("the sweep command needs an iid or mixture source")
-    variant = cfg.source().variant
     scale = _LN2 if cfg.units == "bits" else 1.0
     pairs = []
     for curve, report in curves:
@@ -301,7 +298,7 @@ def _run_sweep(cfg: RunConfig, curves: _Curves) -> int:
         pairs += [(curve, delta) for delta in cfg.deltas]
     rows: list[list[Any]] = [
         [row.n, repr(row.nu), repr(row.delta), row.quantity, repr(row.value / scale), row.curve]
-        for pair_rows in _sweep_pairs(variant, cfg.sweep_ns, pairs, cfg.cap)
+        for pair_rows in _sweep_pairs(cfg.source().variant, cfg.sweep_ns, pairs, cfg.cap)
         for row in pair_rows
     ]
     _write_csv(

@@ -27,11 +27,14 @@ float summary, or one built from given points, answers every query from
 its masses summed from the top point down, so a float tail does not
 depend on which function asked for it.
 
-IID and mixture sources are enumerated by type class through
-`probability._types`, in exact mode only: binomially many classes for a
-binary alphabet instead of 2**n.  Ternary (1/2, 1/3, 1/6) at n = 1000 has
+A rational (source, n) has one class list, and _model_classes is the one
+place that picks it.  IID and mixture sources are enumerated by type class
+through `probability._types`: binomially many classes for a binary
+alphabet instead of 2**n.  Ternary (1/2, 1/3, 1/6) at n = 1000 has
 501 501; its class list and first k_f rate take about 0.66 s and 265 MB
-(Python 3.11.7, shared 2-CPU VM).  A convergence sweep reads one class
+(Python 3.11.7, shared 2-CPU VM).  Any other source, a Markov chain
+today, is expanded up to the atom cap and has its distribution's list;
+float parameters are refused there.  A convergence sweep reads one class
 list per blocklength for all of its (curve, budget) pairs and merges no
 points; a float source is expanded, up to 2**14 outcomes, and its sizes
 come from the expanded distribution's list.
@@ -56,6 +59,7 @@ from .probability import (
     Mass,
     Mixture,
     SourceModel,
+    Variant,
     _ClassList,
     _reduced_value,
     _types,
@@ -295,32 +299,37 @@ def smooth_max_entropy(dist: AtomicDistribution, delta: Mass) -> tuple[float, fr
     return math.log(len(chosen)), frozenset(chosen)
 
 
-def _type_classes(variant: IID | Mixture, n: int) -> _ClassList:
-    """Class list of a rational IID or mixture source, a class per type."""
-    if not SourceModel(variant, n).exact:
+def _model_classes(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> _ClassList:
+    """The class list of a rational (source, n): a class per type for an IID
+    or mixture source, which never expands X^n, else the expanded
+    distribution's list, a class per distinct mass, up to cap atoms."""
+    if not model.exact:
         raise InvalidModel("type-class enumeration needs rational source parameters")
-    den, _, nums, sizes = _types(variant, n)
-    return _ClassList.build(n, den, nums, sizes)
+    if isinstance(model.variant, (IID, Mixture)):
+        den, _, nums, sizes = _types(model.variant, model.n)
+        return _ClassList.build(model.n, den, nums, sizes)
+    return expand(model, cap)._classes
 
 
-def typeclass_spectrum(variant: IID | Mixture, n: int) -> SpectrumSummary:
-    """Spectrum of an IID or mixture source from its type classes, without
-    materializing X^n; its points are merged only when read."""
-    return SpectrumSummary._of(_type_classes(variant, n))
+def typeclass_spectrum(variant: Variant, n: int) -> SpectrumSummary:
+    """Spectrum of a rational source from its class list, whose points are
+    merged only when read: an IID or mixture source's type classes, without
+    materializing X^n, or an expanded chain's masses, up to the default
+    atom cap."""
+    return SpectrumSummary._of(_model_classes(SourceModel(variant, n)))
 
 
-def typeclass_smooth_max_entropy(
-    variant: IID | Mixture, n: int, delta: Mass
-) -> tuple[float, int]:
-    """Smooth max entropy through whole type classes: (log size, size).
+def typeclass_smooth_max_entropy(variant: Variant, n: int, delta: Mass) -> tuple[float, int]:
+    """Smooth max entropy through whole classes: (log size, size).
 
-    Types enter in descending per-sequence probability; the final type is
-    taken only partially, with the ceiling count of sequences needed to
-    reach the target mass.  Matches the greedy atom-by-atom set size
-    exactly, because atoms within a type are interchangeable.
+    Classes (types, or a chain's distinct masses, as in typeclass_spectrum)
+    enter in descending per-sequence probability; the final one is taken
+    only partially, with the ceiling count of sequences needed to reach the
+    target mass.  Matches the greedy atom-by-atom set size exactly, because
+    atoms within a class are interchangeable.
     """
     target = _tail_target(delta, exact=True)
-    size = _type_classes(variant, n).set_size(target)
+    size = _model_classes(SourceModel(variant, n)).set_size(target)
     return math.log(size), size
 
 
@@ -337,7 +346,7 @@ class SweepRow:
 
 
 def rate_convergence_sweep(
-    variant: IID | Mixture,
+    variant: Variant,
     ns: Sequence[int],
     curve: FCurve,
     delta: Mass,
@@ -347,10 +356,12 @@ def rate_convergence_sweep(
 
     For each n two rows are produced: the resolution rate at budget delta
     and the normalized smooth max entropy at the matching tail level
-    nu = 1 - f^{-1}(delta) (1 once delta reaches f(0+)).  Rational sources
-    go through their type classes at every n and never expand, so cap
-    bounds float sweeps only; a float source is expanded, and one with some
-    k**n above 2**14 is rejected before any blocklength is computed.
+    nu = 1 - f^{-1}(delta) (1 once delta reaches f(0+)).  A rational source
+    reads its class list at every n: IID and mixture sources go through
+    their type classes and never expand, so cap does not bound them, while
+    an exact Markov chain is expanded and stops with CapExceeded past cap.
+    A float source is expanded too, and one with some k**n above 2**14 is
+    rejected before any blocklength is computed.
     """
     return _sweep_pairs(variant, ns, [(curve, delta)], cap)[0]
 
@@ -360,7 +371,7 @@ _FLOAT_SWEEP_LIMIT = 1 << 14
 
 
 def _sweep_pairs(
-    variant: IID | Mixture,
+    variant: Variant,
     ns: Sequence[int],
     pairs: Sequence[tuple[FCurve, Mass]],
     cap: int = DEFAULT_ATOM_CAP,
@@ -397,11 +408,11 @@ def _sweep_point(
 ) -> tuple[list[float], list[float]]:
     """k_f_rate at every cdf threshold f^{-1}(delta), and the normalized
     smooth max entropy at every matching tail level, at one blocklength:
-    from its type classes if the source is rational, else from the class
-    list of the expanded distribution."""
+    from _model_classes if the source is rational, else from the class
+    list and spectrum of the expanded distribution."""
     n = model.n
     if model.exact:
-        classes = _type_classes(model.variant, n)
+        classes = _model_classes(model, cap)
         summary = SpectrumSummary._of(classes)
     else:
         dist = expand(model, cap)

@@ -17,13 +17,20 @@ import pytest
 from srnglab import (
     apply_mapping,
     build_mapping,
+    curve_from_name,
     divergence,
     expand,
+    k_f_rate,
     min_fdiv_bruteforce,
+    min_fdiv_bruteforce_full,
+    reverse_kl,
+    smooth_max_entropy,
+    spectrum_cdf,
     variational,
 )
-from srnglab.cli import main
-from srnglab.probability import IID, SourceModel
+from srnglab.cli import _num, main
+from srnglab.divergence import _budget_threshold
+from srnglab.probability import IID, Markov, SourceModel
 
 F = Fraction
 
@@ -53,6 +60,12 @@ row.1 = 1, 0
 MARKOV_SOURCE = (
     "variant = markov\nalphabet = 2\nn = 2\n"
     "initial = 1/2, 1/2\nrow.0 = 9/10, 1/10\nrow.1 = 1/5, 4/5"
+)
+MARKOV_CHAIN = Markov((F(1, 2), F(1, 2)), ((F(9, 10), F(1, 10)), (F(1, 5), F(4, 5))))
+
+MIXTURE_SOURCE = (
+    "variant = mixture\nalphabet = 2\nn = 3\n"
+    "weights = 1/3, 2/3\ncomponent.0 = 1/4, 3/4\ncomponent.1 = 1/2, 1/2"
 )
 
 
@@ -254,6 +267,29 @@ def test_oracle_matches_a_direct_search(tmp_path):
     assert flattened == list(range(len(d.masses)))
 
 
+def test_oracle_runs_the_full_search_for_curves_outside_the_reduced_class(tmp_path):
+    # e_gamma_sum has a positive slope at infinity, so uncovered mass costs
+    # and the oracle command sends it to the unreduced search.
+    fast = ["variational", "reverse_kl", "hellinger", "e_gamma:2"]
+    text = BASE.replace("command = analyze", "command = oracle").replace(
+        "names = variational, reverse_kl", "names = " + ", ".join(fast + ["e_gamma_sum:3/2"])
+    )
+    code, out = run(tmp_path, "oracle", text)
+    assert code == 0
+    entries = json.loads((out / "oracle.json").read_text())["minima"][0]["curves"]
+    d = quarter_source()
+    direct = min_fdiv_bruteforce(d, 2, [curve_from_name(name) for name in fast])
+    direct.update(min_fdiv_bruteforce_full(d, 2, [curve_from_name("e_gamma_sum:3/2")]))
+    assert sorted(entries) == sorted(direct)
+    for name, result in direct.items():
+        assert entries[name] == {
+            "value": _num(result.value, "nats"),
+            "exact": result.exact,
+            "blocks": [list(block) for block in result.plan.blocks],
+            "representatives": list(result.plan.representatives),
+        }, name
+
+
 def test_rdp_reports_are_internally_consistent(tmp_path):
     code, out = run(tmp_path, "rdp")
     assert code == 0
@@ -320,6 +356,21 @@ def test_negative_distortion_or_tail_level_exits_2_naming_its_line(
     )
 
 
+def test_rdp_skips_curves_without_monotone_f(tmp_path):
+    # kl is not nonincreasing, so it has no k_f rate and no report.
+    rdp = BASE.replace("command = analyze", "command = rdp")
+    payloads = {}
+    for names in ("variational", "kl, variational"):
+        text = rdp.replace("names = variational, reverse_kl", f"names = {names}")
+        code, out = run(tmp_path, "rdp", text, outname=names.replace(", ", "_"))
+        assert code == 0
+        payloads[names] = json.loads((out / "rdp.json").read_text())
+    assert [report["curve"] for report in payloads["kl, variational"]["reports"]] == [
+        "variational"
+    ]
+    assert payloads["kl, variational"] == payloads["variational"]
+
+
 def test_rdp_rejects_markov_sources(tmp_path, capsys):
     text = BASE.replace("command = analyze", "command = rdp").replace(
         "variant = iid\nalphabet = 2\nn = 2\npmf = 3/4, 1/4", MARKOV_SOURCE
@@ -360,13 +411,35 @@ def test_sweep_skips_curves_without_monotone_f(tmp_path, capsys):
     assert rows and all(row["curve"] == "variational" for row in rows)
 
 
-def test_sweep_rejects_markov_sources(tmp_path, capsys):
+def test_exact_markov_sweep_rows_are_the_expanded_chain_rows(tmp_path, capsys):
+    # An exact chain has no type classes yet: each blocklength reads the
+    # class list of its expansion, so the rows are the direct computation
+    # on the expanded chain, and a cap below k**n stops the sweep with
+    # expand's message before any file is written.
     text = BASE.replace("command = analyze", "command = sweep").replace(
         "variant = iid\nalphabet = 2\nn = 2\npmf = 3/4, 1/4", MARKOV_SOURCE
     )
-    code, _ = run(tmp_path, "sweep", text)
+    code, out = run(tmp_path, "sweep", text)
+    assert code == 0
+    with open(out / "sweep.csv", newline="") as fh:
+        rows = [list(row.values()) for row in csv.DictReader(fh)]
+    delta = F(1, 10)
+    expected = []
+    for curve in (variational(), reverse_kl()):
+        eps = 1 - _budget_threshold(curve, delta)
+        for n in (1, 2, 3):
+            d = expand(SourceModel(MARKOV_CHAIN, n))
+            kf = k_f_rate(spectrum_cdf(d), curve, delta).value
+            h0 = smooth_max_entropy(d, eps)[0] / n
+            for quantity, value in (("k_f_rate", kf), ("smooth_max_entropy_rate", h0)):
+                row = [str(n), repr(float(eps)), repr(float(delta)), quantity, repr(value)]
+                expected.append(row + [curve.name])
+    assert rows == expected
+
+    code, out = run(tmp_path, "sweep", text, extra=["--cap", "4"], outname="capped")
     assert code == 2
-    assert "needs an iid or mixture source" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: outcome space holds 8 atoms, cap is 4\n"
+    assert not (out / "sweep.csv").exists()
 
 
 def test_float_sweep_beyond_the_direct_limit_exits_2_before_any_work(tmp_path, capsys):
@@ -441,6 +514,22 @@ def test_float_flag_switches_arithmetic(tmp_path):
     entry = payload["mappings"][0]["curves"]["variational"]
     assert isinstance(entry["divergence"], float)
     assert entry["divergence"] == pytest.approx(7 / 16)
+
+
+@pytest.mark.parametrize("source", [MARKOV_SOURCE, MIXTURE_SOURCE], ids=["markov", "mixture"])
+def test_float_flag_converts_chains_and_mixtures(tmp_path, source):
+    text = BASE.replace("variant = iid\nalphabet = 2\nn = 2\npmf = 3/4, 1/4", source)
+    payloads = {}
+    for mode in ("exact", "float"):
+        code, out = run(tmp_path, "analyze", text, extra=[f"--{mode}"], outname=mode)
+        assert code == 0
+        payloads[mode] = json.loads((out / "analyze.json").read_text())
+        assert payloads[mode]["mode"] == mode
+    exact, floating = payloads["exact"]["rates"], payloads["float"]["rates"]
+    assert len(exact) == len(floating) == 2
+    for want, got in zip(exact, floating):
+        assert isinstance(got["k_f_rate"], float)
+        assert got["k_f_rate"] == pytest.approx(want["k_f_rate"], rel=1e-9, abs=0)
 
 
 def test_exact_flag_overrides_float_mode_in_the_file(tmp_path):

@@ -66,6 +66,7 @@ def test_spectrum_points_of_the_running_example(quarter_spectrum: SpectrumSummar
         [-math.log(9 / 16) / 2, -math.log(3 / 16) / 2, -math.log(1 / 16) / 2]
     )
     assert masses == [F(9, 16), F(3, 8), F(1, 16)]
+    assert quarter_spectrum.masses() == tuple(masses)
 
 
 def test_spectrum_masses_stay_rational(quarter_spectrum: SpectrumSummary) -> None:
@@ -237,6 +238,20 @@ def test_typeclass_spectrum_three_symbols() -> None:
     assert direct.points == routed.points
 
 
+def test_typeclass_routes_read_an_exact_chain_through_its_expansion() -> None:
+    # A chain has no type classes yet: its class list is its expansion's,
+    # so the routes agree with the atoms and stop at the default atom cap
+    # before expanding anything.
+    chain = Markov((F(1, 2), F(1, 2)), ((F(9, 10), F(1, 10)), (F(1, 5), F(4, 5))))
+    for n in (1, 2, 5, 8):
+        d = expand(SourceModel(chain, n))
+        assert typeclass_spectrum(chain, n).points == spectrum_cdf(d).points
+        h0, chosen = smooth_max_entropy(d, F(1, 10))
+        assert typeclass_smooth_max_entropy(chain, n, F(1, 10)) == (h0, len(chosen))
+    with pytest.raises(CapExceeded, match="^outcome space holds 33554432 atoms, cap is 16777216$"):
+        typeclass_spectrum(chain, 25)
+
+
 def test_typeclass_point_count_stays_polynomial() -> None:
     # 1001 compositions at n = 1000 on two symbols; the expansion route
     # would need 2**1000 atoms.
@@ -283,8 +298,9 @@ def test_sweep_rows_cover_both_quantities() -> None:
 
 
 def test_sweep_values_match_direct_computation() -> None:
-    # The atom-vs-type differential test: an exact sweep walks type classes
-    # and a float one expands, and both must give the rows of the expanded
+    # The atom-vs-type differential test: an exact IID or mixture sweep
+    # walks type classes, an exact chain reads its expansion's class list
+    # and a float sweep expands, and all must give the rows of the expanded
     # spectrum and smooth max entropy.  A budget of 3/2 lies above
     # f(0+) = 1 for the bounded curves: every cdf level qualifies and the
     # matching tail level is 1, as in k_f_rate.  At 73/128 the variational
@@ -304,6 +320,9 @@ def test_sweep_values_match_direct_computation() -> None:
         IID((F(1, 2), F(1, 4), F(1, 8), F(1, 8))),
         three,
         IID((0.25, 0.75)),
+        # The benchmark chain, exact and float.
+        Markov((F(1, 2), F(1, 2)), ((F(9, 10), F(1, 10)), (F(1, 5), F(4, 5)))),
+        Markov((0.5, 0.5), ((0.9, 0.1), (0.2, 0.8))),
     )
     ns = (1, 2, 3, 5)  # k**n <= 2**10 for every source
     for source in sources:

@@ -48,7 +48,7 @@ from srnglab import (
 )
 from srnglab.divergence import _budget_threshold
 from srnglab.probability import _types, self_information_value
-from srnglab.spectrum import SweepRow, _sweep_pairs, _type_classes
+from srnglab.spectrum import SweepRow, _model_classes, _sweep_pairs
 
 F = Fraction
 
@@ -659,7 +659,7 @@ def test_atoms_and_types_read_one_class_list() -> None:
     merged = 0
     for variant, n in sources:
         atoms = expand(SourceModel(variant, n))._classes
-        types = _type_classes(variant, n)
+        types = _model_classes(SourceModel(variant, n))
         assert atoms.den == types.den
         merged += len(atoms.nums) < len(types.nums)
         den = types.den
@@ -694,8 +694,8 @@ def test_running_totals_extend_only_as_far_as_queries_read() -> None:
     # a list whose totals were all read first.
     rng = random.Random(6607)
     fresh_lists = [
-        lambda: _type_classes(IID((F(1, 2), F(1, 3), F(1, 6))), 60),
-        lambda: _type_classes(BENCHMARK_MIXTURE, 1000),
+        lambda: _model_classes(SourceModel(IID((F(1, 2), F(1, 3), F(1, 6))), 60)),
+        lambda: _model_classes(SourceModel(BENCHMARK_MIXTURE, 1000)),
     ]
     fresh_lists += [
         lambda variant=variant: expand(SourceModel(variant, 10))._classes
@@ -714,7 +714,7 @@ def test_running_totals_extend_only_as_far_as_queries_read() -> None:
             assert [got[i] for i in range(len(levels))] == want
             assert classes == full
     # A quantile at a low level reads only the heaviest classes.
-    classes = _type_classes(IID((F(9, 10), F(1, 10))), 1000)
+    classes = _model_classes(SourceModel(IID((F(9, 10), F(1, 10))), 1000))
     classes.value_at(F(1, 10))
     assert 0 < len(classes._cum) == len(classes._sizes) < len(classes.nums)
 
@@ -732,7 +732,7 @@ def test_classes_of_one_mass_answer_alike_in_any_order() -> None:
     cases += [(MIRRORED_MIXTURE, n) for n in range(1, 41)]
     reordered = 0
     for variant, n in cases:
-        classes = _type_classes(variant, n)
+        classes = _model_classes(SourceModel(variant, n))
         den, _, nums, sizes = _types(variant, n)
         descending = sorted(zip(nums, sizes), reverse=True)
         ref_nums = [num for num, _ in descending]
