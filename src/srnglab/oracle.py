@@ -77,13 +77,9 @@ above.  Its values are memoised for the whole search, as they depend on
 the fixed table alone.  The prefix is dead when, for every curve, that
 least total is at least the best as it stands; the best only falls, so
 the scan would skip each partition below it one at a time, and values and
-witnesses are those of the partition-by-partition scan.  A curve whose
-lowest strays are all +inf, such as kl with fewer blocks than support
-atoms, has only infinite plans: its first plan is its witness, and from
-then on every floor counts as reaching its best, so it holds no subtree
-back.  On the criterion-7 source at m = 4 the walk reaches 201 of the
-2 795 partitions, with or without kl beside the CLI's four curves, and
-at m = 2, 32 of 128.  Float ties are never skipped (the margin is
+witnesses are those of the partition-by-partition scan.  On the
+criterion-7 source at m = 4 the walk reaches 201 of the 2 795 partitions,
+and at m = 2, 32 of 128.  Float ties are never skipped (the margin is
 positive), so on float sources with distinct masses few subtrees die.
 
 The margin is derived, for the largest block count K, from u = 2^-53, the
@@ -394,14 +390,8 @@ def _scan(
     plan that attains it.  skips, in reduced mode only, holds per table the
     lowest stray of each block count and the float margin (0 for integers)
     of the co-monotone skip."""
-    # Per curve, the bar a plan total must go below to lower the best, and
-    # a floor must reach for a skip: the best, except that a curve whose
-    # lowest strays are all +inf has only infinite plans, so once it has its
-    # witness its bar drops to -inf, which every floor reaches and no plan
-    # goes below, and its best is reported as +inf.
-    bar: list[Mass] = [math.inf] * len(tables)
+    best: list[Mass] = [math.inf] * len(tables)
     best_plan: list[PartitionPlan | None] = [None] * len(tables)
-    endless = {i for i, (lows, _) in enumerate(skips or ()) if min(lows.values()) == math.inf}
     support = dist.support()
     atoms = list(map(dist._values.__getitem__, support))
     # Per placed count, per tuple of block masses, heaviest first: each
@@ -412,12 +402,12 @@ def _scan(
     def dead(placed: int, runs: list[list[Mass]]) -> bool:
         """Whether no completion of the prefix can lower any best: then the
         scan below would skip each of them.  No floor is +inf, so while a
-        curve has no witness, none is dead."""
-        if None in best_plan:
+        best is, none is dead."""
+        if math.inf in best:
             return False
         q_desc = tuple(sorted([run[-1] for run in runs], reverse=True))
         floors = _least(levels, placed, q_desc, atoms, k_max, tables, skips)
-        return all(map(operator.ge, floors, bar))
+        return all(map(operator.ge, floors, best))
 
     zero: Mass = 0 if dist.exact else 0.0
     walk = _partition_walk(support, k_max, dist._values, zero, dead if skips else None)
@@ -428,14 +418,14 @@ def _scan(
             floors = seen.get(q_desc) or _least(
                 levels, len(atoms), q_desc, atoms, k_max, tables, skips
             )
-            if all(map(operator.ge, floors, bar)):
+            if all(map(operator.ge, floors, best)):
                 continue
         k = len(blocks)
         perms, columns, reps, _ = layouts[k]
         plan_blocks = None
         for i, (rows, strays) in enumerate(tables):
             # If the co-monotone total cannot lower the best, no plan can.
-            if skips and floors[i] >= bar[i]:
+            if skips and floors[i] >= best[i]:
                 continue
             # Every plan's total at once, with _total's additions: left to
             # right from 0, then the stray.  No term is -inf, so a plan that
@@ -447,15 +437,14 @@ def _scan(
             for q, column in zip(q_values, columns):
                 totals = list(map(operator.add, totals, map(rows[q].__getitem__, column)))
             totals = list(map(operator.add, totals, strays[k]))
-            if best_plan[i] is not None and min(totals) >= bar[i]:
+            if best_plan[i] is not None and min(totals) >= best[i]:
                 continue
             for j, value in enumerate(totals):
-                if best_plan[i] is None or value < bar[i]:
+                if best_plan[i] is None or value < best[i]:
                     if plan_blocks is None:
                         plan_blocks = tuple(map(tuple, blocks))
-                    bar[i] = -math.inf if i in endless else value
-                    best_plan[i] = PartitionPlan(plan_blocks, reps[j], m)
-    return [math.inf if i in endless else value for i, value in enumerate(bar)], best_plan
+                    best[i], best_plan[i] = value, PartitionPlan(plan_blocks, reps[j], m)
+    return best, best_plan
 
 
 def _search(

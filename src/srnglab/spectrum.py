@@ -51,7 +51,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .divergence import FCurve, _budget_threshold, check_conditions
-from .errors import InvalidModel, OutOfRange
+from .errors import CapExceeded, InvalidModel, OutOfRange
 from .probability import (
     DEFAULT_ATOM_CAP,
     IID,
@@ -314,8 +314,9 @@ def _model_classes(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> _ClassLis
 def typeclass_spectrum(variant: Variant, n: int) -> SpectrumSummary:
     """Spectrum of a rational source from its class list, whose points are
     merged only when read: an IID or mixture source's type classes, without
-    materializing X^n, or an expanded chain's masses, up to the default
-    atom cap."""
+    materializing X^n, or an exact chain's masses.  A chain is expanded:
+    X^n is built whole, up to the default atom cap (2**24 atoms, which no
+    argument lowers), and memory grows with k**n to match."""
     return SpectrumSummary._of(_model_classes(SourceModel(variant, n)))
 
 
@@ -326,7 +327,9 @@ def typeclass_smooth_max_entropy(variant: Variant, n: int, delta: Mass) -> tuple
     enter in descending per-sequence probability; the final one is taken
     only partially, with the ceiling count of sequences needed to reach the
     target mass.  Matches the greedy atom-by-atom set size exactly, because
-    atoms within a class are interchangeable.
+    atoms within a class are interchangeable.  An exact chain is expanded
+    up to the default atom cap, with memory to match, as in
+    typeclass_spectrum.
     """
     target = _tail_target(delta, exact=True)
     size = _model_classes(SourceModel(variant, n)).set_size(target)
@@ -359,9 +362,10 @@ def rate_convergence_sweep(
     nu = 1 - f^{-1}(delta) (1 once delta reaches f(0+)).  A rational source
     reads its class list at every n: IID and mixture sources go through
     their type classes and never expand, so cap does not bound them, while
-    an exact Markov chain is expanded and stops with CapExceeded past cap.
-    A float source is expanded too, and one with some k**n above 2**14 is
-    rejected before any blocklength is computed.
+    an exact Markov chain is expanded at every n.  Before any blocklength
+    is computed, a chain with some k**n above cap raises CapExceeded, and
+    a float source, which is expanded too, is rejected if some k**n is
+    above 2**14.
     """
     return _sweep_pairs(variant, ns, [(curve, delta)], cap)[0]
 
@@ -379,7 +383,9 @@ def _sweep_pairs(
     """rate_convergence_sweep for every (curve, delta) pair, one row tuple
     per pair, computing each blocklength once for all of them.
 
-    Every pair is checked before any work starts.
+    Every pair, the float limit and, for a source that is expanded at
+    every n (any but IID and mixture), the cap are checked before any
+    work starts.
     """
     for curve, delta in pairs:
         _check_budget(curve, delta)
@@ -392,6 +398,8 @@ def _sweep_pairs(
             f"float sweep cannot reach n = {big}: {k}^{big} outcomes exceed the direct limit "
             f"{_FLOAT_SWEEP_LIMIT} and the type-class route needs exact arithmetic (use --exact)"
         )
+    if not isinstance(variant, (IID, Mixture)) and k ** max(ns, default=0) > cap:
+        raise CapExceeded(f"outcome space holds {k ** max(ns)} atoms, cap is {cap}")
     thresholds = [_budget_threshold(curve, delta) for curve, delta in pairs]
     levels = [1 - thr for thr in thresholds]
     rows: list[list[SweepRow]] = [[] for _ in pairs]

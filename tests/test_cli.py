@@ -28,6 +28,7 @@ from srnglab import (
     spectrum_cdf,
     variational,
 )
+from srnglab import spectrum
 from srnglab.cli import _num, main
 from srnglab.divergence import _budget_threshold
 from srnglab.probability import IID, Markov, SourceModel
@@ -411,11 +412,11 @@ def test_sweep_skips_curves_without_monotone_f(tmp_path, capsys):
     assert rows and all(row["curve"] == "variational" for row in rows)
 
 
-def test_exact_markov_sweep_rows_are_the_expanded_chain_rows(tmp_path, capsys):
+def test_exact_markov_sweep_rows_are_the_expanded_chain_rows(tmp_path, capsys, monkeypatch):
     # An exact chain has no type classes yet: each blocklength reads the
     # class list of its expansion, so the rows are the direct computation
-    # on the expanded chain, and a cap below k**n stops the sweep with
-    # expand's message before any file is written.
+    # on the expanded chain, and a cap below some k**n stops the sweep with
+    # expand's message before any blocklength is expanded.
     text = BASE.replace("command = analyze", "command = sweep").replace(
         "variant = iid\nalphabet = 2\nn = 2\npmf = 3/4, 1/4", MARKOV_SOURCE
     )
@@ -436,10 +437,16 @@ def test_exact_markov_sweep_rows_are_the_expanded_chain_rows(tmp_path, capsys):
                 expected.append(row + [curve.name])
     assert rows == expected
 
-    code, out = run(tmp_path, "sweep", text, extra=["--cap", "4"], outname="capped")
-    assert code == 2
-    assert capsys.readouterr().err == "error: outcome space holds 8 atoms, cap is 4\n"
-    assert not (out / "sweep.csv").exists()
+    def no_expand(*args):
+        raise AssertionError("expanded before the cap check")
+
+    monkeypatch.setattr(spectrum, "expand", no_expand)
+    text = text.replace("n_sweep = 1, 2, 3", "n_sweep = 1, 3")
+    for mode in ("--exact", "--float"):
+        code, out = run(tmp_path, "sweep", text, extra=["--cap", "4", mode], outname=mode)
+        assert code == 2
+        assert capsys.readouterr().err == "error: outcome space holds 8 atoms, cap is 4\n"
+        assert not (out / "sweep.csv").exists()
 
 
 def test_float_sweep_beyond_the_direct_limit_exits_2_before_any_work(tmp_path, capsys):

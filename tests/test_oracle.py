@@ -520,17 +520,20 @@ def test_pruned_scan_matches_the_partition_by_partition_scan(monkeypatch) -> Non
         cases.append((twin if rng.random() < 0.4 else exact, rng.randint(1, 4)))
 
     # kl leaves mass uncovered at infinite cost in every plan once m is
-    # below the support size, so its best is +inf from its first plan on;
-    # subtrees still die for the other curves.
-    searches = [(dist, m, curves) for dist, m in cases]
+    # below the support size, so its best stays +inf and no prefix is dead.
+    # Every case runs without it, where subtrees die; the small ones run
+    # again with it.
+    finite = [curve for curve in curves if curve.name != "kl"]
+    searches = [(dist, m, finite) for dist, m in cases]
+    searches += [(dist, m, curves) for dist, m in cases if len(dist.support()) <= 8]
     # The float twin of weights 10..1 keeps most partitions, as a float tie
     # with the best is never skipped, so it takes each family at one
     # parameter: the second ones double its time.
     one_each = [curve_from_name(name.replace(":G", ":2")) for name in registered_curve_names()]
-    searches.append((float_twin(weights), 4, one_each))
+    searches.append((float_twin(weights), 4, [c for c in one_each if c.name != "kl"]))
 
-    # With the criterion-7 command's curves, and with kl beside them,
-    # criterion 7 at m = 4 reaches few of its 2 795 partitions.
+    # With the criterion-7 command's curves, criterion 7 at m = 4 reaches
+    # few of its 2 795 partitions.
     reached = 0
 
     def counted_walk(*args, **kwargs):
@@ -541,10 +544,8 @@ def test_pruned_scan_matches_the_partition_by_partition_scan(monkeypatch) -> Non
 
     monkeypatch.setattr(oracle, "_partition_walk", counted_walk)
     four = [curve_from_name(c) for c in ("variational", "reverse_kl", "hellinger", "e_gamma:2")]
-    for chosen in (four, four + [kl()]):
-        reached = 0
-        min_fdiv_bruteforce(criterion7, 4, chosen)
-        assert 0 < reached <= 279, [c.name for c in chosen]
+    min_fdiv_bruteforce(criterion7, 4, four)
+    assert 0 < reached <= 279
     monkeypatch.setattr(oracle, "_partition_walk", _partition_walk)
     got = [min_fdiv_bruteforce(dist, m, chosen) for dist, m, chosen in searches]
     monkeypatch.setattr(oracle, "_scan", partition_scan)
