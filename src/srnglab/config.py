@@ -2,7 +2,10 @@
 
 One file drives one command.  Numbers are parsed as exact fractions, so
 "1/4", "0.25", and "3" all stay rational until a float-mode run converts
-them; that keeps rational-mode runs reproducible byte for byte.
+them; that keeps rational-mode runs reproducible byte for byte.  The
+conversion is `probability._float_twin`, which walks the source's
+parameters where its kinds are declared: this module builds each kind from
+its INI keys but reads no parameter field back.
 
 Validation errors carry the line number of the offending key, recorded
 while parsing, so a typo in a long grid file is easy to locate.
@@ -18,7 +21,7 @@ from typing import NoReturn
 
 from .divergence import FCurve, curve_from_name
 from .errors import ConfigError, OutOfRange
-from .probability import DEFAULT_ATOM_CAP, IID, Markov, Mass, Mixture, SourceModel
+from .probability import DEFAULT_ATOM_CAP, IID, Markov, Mixture, SourceModel, _float_twin
 from .rdp import DistortionSpec
 
 __all__ = ["RunConfig", "load_config"]
@@ -59,25 +62,8 @@ class RunConfig:
         return tuple(curve_from_name(name) for name in self.curve_names)
 
     def source(self) -> SourceModel:
-        if self.mode == "float":
-            variant = _to_float_variant(self.variant)
-        else:
-            variant = self.variant
+        variant = _float_twin(self.variant) if self.mode == "float" else self.variant
         return SourceModel(variant, self.n)
-
-
-def _to_float_variant(variant: IID | Markov | Mixture) -> IID | Markov | Mixture:
-    if isinstance(variant, IID):
-        return IID(tuple(float(p) for p in variant.pmf))
-    if isinstance(variant, Markov):
-        return Markov(
-            tuple(float(p) for p in variant.initial),
-            tuple(tuple(float(p) for p in row) for row in variant.transition),
-        )
-    return Mixture(
-        tuple(float(w) for w in variant.weights),
-        tuple(IID(tuple(float(p) for p in c.pmf)) for c in variant.components),
-    )
 
 
 class _Located:

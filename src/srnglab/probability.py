@@ -36,6 +36,11 @@ denominators).
 
 This module alone knows how masses are stored: the rest of the package
 reads them as `_values` over `_den`, and totals outcome sets with `_mass_of`.
+It alone knows the source kinds too.  `_walk_params` is the one walk over
+a variant's parameters, by its dataclass fields, which answers
+`SourceModel.exact` and builds a float-mode run's `_float_twin`; and
+`_has_types` is the one rule for which kinds have type classes (IID and
+mixture sources) and which are expanded string by string (the rest).
 The class list (`_ClassList`) lives here too: classes of equally likely
 atoms by descending mass, each a mass and an atom count, one list per
 distribution (its `_classes`, a class per distinct mass, each a run of its
@@ -52,11 +57,11 @@ import bisect
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import accumulate, compress, cycle, repeat
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import CapExceeded, InvalidModel, ZeroMassOutcome
 
@@ -474,16 +479,37 @@ class SourceModel:
     @property
     def exact(self) -> bool:
         """True when every model parameter is rational."""
-        v = self.variant
-        if isinstance(v, IID):
-            return all(_is_exact(p) for p in v.pmf)
-        if isinstance(v, Markov):
-            return all(_is_exact(p) for p in v.initial) and all(
-                _is_exact(p) for row in v.transition for p in row
-            )
-        return all(_is_exact(w) for w in v.weights) and all(
-            _is_exact(p) for c in v.components for p in c.pmf
-        )
+        return _walk_params(self.variant, _is_exact, lambda kind, parts: all(parts))
+
+
+def _walk_params(node: object, leaf: Callable, join: Callable) -> object:
+    """leaf(p) for every parameter p under node, joined bottom up: the parts
+    of a tuple, in order, or of a variant's dataclass fields, in declaration
+    order and into IID components, become join(kind, parts) for the tuple
+    type or the variant's class.  The one walk over a source's parameters,
+    so a new kind or field needs no branch here."""
+    if isinstance(node, tuple):
+        return join(tuple, [_walk_params(part, leaf, join) for part in node])
+    if is_dataclass(node):
+        parts = [_walk_params(getattr(node, f.name), leaf, join) for f in fields(node)]
+        return join(type(node), parts)
+    return leaf(node)
+
+
+def _float_twin(variant: Variant) -> Variant:
+    """The variant with every parameter p replaced by float(p), rebuilt by
+    the same constructors, which check it as they check any float source."""
+    return _walk_params(
+        variant, float, lambda kind, parts: kind(parts) if kind is tuple else kind(*parts)
+    )
+
+
+def _has_types(variant: Variant) -> bool:
+    """True for the kinds whose string masses depend only on the string's
+    type (its symbol counts), which `_types` walks: IID and mixture sources.
+    Every other kind is expanded string by string.  The one expand-or-types
+    rule: `expand`, the spectrum's class lists and the sweep read it."""
+    return isinstance(variant, (IID, Mixture))
 
 
 def _powers(p: Mass, n: int) -> list[Mass]:
@@ -511,8 +537,6 @@ def _types(variant: IID | Mixture, n: int) -> tuple[int, list[int], list[Mass], 
     The walk goes by columns: the types that share the counts of all but
     the last two symbols are one column, built by C-level maps.
     """
-    if not isinstance(variant, (IID, Mixture)):
-        raise InvalidModel("type classes need an IID or mixture source")
     if isinstance(variant, IID):
         weights, pmfs = (1,), (variant.pmf,)
     else:
@@ -601,7 +625,7 @@ def expand(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> AtomicDistributio
         raise CapExceeded(f"outcome space holds {size} atoms, cap is {cap}")
 
     variant, exact = model.variant, model.exact
-    if isinstance(variant, Markov):
+    if not _has_types(variant):
         den, init, rows = 1, variant.initial, variant.transition
         if exact:
             init_den, init = _common(init)

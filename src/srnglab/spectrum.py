@@ -28,16 +28,19 @@ its masses summed from the top point down, so a float tail does not
 depend on which function asked for it.
 
 A rational (source, n) has one class list, and _model_classes is the one
-place that picks it.  IID and mixture sources are enumerated by type class
-through `probability._types`: binomially many classes for a binary
-alphabet instead of 2**n.  Ternary (1/2, 1/3, 1/6) at n = 1000 has
-501 501; its class list and first k_f rate take about 0.66 s and 265 MB
-(Python 3.11.7, shared 2-CPU VM).  Any other source, a Markov chain
-today, is expanded up to the atom cap and has its distribution's list;
-float parameters are refused there.  A convergence sweep reads one class
-list per blocklength for all of its (curve, budget) pairs and merges no
-points; a float source is expanded, up to 2**14 outcomes, and its sizes
-come from the expanded distribution's list.
+place that picks it.  This module knows no source kind: which kinds have
+type classes is `probability._has_types`'s one rule.  Those sources are
+enumerated by type class through `probability._types`: binomially many
+classes for a binary alphabet instead of 2**n.  Ternary (1/2, 1/3, 1/6)
+at n = 1000 has 501 501; its class list and first k_f rate take about
+0.66 s and 265 MB (Python 3.11.7, shared 2-CPU VM).  Any other source, a
+Markov chain today, is expanded up to the atom cap and has its
+distribution's list; float parameters are refused there.  A convergence
+sweep reads one class list per blocklength for all of its (curve,
+budget) pairs and merges no points; a float source is expanded, up to
+2**14 outcomes, and its sizes come from the expanded distribution's list.
+A sweep that expands, float or an exact chain, is checked against its
+cap before any blocklength is computed.
 """
 
 from __future__ import annotations
@@ -54,13 +57,12 @@ from .divergence import FCurve, _budget_threshold, check_conditions
 from .errors import CapExceeded, InvalidModel, OutOfRange
 from .probability import (
     DEFAULT_ATOM_CAP,
-    IID,
     AtomicDistribution,
     Mass,
-    Mixture,
     SourceModel,
     Variant,
     _ClassList,
+    _has_types,
     _reduced_value,
     _types,
     expand,
@@ -305,7 +307,7 @@ def _model_classes(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> _ClassLis
     distribution's list, a class per distinct mass, up to cap atoms."""
     if not model.exact:
         raise InvalidModel("type-class enumeration needs rational source parameters")
-    if isinstance(model.variant, (IID, Mixture)):
+    if _has_types(model.variant):
         den, _, nums, sizes = _types(model.variant, model.n)
         return _ClassList.build(model.n, den, nums, sizes)
     return expand(model, cap)._classes
@@ -362,10 +364,11 @@ def rate_convergence_sweep(
     nu = 1 - f^{-1}(delta) (1 once delta reaches f(0+)).  A rational source
     reads its class list at every n: IID and mixture sources go through
     their type classes and never expand, so cap does not bound them, while
-    an exact Markov chain is expanded at every n.  Before any blocklength
-    is computed, a chain with some k**n above cap raises CapExceeded, and
-    a float source, which is expanded too, is rejected if some k**n is
-    above 2**14.
+    an exact Markov chain is expanded at every n.  A float source of any
+    kind is expanded at every n too.  Before any blocklength is computed, a
+    float source with some k**n above 2**14 is rejected, and then any
+    source that is expanded, float or an exact chain, raises CapExceeded
+    if some k**n is above cap.
     """
     return _sweep_pairs(variant, ns, [(curve, delta)], cap)[0]
 
@@ -384,21 +387,21 @@ def _sweep_pairs(
     per pair, computing each blocklength once for all of them.
 
     Every pair, the float limit and, for a source that is expanded at
-    every n (any but IID and mixture), the cap are checked before any
-    work starts.
+    every n (a float source of any kind, or an exact one without type
+    classes), the cap are checked before any work starts.
     """
     for curve, delta in pairs:
         _check_budget(curve, delta)
     if not pairs:
         return []
-    k = variant.alphabet_size
+    k, exact = variant.alphabet_size, SourceModel(variant, 1).exact
     big = next((n for n in ns if k**n > _FLOAT_SWEEP_LIMIT), None)
-    if big is not None and not SourceModel(variant, big).exact:
+    if big is not None and not exact:
         raise InvalidModel(
             f"float sweep cannot reach n = {big}: {k}^{big} outcomes exceed the direct limit "
             f"{_FLOAT_SWEEP_LIMIT} and the type-class route needs exact arithmetic (use --exact)"
         )
-    if not isinstance(variant, (IID, Mixture)) and k ** max(ns, default=0) > cap:
+    if not (exact and _has_types(variant)) and k ** max(ns, default=0) > cap:
         raise CapExceeded(f"outcome space holds {k ** max(ns)} atoms, cap is {cap}")
     thresholds = [_budget_threshold(curve, delta) for curve, delta in pairs]
     levels = [1 - thr for thr in thresholds]
@@ -418,12 +421,12 @@ def _sweep_point(
     smooth max entropy at every matching tail level, at one blocklength:
     from _model_classes if the source is rational, else from the class
     list and spectrum of the expanded distribution."""
-    n = model.n
-    if model.exact:
+    n, exact = model.n, model.exact
+    if exact:
         classes = _model_classes(model, cap)
         summary = SpectrumSummary._of(classes)
     else:
         dist = expand(model, cap)
         classes, summary = dist._classes, spectrum_cdf(dist)
-    sizes = [classes.set_size(_tail_target(eps, model.exact)) for eps in levels]
+    sizes = [classes.set_size(_tail_target(eps, exact)) for eps in levels]
     return [_crossing(summary, thr) for thr in thresholds], [math.log(size) / n for size in sizes]

@@ -467,17 +467,27 @@ def test_float_sweep_beyond_the_direct_limit_exits_2_before_any_work(tmp_path, c
     assert (out / "sweep.csv").read_text().count("\n") == 1 + 2 * 4 * 2
 
 
-def test_sweep_cap_bounds_float_sweeps_only(tmp_path, capsys):
+def test_sweep_cap_bounds_float_sweeps_only(tmp_path, capsys, monkeypatch):
     # An exact sweep walks type classes and never expands, so a cap below
-    # 2^3 leaves it alone; a float sweep expands and stops at the cap.
+    # 2^3 leaves it alone; a float sweep expands and stops at the cap,
+    # checked before any blocklength is expanded, n = 1 included.
     text = BASE.replace("command = analyze", "command = sweep")
     code, out = run(tmp_path, "sweep", text, extra=["--cap", "4"])
     assert code == 0
     assert (out / "sweep.csv").read_text().count("\n") == 1 + 2 * 3 * 2
-    code, out = run(tmp_path, "sweep", text, extra=["--cap", "4", "--float"], outname="float")
-    assert code == 2
-    assert capsys.readouterr().err == "error: outcome space holds 8 atoms, cap is 4\n"
-    assert not (out / "sweep.csv").exists()
+
+    def no_expand(*args):
+        raise AssertionError("expanded before the cap check")
+
+    monkeypatch.setattr(spectrum, "expand", no_expand)
+    mixture = text.replace("variant = iid\nalphabet = 2\nn = 2\npmf = 3/4, 1/4", MIXTURE_SOURCE)
+    for name, source in (("iid", text), ("mixture", mixture)):
+        source = source.replace("n_sweep = 1, 2, 3", "n_sweep = 1, 3")
+        extra = ["--cap", "4", "--float"]
+        code, out = run(tmp_path, "sweep", source, extra=extra, name=f"{name}.ini", outname=name)
+        assert code == 2
+        assert capsys.readouterr().err == "error: outcome space holds 8 atoms, cap is 4\n"
+        assert not (out / "sweep.csv").exists()
 
 
 def test_units_bits_divides_by_log_two(tmp_path):

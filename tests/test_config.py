@@ -109,6 +109,13 @@ def test_bad_fraction_error_names_the_pmf_line(tmp_path):
     path = write(tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=rf"{path}:7: not a number: 'oops'"):
         load_config(path)
+    # A list of separators alone holds no number.
+    text = "\n".join(lines) + "\n"
+    for empty, line in ((text.replace("3/4, oops", ", ,"), 7), (text.replace("1/10", ","), 11)):
+        path = write(tmp_path, empty.replace("oops", "1/4"), "empty.ini")
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path)
+        assert str(excinfo.value) == f"{path}:{line}: empty list"
 
 
 def test_unknown_key_error_names_its_line(tmp_path):
@@ -187,6 +194,10 @@ def test_unknown_curve_name_is_rejected(tmp_path):
     text = BASE.replace("names = variational", "names = variational, tsallis")
     with pytest.raises(ConfigError, match="tsallis"):
         load_config(write(tmp_path, text))
+    path = write(tmp_path, BASE.replace("names = variational", "names = ,"), "empty.ini")
+    with pytest.raises(ConfigError) as excinfo:
+        load_config(path)
+    assert str(excinfo.value) == f"{path}:9: empty curve list"
 
 
 def test_repeated_curve_is_rejected_at_its_line(tmp_path):
@@ -385,9 +396,12 @@ def test_run_overrides_parse(tmp_path):
         ("alphabet = 2", "alphabet = 5/2", 5, "alphabet must be a positive integer, got '5/2'"),
         ("alphabet = 2", "alphabet = -2", 5, "alphabet must be a positive integer, got '-2'"),
         ("delta = 1/10", "delta = 1/10\nn_sweep = 0, 2", 12, "blocklengths must be positive"),
+        ("delta = 1/10", "delta = 1/10\nm = 2, 1/2", 12, "not an integer: '1/2'"),
+        ("delta = 1/10", "delta = 1/10\nm = 2.0", 12, "not an integer: '2.0'"),
+        ("delta = 1/10", "delta = 1/10\nm = , ,", 12, "empty list"),
     ],
     ids=["cap-word", "cap-negative", "cap-zero", "n-ratio", "n-zero", "n-upper-case",
-         "alphabet-ratio", "alphabet-negative", "n_sweep-zero"],
+         "alphabet-ratio", "alphabet-negative", "n_sweep-zero", "m-ratio", "m-decimal", "m-empty"],
 )
 def test_integer_keys_reject_what_is_not_a_positive_integer(tmp_path, old, new, line, message):
     path = write(tmp_path, BASE.replace(old, new))

@@ -15,6 +15,7 @@ import pytest
 
 from srnglab import (
     AtomicDistribution,
+    DimensionMismatch,
     IID,
     InvalidModel,
     MappingPair,
@@ -349,6 +350,14 @@ def test_mapping_pair_validation() -> None:
         MappingPair(phi=(0, 1), psi=(0,), m_n=2)
     with pytest.raises(InvalidModel):
         MappingPair(phi=(0, 1), psi=(0, 5), m_n=2)
+    for phi, psi, m_n, message in (
+        ((), (), 0, "codebook size must be positive"),
+        ((0,), (0,), -1, "codebook size must be positive"),
+        ((), (0,), 1, "encoder table is empty"),
+    ):
+        with pytest.raises(InvalidModel) as excinfo:
+            MappingPair(phi=phi, psi=psi, m_n=m_n)
+        assert str(excinfo.value) == message
 
 
 def test_mapping_pair_range_checks_name_the_table() -> None:
@@ -369,6 +378,10 @@ def test_apply_mapping_pushes_mass_forward() -> None:
     pair = MappingPair(phi=(0, 0, 1), psi=(1, 2), m_n=2)
     decoded = apply_mapping(d, pair)
     assert decoded.masses == (F(0), F(5, 6), F(1, 6))
+    for phi, psi in (((0, 1), (0, 1)), ((0, 0, 1, 1), (0, 3))):
+        with pytest.raises(DimensionMismatch) as excinfo:
+            apply_mapping(d, MappingPair(phi=phi, psi=psi, m_n=2))
+        assert str(excinfo.value) == f"mapping covers {len(phi)} outcomes, source has 3"
 
 
 def test_bounds_reject_curves_without_monotonicity() -> None:

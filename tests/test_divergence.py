@@ -355,6 +355,22 @@ def test_numeric_inverse_fallback_bisects() -> None:
     )
     for target in (0.04, 0.25, 0.81):
         assert f_inverse(square, target) == pytest.approx(1 - math.sqrt(target), abs=1e-9)
+    # At the limit value f(0+) the preimage's left edge is 0, with no bisection.
+    assert f_inverse(square, 1) == 0
+    # Without an inverse the fallback runs only on nonincreasing curves:
+    # one flagged otherwise, and one that numeric checking finds is not.
+    flagged = FCurve(
+        name="flagged", eval_at=square.eval_at, f_at_zero=1, slope_at_infinity=math.inf,
+        nonincreasing=False,
+    )
+    bowl = FCurve(
+        name="bowl", eval_at=lambda t: (t - F(1, 2)) ** 2 - F(1, 4), f_at_zero=0,
+        slope_at_infinity=math.inf,
+    )
+    for curve, target in ((flagged, 0.25), (bowl, 0)):
+        with pytest.raises(OutOfRange) as excinfo:
+            f_inverse(curve, target)
+        assert str(excinfo.value) == f"{curve.name} is not nonincreasing; its inverse is undefined here"
 
 
 # ---------------------------------------------------------------------------

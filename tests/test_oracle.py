@@ -660,6 +660,12 @@ def test_min_set_matches_greedy_sizes() -> None:
             _, kept = smooth_max_entropy(d, delta)
             assert size == len(kept)
             assert sum(d.masses[x] for x in witness) >= 1 - delta
+    # Ten float tenths add up, left to right, to just below 1, so no subset
+    # reaches the target 1: both searches fall back to the whole support.
+    tenths = AtomicDistribution.from_masses([0.1] * 10, 1, 10)
+    assert reduce(operator.add, tenths.masses, 0.0) < 1.0
+    _, kept = smooth_max_entropy(tenths, 0)
+    assert min_set_bruteforce(tenths, 0) == (10, tuple(range(10))) == (len(kept), tenths.support())
 
 
 def test_min_set_witness_is_lexicographically_first() -> None:

@@ -25,7 +25,7 @@ from srnglab import (
     self_information_value,
     sort_descending,
 )
-from srnglab.probability import FLOAT_MASS_TOL, _is_exact, _validate_pmf
+from srnglab.probability import FLOAT_MASS_TOL, _float_twin, _is_exact, _validate_pmf
 
 F = Fraction
 
@@ -80,6 +80,30 @@ def test_from_masses_rejects_negative_mass() -> None:
 def test_from_masses_rejects_wrong_length() -> None:
     with pytest.raises(InvalidModel):
         AtomicDistribution.from_masses([F(1, 2), F(1, 2)], 2, 2)
+    for masses, n, k in (([F(1)], 0, 2), ([F(1)], 1, 0), ([], -1, 2)):
+        with pytest.raises(InvalidModel) as excinfo:
+            AtomicDistribution(tuple(masses), n, k, True)
+        assert str(excinfo.value) == "blocklength and alphabet size must be positive"
+
+
+def test_exact_distribution_refuses_float_masses() -> None:
+    # A float mass in exact mode is refused once the row is checked as a
+    # pmf, so a row that is no pmf at all is named for that first.
+    with pytest.raises(InvalidModel) as excinfo:
+        AtomicDistribution((F(1, 2), 0.5), 1, 2, True)
+    assert str(excinfo.value) == "exact mode requires rational masses"
+    with pytest.raises(InvalidModel) as excinfo:
+        AtomicDistribution((F(1, 2), -0.5), 1, 2, True)
+    assert str(excinfo.value) == "mass vector contains a negative entry"
+
+
+def test_outcome_decodes_an_id_of_the_distribution() -> None:
+    d = expand(SourceModel(IID((F(1, 4), F(1, 4), F(1, 2))), 3))
+    assert d.outcome(16) == outcome_from_id(16, 3, 3)
+    assert d.outcome(16).symbols == (1, 2, 1)
+    with pytest.raises(InvalidModel) as excinfo:
+        d.outcome(27)
+    assert str(excinfo.value) == "outcome id 27 outside space of size 3**3"
 
 
 def test_support_skips_zero_atoms() -> None:
@@ -160,6 +184,60 @@ def test_mixture_validation() -> None:
         Mixture((F(1, 2), F(1, 4)), (IID((F(1, 2), F(1, 2))), IID((F(1, 2), F(1, 2)))))
     with pytest.raises(InvalidModel):
         Mixture((F(1, 2), F(1, 2)), (IID((F(1, 2), F(1, 2))),))
+    half = IID((F(1, 2), F(1, 2)))
+    for weights in ((F(0), F(1)), (F(3, 2), F(-1, 2)), (1.0, -0.0)):
+        with pytest.raises(InvalidModel) as excinfo:
+            Mixture(weights, (half, half))
+        assert str(excinfo.value) == "mixture weights must be positive"
+    with pytest.raises(InvalidModel) as excinfo:
+        Mixture((F(1, 2), F(1, 2)), (half, IID((F(1, 3), F(1, 3), F(1, 3)))))
+    assert str(excinfo.value) == "mixture components must share one alphabet"
+
+
+def test_source_model_needs_a_positive_blocklength() -> None:
+    for n in (0, -3):
+        with pytest.raises(InvalidModel) as excinfo:
+            SourceModel(IID((F(1, 2), F(1, 2))), n)
+        assert str(excinfo.value) == "blocklength must be at least 1"
+
+
+# Each source kind built from its parameters listed in field order, ints and
+# Fractions mixed, and the same list read back from a built variant.
+KINDS = {
+    "iid": (lambda p: IID(p), (F(1, 4), 0, F(3, 4))),
+    "markov": (lambda p: Markov(p[:2], (p[2:4], p[4:])), (1, 0, F(9, 10), F(1, 10), 0, 1)),
+    "mixture": (
+        lambda p: Mixture(p[:2], (IID(p[2:4]), IID(p[4:]))),
+        (F(1, 3), F(2, 3), F(1, 4), F(3, 4), 1, 0),
+    ),
+}
+
+
+def parameters(variant) -> list:
+    if isinstance(variant, IID):
+        return list(variant.pmf)
+    if isinstance(variant, Markov):
+        return [*variant.initial, *(p for row in variant.transition for p in row)]
+    return [*variant.weights, *(p for c in variant.components for p in c.pmf)]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_exactness_and_the_float_twin_read_every_parameter(kind) -> None:
+    build, params = KINDS[kind]
+    variant = build(params)
+    assert parameters(variant) == list(params)
+    assert SourceModel(variant, 2).exact
+    # One float in any parameter position makes the whole source float.
+    for i in range(len(params)):
+        mixed = list(params)
+        mixed[i] = float(params[i])
+        assert not SourceModel(build(tuple(mixed)), 2).exact, i
+    twin = _float_twin(variant)
+    assert type(twin) is type(variant)
+    assert twin == build(tuple(map(float, params)))
+    assert [type(p) for p in parameters(twin)] == [float] * len(params)
+    assert parameters(twin) == [float(p) for p in params]
+    assert not SourceModel(twin, 2).exact
 
 
 def test_markov_validation() -> None:

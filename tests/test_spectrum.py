@@ -44,7 +44,6 @@ from srnglab import (
     typeclass_spectrum,
     variational,
 )
-from srnglab.probability import _types
 from srnglab.spectrum import _sweep_pairs
 
 F = Fraction
@@ -77,6 +76,9 @@ def test_spectrum_masses_stay_rational(quarter_spectrum: SpectrumSummary) -> Non
 def test_summary_rejects_unsorted_points() -> None:
     with pytest.raises(InvalidModel):
         SpectrumSummary(points=((1.0, F(1, 2)), (0.5, F(1, 2))), n=1)
+    with pytest.raises(InvalidModel) as excinfo:
+        SpectrumSummary(points=(), n=1)
+    assert str(excinfo.value) == "a spectrum needs at least one point"
 
 
 def test_summary_rejects_nonpositive_masses() -> None:
@@ -412,10 +414,6 @@ def test_type_class_routes_check_their_arguments() -> None:
         with pytest.raises(OutOfRange) as excinfo:
             typeclass_smooth_max_entropy(source, 4, delta)
         assert str(excinfo.value) == f"tail budget must lie in [0, 1], got {delta}"
-    chain = Markov((F(1, 2), F(1, 2)), ((F(9, 10), F(1, 10)), (F(1, 5), F(4, 5))))
-    with pytest.raises(InvalidModel) as excinfo:
-        _types(chain, 4)
-    assert str(excinfo.value) == "type classes need an IID or mixture source"
     floating = IID((0.75, 0.25))
     for route in (typeclass_spectrum, lambda v, n: typeclass_smooth_max_entropy(v, n, F(1, 10))):
         with pytest.raises(InvalidModel) as excinfo:
