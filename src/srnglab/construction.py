@@ -422,12 +422,17 @@ def baseline_collapse_mapping(dist: AtomicDistribution, m: int, gamma: Mass) -> 
     return _encode(len(dist.masses), core, core, (), m)
 
 
-def apply_mapping(dist: AtomicDistribution, mapping: MappingPair) -> AtomicDistribution:
-    """Law of the decoded variable psi(phi(X^n)), on the original space."""
+def _check_size(dist: AtomicDistribution, mapping: MappingPair) -> None:
+    """Reject a mapping whose encoder does not cover the source's outcomes."""
     if len(mapping.phi) != len(dist.masses):
         raise DimensionMismatch(
             f"mapping covers {len(mapping.phi)} outcomes, source has {len(dist.masses)}"
         )
+
+
+def apply_mapping(dist: AtomicDistribution, mapping: MappingPair) -> AtomicDistribution:
+    """Law of the decoded variable psi(phi(X^n)), on the original space."""
+    _check_size(dist, mapping)
     values = dist._values
     # One shared zero: float mode would otherwise make one 0.0 per empty atom.
     out = [0 if dist.exact else 0.0] * len(values)

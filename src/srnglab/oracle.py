@@ -31,9 +31,9 @@ one per distinct uncovered mass.  A rational curve on an exact source is
 tabled in integers over one common denominator, so its minimum is exact;
 every other curve in floats.  A plan's total is the same sum, in
 the same order, as a term-by-term evaluation: left to right from 0, then
-the stray.  All plans of one partition are summed at once, and a
-partition whose lowest total is at least the running minimum is skipped
-for that curve.
+the stray.  All plans of one partition are summed at once, and once a
+curve has its witness, a partition whose lowest total is at least the
+running minimum changes nothing for it.
 
 The reduced search mostly skips a partition before summing any plan.  For
 a convex f the perspective g(p, Q) = Q f(p/Q) has nonpositive
@@ -45,42 +45,39 @@ i-th heaviest block to the i-th heaviest representative, pool[i], has the
 partition's lowest term sum.  Every plan of one block count takes the same
 representatives, so the same uncovered mass; a float source adds it in
 plan order, so its strays may differ by rounding, and the lowest is used.
-The co-monotone total depends on the partition only through its block
-masses sorted heaviest first, so the scan computes it, less the margin
-below, once per distinct tuple of them and keeps it for the rest of the
-search (on the criterion-7 source at m = 4, the 2 795 partitions have 251
-tuples).  The stored value depends on the tuple and the fixed table
-alone, never on the running best, which only falls; each partition
-compares it with the best as it stands then, so a tuple that allowed a
-skip once allows it at every later partition, and a partition whose tuple
-was seen before costs one lookup and one comparison per curve.  Block tuples
-are built only when a plan lowers a best, for its witness.  An integer
-table's co-monotone total is the partition's lowest plan total, so a
-partition is skipped exactly when its lowest total is at least the best.
-With a float table a partition is skipped only when its co-monotone total
-minus a margin is at least the best, which leaves no plan of it below the
-best.  Partitions that are not skipped, and every partition of the full
-search, are summed plan by plan as above, so the witness is still the
-first minimal plan.
+The co-monotone total less the margin below is the partition's floor for
+a curve.  An integer table's floor is the partition's lowest plan total;
+a float table's is at most every plan's float total.  Either is +inf
+exactly where the co-monotone total is, and then every plan of the
+partition totals +inf.
 
-The reduced search also skips whole subtrees of the walk.  The walk places
-the atoms one at a time, in id order, and before it descends below a
-prefix of i placed atoms it asks the scan whether the prefix is dead.  A
-partition that completes the prefix adds each later atom to one of its
-blocks, or to a new one while fewer than K are open, so its block masses
-depend on the prefix only through i and the prefix's block masses, sorted
-heaviest first.  The least co-monotone total (less the margin) over those
-completions is computed exactly, per curve, by a recursion on that pair:
-the next atom joins each distinct block mass in turn, added as the walk
-adds it, or opens a block; at the full support it is the per-tuple value
-above.  Its values are memoised for the whole search, as they depend on
-the fixed table alone.  The prefix is dead when, for every curve, that
-least total is at least the best as it stands; the best only falls, so
-the scan would skip each partition below it one at a time, and values and
-witnesses are those of the partition-by-partition scan.  On the
-criterion-7 source at m = 4 the walk reaches 201 of the 2 795 partitions,
-and at m = 2, 32 of 128.  Float ties are never skipped (the margin is
-positive), so on float sources with distinct masses few subtrees die.
+The walk places the atoms one at a time, in id order, and at every prefix
+of i placed atoms, the full partition included, it asks the scan whether
+the prefix is dead.  A partition that completes the prefix adds each later
+atom to one of its blocks, or to a new one while fewer than K are open, so
+its block masses depend on the prefix only through i and the prefix's
+block masses, sorted heaviest first.  The floor below a prefix, the least
+floor over those completions, is computed exactly, per curve, by a
+recursion on that pair: the next atom joins each distinct block mass in
+turn, added as the walk adds it, or opens a block; at the full support it
+is the partition's own floor.  Its values are memoised for the whole
+search, as they depend on the fixed table alone (on the criterion-7 source
+at m = 4, the 2 795 partitions have 251 tuples of block masses).  One rule
+decides every skip: a curve is settled below a prefix when it has a
+witness and its floor there is at least its best, and the prefix is dead
+when every curve is settled.  The best only falls, so no plan below a
+settled curve's prefix can lower its best.  A curve with no witness stays
+live; one with a witness is settled where its floor is +inf, as every plan
+there totals +inf and lowers no best, not even an infinite one.  At a full
+partition that is not dead, the plans are summed for the live curves only,
+so values and witnesses are those of the scan that visits every partition.
+On the criterion-7 source at m = 4 the walk reaches 92 of the 2 795
+partitions, as many with kl beside the four curves of the criterion-7
+command, and at m = 2, 22 of 128.  Float ties are never skipped (the
+margin is positive), so on float sources with distinct masses few subtrees
+die.  Block tuples are built only when a plan lowers a best, for its
+witness.  The full search asks no question and sums every partition plan
+by plan as above, so the witness is still the first minimal plan.
 
 The margin is derived, for the largest block count K, from u = 2^-53, the
 largest finite |term| A and |stray| S of the curve's table, and the
@@ -102,7 +99,7 @@ and its k terms are within E = 6u K (p_max + c Q_max + A) of the curve's
 values.  With the Monge inequality on those values, every plan's float
 total is at least the co-monotone float total minus
 D = 2 gamma_K (K A + S) + 2E.  The margin is 2D: the second D covers the
-rounding of the skip test's subtraction, under u ((1 + gamma_K)(K A + S) +
+rounding of the floor's subtraction, under u ((1 + gamma_K)(K A + S) +
 2D) <= D / 2 + 2uD, and of the margin's own computation.
 """
 
@@ -197,11 +194,12 @@ def _partition_walk(
     blocks' last ones, and only they and their running totals move.  The
     lists are the walk's own: they change at the next step.
 
-    The walk places one item at a time.  Before it places item i on a
-    prefix of i placed items, 0 < i < len(items), it asks dead(i, runs),
-    with runs as they stand for the prefix.  If that is true, it yields no
-    partition that completes the prefix and moves the prefix's last item
-    on to its next label instead.  Without dead every partition is yielded.
+    The walk places one item at a time.  At every prefix of i placed items,
+    0 < i <= len(items), before it places item i or, once all are placed,
+    yields the partition, it asks dead(i, runs), with runs as they stand
+    for the prefix.  If that is true, it yields no partition that completes
+    the prefix, the full one included, and moves the prefix's last item on
+    to its next label instead.  Without dead every partition is yielded.
     """
     n = len(items)
     if n == 0:
@@ -214,16 +212,17 @@ def _partition_walk(
     runs = [[zero + values[items[0]]]]
     placed = 1
     while True:
-        if placed == n:
-            yield blocks, runs
-        elif dead is None or not dead(placed, runs):
-            x = items[placed]
-            labels[placed] = 0
-            limits[placed] = min(len(blocks), max_blocks - 1)
-            blocks[0].append(x)
-            runs[0].append(runs[0][-1] + values[x])
-            placed += 1
-            continue
+        if dead is None or not dead(placed, runs):
+            if placed == n:
+                yield blocks, runs
+            else:
+                x = items[placed]
+                labels[placed] = 0
+                limits[placed] = min(len(blocks), max_blocks - 1)
+                blocks[0].append(x)
+                runs[0].append(runs[0][-1] + values[x])
+                placed += 1
+                continue
         # Lift the placed items off, last first, down to the last one that
         # can still grow; a block emptied this way is the last one.
         i = placed - 1
@@ -325,17 +324,6 @@ def _margin(
     return 2 * (sums + terms)
 
 
-def _co_monotone(rows: dict, low: Mass, q_desc: Sequence[Mass], margin: Mass) -> Mass:
-    """The co-monotone total less the margin: the lowest stray, then the
-    i-th heaviest block's term at pool position i.  In integers it is the
-    partition's lowest plan total, in floats the margin keeps it at or
-    below every plan total; -inf where the total is infinite."""
-    total = low
-    for column, q in enumerate(q_desc):
-        total = total + rows[q][column]
-    return -math.inf if total == math.inf else total - margin
-
-
 def _least(
     levels: list[dict],
     placed: int,
@@ -345,21 +333,27 @@ def _least(
     tables: list[tuple[dict, dict]],
     skips: list[tuple[dict, Mass]],
 ) -> list[Mass]:
-    """Each table's least _co_monotone over the partitions that complete a
-    prefix of placed atoms in blocks of masses q_desc, heaviest first: each
-    later atom i, of value atoms[i], joins a block, whose mass q becomes
-    q + atoms[i] as the walk adds it, or opens one while fewer than k_max
-    are open.  Blocks of one mass are interchangeable, so one of them is
-    tried.  Kept in levels[placed] per q_desc; at the full support it is
-    the partition's own co-monotone total."""
+    """Each table's floor below a prefix of placed atoms in blocks of
+    masses q_desc, heaviest first: the least co-monotone total less the
+    margin over the partitions that complete it.  Each later atom i, of
+    value atoms[i], joins a block, whose mass q becomes q + atoms[i] as the
+    walk adds it, or opens one while fewer than k_max are open.  Blocks of
+    one mass are interchangeable, so one of them is tried.  At the full
+    support the floor is the partition's own: the lowest stray of its block
+    count, then the i-th heaviest block's term at pool position i, less
+    the margin; +inf where that total is.  In integers it is the
+    partition's lowest plan total, in floats it is at most every plan
+    total.  Kept in levels[placed] per q_desc."""
     level = levels[placed]
     floors = level.get(q_desc)
     if floors is None:
         if placed == len(atoms):
-            floors = [
-                _co_monotone(rows, lows[len(q_desc)], q_desc, margin)
-                for (rows, _), (lows, margin) in zip(tables, skips)
-            ]
+            floors = []
+            for (rows, _), (lows, margin) in zip(tables, skips):
+                total = lows[len(q_desc)]
+                for column, q in enumerate(q_desc):
+                    total = total + rows[q][column]
+                floors.append(total - margin)
         else:
             v = atoms[placed]
             grown = [
@@ -389,43 +383,38 @@ def _scan(
     """Each table's lowest plan total over every partition, and the first
     plan that attains it.  skips, in reduced mode only, holds per table the
     lowest stray of each block count and the float margin (0 for integers)
-    of the co-monotone skip."""
+    of the floors (_least).  There the walk's hook is the one place a
+    partition or a curve is skipped: a curve is settled below a prefix when
+    it has a witness and its floor there is at least its best, and the
+    prefix is dead when every curve is settled.  At a full partition the
+    scan sums the plans of the curves the hook left live."""
     best: list[Mass] = [math.inf] * len(tables)
     best_plan: list[PartitionPlan | None] = [None] * len(tables)
+    live = [True] * len(tables)
     support = dist.support()
     atoms = list(map(dist._values.__getitem__, support))
     # Per placed count, per tuple of block masses, heaviest first: each
-    # table's least _co_monotone over the prefix's completions (_least).
+    # table's floor below the prefix (_least).
     levels: list[dict] = [{} for _ in range(len(support) + 1)]
-    seen = levels[-1]
 
     def dead(placed: int, runs: list[list[Mass]]) -> bool:
-        """Whether no completion of the prefix can lower any best: then the
-        scan below would skip each of them.  No floor is +inf, so while a
-        best is, none is dead."""
-        if math.inf in best:
-            return False
+        """Whether every curve is settled below the prefix.  live holds,
+        per curve, whether it is not: it has no witness yet, or its floor
+        there is below its best."""
         q_desc = tuple(sorted([run[-1] for run in runs], reverse=True))
         floors = _least(levels, placed, q_desc, atoms, k_max, tables, skips)
-        return all(map(operator.ge, floors, best))
+        live[:] = [plan is None or floor < low for floor, low, plan in zip(floors, best, best_plan)]
+        return not any(live)
 
     zero: Mass = 0 if dist.exact else 0.0
     walk = _partition_walk(support, k_max, dist._values, zero, dead if skips else None)
     for blocks, runs in walk:
         q_values = [run[-1] for run in runs]
-        if skips:
-            q_desc = tuple(sorted(q_values, reverse=True))
-            floors = seen.get(q_desc) or _least(
-                levels, len(atoms), q_desc, atoms, k_max, tables, skips
-            )
-            if all(map(operator.ge, floors, best)):
-                continue
         k = len(blocks)
         perms, columns, reps, _ = layouts[k]
         plan_blocks = None
         for i, (rows, strays) in enumerate(tables):
-            # If the co-monotone total cannot lower the best, no plan can.
-            if skips and floors[i] >= best[i]:
+            if not live[i]:
                 continue
             # Every plan's total at once, with _total's additions: left to
             # right from 0, then the stray.  No term is -inf, so a plan that

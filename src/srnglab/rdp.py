@@ -23,7 +23,7 @@ from functools import reduce
 from itertools import chain
 from typing import Sequence
 
-from .construction import MappingPair
+from .construction import MappingPair, _check_size
 from .divergence import FCurve
 from .errors import (
     DimensionMismatch,
@@ -95,10 +95,7 @@ def mapping_distortion(
     diagonal is pinned at zero.  Rational masses and entries give an exact
     result; a float source or entry gives a float, also when nothing moves.
     """
-    if len(mapping.phi) != len(dist.masses):
-        raise DimensionMismatch(
-            f"mapping covers {len(mapping.phi)} outcomes, source has {len(dist.masses)}"
-        )
+    _check_size(dist, mapping)
     if spec.kind == "additive" and len(spec.entries) != dist.alphabet_size:
         raise DimensionMismatch("additive distortion matrix does not match the alphabet")
     if spec.kind == "table" and len(spec.entries) != len(dist.masses):

@@ -89,11 +89,11 @@ def hashed_dead(placed, runs):
 
 
 def alive(partitions, items, values, zero, dead):
-    """The partitions none of whose prefixes, of 1 to len(items) - 1 placed
-    items, dead declares dead; a prefix's runs are its blocks' running
-    totals from zero, blocks by first member."""
+    """The partitions none of whose prefixes, of 1 to len(items) placed
+    items, the full partition included, dead declares dead; a prefix's runs
+    are its blocks' running totals from zero, blocks by first member."""
     for blocks in partitions:
-        for i in range(1, len(items)):
+        for i in range(1, len(items) + 1):
             placed = items[:i]
             runs = [
                 list(itertools.accumulate((values[x] for x in b if x in placed), initial=zero))[1:]
@@ -452,6 +452,17 @@ def test_co_monotone_skip_matches_the_unskipped_scan(monkeypatch) -> None:
             ), (dist.masses, m, name)
 
 
+def co_monotone(rows, low, q_desc, margin):
+    """The co-monotone total less the margin, as the oracle computed it
+    before subtree pruning: the lowest stray, then the i-th heaviest
+    block's term at pool position i; -inf where the total is infinite, so
+    such a partition is never skipped."""
+    total = low
+    for column, q in enumerate(q_desc):
+        total = total + rows[q][column]
+    return -math.inf if total == math.inf else total - margin
+
+
 def partition_scan(dist, m, k_max, layouts, tables, skips):
     """The oracle's scan before subtree pruning: the walk yields every
     partition, and each one is skipped, or not, from its own co-monotone
@@ -467,7 +478,7 @@ def partition_scan(dist, m, k_max, layouts, tables, skips):
             floors = seen.get(q_desc)
             if floors is None:
                 floors = seen[q_desc] = [
-                    oracle._co_monotone(rows, lows[len(q_desc)], q_desc, margin)
+                    co_monotone(rows, lows[len(q_desc)], q_desc, margin)
                     for (rows, _), (lows, margin) in zip(tables, skips)
                 ]
             if all(map(operator.ge, floors, best)):
@@ -520,9 +531,9 @@ def test_pruned_scan_matches_the_partition_by_partition_scan(monkeypatch) -> Non
         cases.append((twin if rng.random() < 0.4 else exact, rng.randint(1, 4)))
 
     # kl leaves mass uncovered at infinite cost in every plan once m is
-    # below the support size, so its best stays +inf and no prefix is dead.
-    # Every case runs without it, where subtrees die; the small ones run
-    # again with it.
+    # below the support size, so its best is +inf; once it has its witness
+    # it is settled wherever its floor is +inf too.  Every case runs
+    # without it; the small ones run again with it.
     finite = [curve for curve in curves if curve.name != "kl"]
     searches = [(dist, m, finite) for dist, m in cases]
     searches += [(dist, m, curves) for dist, m in cases if len(dist.support()) <= 8]
@@ -533,7 +544,8 @@ def test_pruned_scan_matches_the_partition_by_partition_scan(monkeypatch) -> Non
     searches.append((float_twin(weights), 4, [c for c in one_each if c.name != "kl"]))
 
     # With the criterion-7 command's curves, criterion 7 at m = 4 reaches
-    # few of its 2 795 partitions.
+    # few of its 2 795 partitions; with kl beside them, whose every plan is
+    # infinite there, it reaches no more.
     reached = 0
 
     def counted_walk(*args, **kwargs):
@@ -546,6 +558,9 @@ def test_pruned_scan_matches_the_partition_by_partition_scan(monkeypatch) -> Non
     four = [curve_from_name(c) for c in ("variational", "reverse_kl", "hellinger", "e_gamma:2")]
     min_fdiv_bruteforce(criterion7, 4, four)
     assert 0 < reached <= 279
+    without_kl, reached = reached, 0
+    min_fdiv_bruteforce(criterion7, 4, four + [kl()])
+    assert reached <= without_kl, (reached, without_kl)
     monkeypatch.setattr(oracle, "_partition_walk", _partition_walk)
     got = [min_fdiv_bruteforce(dist, m, chosen) for dist, m, chosen in searches]
     monkeypatch.setattr(oracle, "_scan", partition_scan)
@@ -767,8 +782,8 @@ def test_set_partitions_match_the_recursive_generator() -> None:
 def test_walk_skips_the_subtrees_of_dead_prefixes() -> None:
     # With a dead hook the walk yields, in the recursive generator's order,
     # exactly the partitions none of whose prefixes is dead, and asks the
-    # hook about proper prefixes only; a hook that is never true changes
-    # nothing.  Integer values, ids with gaps.
+    # hook about every prefix, full partitions included; a hook that is
+    # never true changes nothing.  Integer values, ids with gaps.
     rng = random.Random(27)
     pruned = kept = 0
     for size in range(9):
@@ -788,7 +803,7 @@ def test_walk_skips_the_subtrees_of_dead_prefixes() -> None:
             everything = list(recursive_set_partitions(items, max_blocks))
             want = list(alive(everything, items, values, 0, hashed_dead))
             assert walk(dead) == want, (items, max_blocks)
-            assert all(0 < placed < size for placed in asked)
+            assert all(0 < placed <= size for placed in asked)
             assert walk(lambda placed, runs: False) == everything
             pruned += len(everything) - len(want)
             kept += len(want)
