@@ -24,12 +24,12 @@ one mass computed for its type, so equal types share float masses bit for
 bit.  Exact Markov numerators are over the initial pmf's denominator
 times the (n-1)-th power of the lcm of the transition denominators.
 
-The type-class walk lives here, once: `_types` lists every positive-mass
-type of an IID or mixture source by its key, one sequence's mass and its
-class size, three parallel lists built a column at a time (the types that
-share all but the last two symbol counts) by C-level maps, with no Python
-step per type but the class-size recurrence.  `expand` reads it in both
-modes; the spectrum and the sweep read it in exact mode, where the masses
+The type-class walk lives here, once: `_types` lists every type of an IID
+or mixture source by columns (the types that share all but the last two
+symbol counts), each column's masses built by C-level maps, with the
+class size of its end types and its first key and key step.  `expand`
+reads it in both modes, deriving each type's key and computing no class
+size; the spectrum and the sweep read it in exact mode, where the masses
 are integer numerators over the type-class denominator (the lcm of the
 weight denominators times the n-th power of the lcm of the pmf
 denominators).
@@ -45,10 +45,11 @@ The class list (`_ClassList`) lives here too: classes of equally likely
 atoms by descending mass, each a mass and an atom count, one list per
 distribution (its `_classes`, a class per distinct mass, each a run of its
 descending order) and one per rational (source, n) (a class per type,
-built by the spectrum module).  Its running totals of mass and size are
-computed only as far as a query reads them.  Its `set_size` is the one
-rule for the smallest set of heaviest outcomes that reaches a mass, in
-both modes.
+built by the spectrum module from the walk's columns).  A type-class list
+is sorted and sized in bands of descending mass, and its running totals
+of mass and size are computed, only as far as a query reads them.  Its
+`set_size` is the one rule for the smallest set of heaviest outcomes that
+reaches a mass, in both modes.
 """
 
 from __future__ import annotations
@@ -160,17 +161,35 @@ def _common(values: Sequence[Mass]) -> tuple[int, list[int]]:
     return den, [v.numerator * (den // v.denominator) for v in values]
 
 
-@dataclass(frozen=True)
+#: A type-class list is built in bands whose floors step down its value
+#: span (the bit lengths of its top and least positive numerators) in this
+#: many equal steps, the last floor 1.
+_BANDS = 16
+
+
 class _ClassList:
     """Classes of equally likely atoms by descending mass: class i holds
     counts[i] atoms of mass nums[i] / den, and cum[i] / den and sizes[i]
     are the mass and atom count of classes 0..i.  There is one list per
-    distribution (its `_classes`, a class per distinct mass) and one per
-    rational (source, n) (a class per type).
+    distribution (its `_classes`, a class per distinct mass, built whole
+    by `build`) and one per rational (source, n) (a class per type, built
+    from the walk's columns by `of_types`).
+
+    A type-class list is built in bands of descending mass: band b holds
+    the classes at or above floor F_b that no band before it holds.  In a
+    column the numerators are convex in the last count (a geometric
+    sequence per mixture component, added), so the classes at or above a
+    floor are the column's two ends: a band moves each column's two fronts
+    inward past them, stepping the class-size recurrence only over the
+    classes it emits, and appends them sorted on the numerator alone.
+    Every class after a band is below its floor, so the list is always a
+    prefix of the whole list sorted once, classes of one mass in the
+    walk's order.
 
     The running totals are computed only as far as they are read: a query
-    at a level extends them, heaviest first, until they reach it, and cum
-    and sizes extend them over every class.  Classes of one mass keep the
+    at a level extends them, heaviest first and emitting the next band
+    whenever the classes run out, until they reach it.  nums, counts, cum,
+    sizes and equality read the whole list.  Classes of one mass keep the
     order they were given in: set sizes, quantiles and merged points are
     the same in any order of them.
 
@@ -180,12 +199,16 @@ class _ClassList:
     lists.
     """
 
-    n: int
-    den: int
-    nums: list[int | float]
-    counts: list[int]
-    _cum: list[int | float] = field(default_factory=list, init=False, repr=False, compare=False)
-    _sizes: list[int] = field(default_factory=list, init=False, repr=False, compare=False)
+    def __init__(self, n: int, den: int, nums: list[int | float], counts: list[int]) -> None:
+        self.n, self.den = n, den
+        self._nums, self._counts = nums, counts
+        self._cum: list[int | float] = []
+        self._sizes: list[int] = []
+        # Per column not yet emitted whole: its numerators, its left and
+        # right fronts and the class sizes there; and the floors of the
+        # bands still to come, ascending.
+        self._fronts: list[list] = []
+        self._floors: list[int] = []
 
     @classmethod
     def build(
@@ -195,6 +218,64 @@ class _ClassList:
         positive mass: one sort on the masses alone."""
         order = sorted(range(len(nums)), key=nums.__getitem__, reverse=True)
         return cls(n, den, list(map(nums.__getitem__, order)), list(map(counts.__getitem__, order)))
+
+    @classmethod
+    def of_types(cls, n: int, den: int, columns: Sequence[tuple]) -> _ClassList:
+        """From `_types`' exact columns, emitting no band yet.  A column's
+        ends are its largest numerators."""
+        classes = cls(n, den, [], [])
+        columns = [column for column in columns if any(column[0])]
+        classes._fronts = [[nums, 0, len(nums) - 1, size, size] for nums, size, _, _ in columns]
+        top = max(max(nums[0], nums[-1]) for nums, *_ in columns)
+        span = top.bit_length() - min(min(filter(None, nums)) for nums, *_ in columns).bit_length()
+        floors = {top >> (span * b // _BANDS) for b in range(1, _BANDS)}
+        classes._floors = [1, *sorted(floors - {0, 1})]
+        return classes
+
+    def _emit(self, floor: int) -> None:
+        """Append the band at floor: every column's classes at or above it
+        that no band before holds, each front's class size stepped from
+        its neighbour's, C(r, c + 1) = C(r, c) * (r - c) // (c + 1) on the
+        left and C(r, c - 1) = C(r, c) * c // (r - c + 1) on the right."""
+        nums: list[int] = []
+        counts: list[int] = []
+        live = []
+        for front in self._fronts:
+            column, lo, hi, low_size, high_size = front
+            rest, first, last = len(column) - 1, lo, hi
+            while lo <= hi and column[lo] >= floor:
+                counts.append(low_size)
+                low_size = low_size * (rest - lo) // (lo + 1)
+                lo += 1
+            right = []
+            while hi >= lo and column[hi] >= floor:
+                right.append(high_size)
+                high_size = high_size * hi // (rest - hi + 1)
+                hi -= 1
+            nums += column[first:lo]
+            nums += column[hi + 1:last + 1]
+            counts += reversed(right)
+            if lo <= hi:
+                front[1:] = lo, hi, low_size, high_size
+                live.append(front)
+        self._fronts = live
+        order = sorted(range(len(nums)), key=nums.__getitem__, reverse=True)
+        self._nums += map(nums.__getitem__, order)
+        self._counts += map(counts.__getitem__, order)
+
+    def _drain(self) -> None:
+        while self._floors:
+            self._emit(self._floors.pop())
+
+    @property
+    def nums(self) -> list[int | float]:
+        self._drain()
+        return self._nums
+
+    @property
+    def counts(self) -> list[int]:
+        self._drain()
+        return self._counts
 
     @property
     def cum(self) -> list[int | float]:
@@ -206,15 +287,28 @@ class _ClassList:
         self._extend(None)
         return self._sizes
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _ClassList):
+            return NotImplemented
+        return (self.n, self.den, self.nums, self.counts) == (
+            other.n, other.den, other.nums, other.counts
+        )
+
     def _extend(self, goal: int | None) -> None:
         """Extend the running totals until the mass total reaches goal, or
         over every class for None: in chunks that double what is there,
-        each one C-level accumulate per total."""
-        cum, nums = self._cum, self.nums
-        while len(cum) < len(nums) and (goal is None or not cum or cum[-1] < goal):
+        each one C-level accumulate per total, emitting the next band
+        whenever the classes run out before the goal."""
+        cum, nums = self._cum, self._nums
+        while goal is None or not cum or cum[-1] < goal:
+            if len(cum) == len(nums):
+                if not self._floors:
+                    return
+                self._emit(self._floors.pop())
+                continue
             start = len(cum)
             stop = len(nums) if goal is None else 2 * start + 64
-            counts = self.counts[start:stop]
+            counts = self._counts[start:stop]
             for totals, steps in (
                 (cum, map(operator.mul, nums[start:stop], counts)), (self._sizes, counts)
             ):
@@ -232,7 +326,7 @@ class _ClassList:
 
     def value_at(self, level: Mass) -> float:
         """The value of the class where the exact cdf reaches level."""
-        return _reduced_value(self.nums[self.reaching(level)], self.den, self.n)
+        return _reduced_value(self._nums[self.reaching(level)], self.den, self.n)
 
     def set_size(self, target: Mass) -> int:
         """Fewest atoms, heaviest first, whose mass reaches target; at least
@@ -241,7 +335,7 @@ class _ClassList:
         Float: the masses added left to right from 0, a class at a time in
         C, against the least float at or above target; every atom if the
         total never reaches it."""
-        if isinstance(self.nums[0], float):
+        if self._nums and isinstance(self._nums[0], float):
             goal = float(target)
             if goal < target:
                 goal = math.nextafter(goal, math.inf)
@@ -259,7 +353,7 @@ class _ClassList:
         last = self.reaching(target)
         need, scale = target.numerator * self.den, target.denominator
         cum_before, size_before = (self._cum[last - 1], self._sizes[last - 1]) if last else (0, 0)
-        return size_before - (cum_before * scale - need) // (self.nums[last] * scale)
+        return size_before - (cum_before * scale - need) // (self._nums[last] * scale)
 
 
 @dataclass(frozen=True)
@@ -521,21 +615,28 @@ def _powers(p: Mass, n: int) -> list[Mass]:
     return [1] + [p**c for c in range(1, n + 1)]
 
 
-def _types(variant: IID | Mixture, n: int) -> tuple[int, list[int], list[Mass], list[int]]:
-    """Denominator D, and three parallel lists over every positive-mass
-    type (symbol counts) of length-n strings, the first count descending:
-    its key (the counts in base n + 1), the mass times D of one string of
-    the type, and its class size.
+def _types(
+    variant: IID | Mixture, n: int, exact: bool
+) -> tuple[int, list[tuple[list[Mass], int, int, int]]]:
+    """Denominator D, and every type (symbol counts) of length-n strings by
+    columns, the first count descending: a column holds the types that
+    share the counts of all but the last two symbols, r of them left, as
+    (nums, size, key, step).  nums[j] is D times the mass of one string of
+    the type whose last count is j (so the one before is r - j), for j = 0
+    .. r, and 0 for a type of zero mass; size is the class size of the
+    types at either end, the multinomial of the shared counts, and the
+    type j's class size is size * C(r, j); key + j * step is its key, its
+    counts in base n + 1.
 
-    Exact weights and pmfs become numerators over the lcm w_den of the
-    weight denominators and the lcm p_den of the pmf denominators, so D is
-    w_den * p_den**n; float ones are the model's values over D = 1.  Each
-    symbol has a power table per component, and a class size steps as its
-    count does, C(r, c - 1) = C(r, c) * c // (r - c + 1).  A component
-    multiplies its powers left to right and its weight last; components
-    add left to right (built-in sum compensates floats since Python 3.12).
-    The walk goes by columns: the types that share the counts of all but
-    the last two symbols are one column, built by C-level maps.
+    Exact (as the caller has read the model) weights and pmfs become
+    numerators over the lcm w_den of the weight denominators and the lcm
+    p_den of the pmf denominators, so D is w_den * p_den**n; float ones are
+    the model's values over D = 1.  Each symbol has a power table per
+    component, and a shared count's class size steps as the count does,
+    C(r, c - 1) = C(r, c) * c // (r - c + 1).  A component multiplies its
+    powers left to right and its weight last; components add left to
+    right (built-in sum compensates floats since Python 3.12).  A column's
+    masses are built by C-level maps.
     """
     if isinstance(variant, IID):
         weights, pmfs = (1,), (variant.pmf,)
@@ -543,7 +644,7 @@ def _types(variant: IID | Mixture, n: int) -> tuple[int, list[int], list[Mass], 
         weights, pmfs = variant.weights, [c.pmf for c in variant.components]
     k = variant.alphabet_size
     den = 1
-    if SourceModel(variant, n).exact:
+    if exact:
         w_den, weights = _common(weights)
         p_den, flat = _common([p for pmf in pmfs for p in pmf])
         pmfs = [flat[i * k:(i + 1) * k] for i in range(len(pmfs))]
@@ -552,18 +653,18 @@ def _types(variant: IID | Mixture, n: int) -> tuple[int, list[int], list[Mass], 
     tables = [[_powers(pmf[s], n) for pmf in pmfs] for s in range(k)]
     if k == 1:
         # One type, of positive mass: a one-symbol pmf is (1,).
-        return den, [n], [reduce(operator.add, [w * t[n] for w, t in zip(weights, tables[0])])], [1]
-    out: tuple[list[int], list[Mass], list[int]] = ([], [], [])
-    _walk(tables, weights, [(n + 1) ** s for s in range(k)], 0, n, 0, 1, [1] * len(pmfs), out)
-    return (den, *out)
+        return den, [([reduce(operator.add, [w * t[n] for w, t in zip(weights, tables[0])])], 1, n, 1)]
+    columns: list[tuple[list[Mass], int, int, int]] = []
+    _walk(tables, weights, [(n + 1) ** s for s in range(k)], 0, n, 0, 1, [1] * len(pmfs), columns)
+    return den, columns
 
 
 def _walk(
     tables: Sequence[Sequence[Sequence[Mass]]], weights: Sequence[Mass], digits: Sequence[int],
     s: int, rest: int, key: int, size: int, prods: Sequence[Mass],
-    out: tuple[list[int], list[Mass], list[int]],
+    columns: list[tuple[list[Mass], int, int, int]],
 ) -> None:
-    """Append to out the positive-mass types whose counts for symbols s on
+    """Append to columns those of the types whose counts for symbols s on
     sum to rest, given the key, the class size and the per-component
     products of the counts before s; the count of symbol s runs down from
     rest, and the last symbol takes what remains."""
@@ -571,7 +672,7 @@ def _walk(
     if s < len(tables) - 2:
         for c in range(rest, -1, -1):
             prefix = [p * t[c] for p, t in zip(prods, here)]
-            _walk(tables, weights, digits, s + 1, rest - c, key + c * digits[s], size, prefix, out)
+            _walk(tables, weights, digits, s + 1, rest - c, key + c * digits[s], size, prefix, columns)
             size = size * c // (rest - c + 1)
         return
     # The last two symbols, one column: per component the masses for counts
@@ -584,16 +685,8 @@ def _walk(
         if w != 1:
             column = map(mul, repeat(w), column)
         nums = column if nums is None else map(operator.add, nums, column)
-    nums = list(nums)
     low, high = digits[s], digits[s + 1]
-    keys = range(key + rest * low, key + rest * high + 1, high - low)
-    top = rest + 1
-    sizes = accumulate(range(rest, 0, -1), lambda size, c: size * c // (top - c), initial=size)
-    if 0 in nums:
-        keys, sizes = compress(keys, nums), compress(sizes, nums)
-        nums = list(compress(nums, nums))
-    for column, values in zip(out, (keys, nums, sizes)):
-        column.extend(values)
+    columns.append((list(nums), size, key + rest * low, high - low))
 
 
 def _chain_numerators(
@@ -634,10 +727,11 @@ def expand(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> AtomicDistributio
             den = init_den * step ** (n - 1)
         values = _chain_numerators(init, rows, n)
     else:
-        # A string's type key is its symbol counts in base n + 1; the walk
-        # lists no type of zero mass.
-        den, keys, nums, _ = _types(variant, n)
-        by_type = dict(zip(keys, nums))
+        # A string's type key is its symbol counts in base n + 1.
+        den, columns = _types(variant, n, exact)
+        by_type = {}
+        for nums, _, key, step in columns:
+            by_type.update(zip(range(key, key + step * len(nums), step), nums))
         digits = [(n + 1) ** s for s in range(k)]
         index = digits
         for _ in range(n - 1):

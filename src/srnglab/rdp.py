@@ -153,7 +153,7 @@ def _blahut(
             scale = p[a] / reduce(operator.add, weights, 0.0)
             for b in range(k):
                 new_q[b] += scale * weights[b]
-        drift = max(abs(nb - ob) for nb, ob in zip(new_q, q))
+        drift = max(map(abs, map(operator.sub, new_q, q)))
         q = new_q
         if drift < tol:
             break

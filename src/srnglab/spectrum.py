@@ -13,12 +13,14 @@ distribution keeps) by descending mass, their mass numerators over one
 shared denominator and their atom counts.  A quantile or a k_f rate is
 the value of the class where the exact cdf reaches its level, found by
 bisecting the integer running totals of the class masses, which the list
-extends only as far as that level; only the answering class's value is
-computed.  Every smooth set, on atoms or types and in either mode, is
-sized by the list's set_size: the atoms up to the class where the mass
-reaches its target plus the part of it the target needs.  The order is
-the masses', not the computed values', so rate = quantile holds exactly
-even where the float values of nearby masses tie or invert.
+extends only as far as that level (a type-class list also sorts and sizes
+its classes only that far, in bands of descending mass); only the
+answering class's value is computed.  Every smooth set, on atoms or types
+and in either mode, is sized by the list's set_size: the atoms up to the
+class where the mass reaches its target plus the part of it the target
+needs.  The order is the masses', not the computed values', so rate =
+quantile holds exactly even where the float values of nearby masses tie
+or invert.
 
 The (value, mass) points merge the classes by computed value, once, when
 first read; tails at a value (tail_above, tail_from, cdf_at) bisect that
@@ -32,10 +34,11 @@ place that picks it.  This module knows no source kind: which kinds have
 type classes is `probability._has_types`'s one rule.  Those sources are
 enumerated by type class through `probability._types`: binomially many
 classes for a binary alphabet instead of 2**n.  Ternary (1/2, 1/3, 1/6)
-at n = 1000 has 501 501; its class list and first k_f rate take about
-0.66 s and 265 MB (Python 3.11.7, shared 2-CPU VM).  Any other source, a
-Markov chain today, is expanded up to the atom cap and has its
-distribution's list; float parameters are refused there.  A convergence
+at n = 1000 has 501 501; its class list and a first k_f rate at level
+9/10, which sorts and sizes 132 718 of them, take about 0.7 s and 195 MB
+(Python 3.11.7, shared 2-CPU VM).  Any other source, a Markov chain
+today, is expanded up to the atom cap and has its distribution's list;
+float parameters are refused there.  A convergence
 sweep reads one class list per blocklength for all of its (curve,
 budget) pairs and merges no points; a float source is expanded, up to
 2**14 outcomes, and its sizes come from the expanded distribution's list.
@@ -303,13 +306,13 @@ def smooth_max_entropy(dist: AtomicDistribution, delta: Mass) -> tuple[float, fr
 
 def _model_classes(model: SourceModel, cap: int = DEFAULT_ATOM_CAP) -> _ClassList:
     """The class list of a rational (source, n): a class per type for an IID
-    or mixture source, which never expands X^n, else the expanded
-    distribution's list, a class per distinct mass, up to cap atoms."""
+    or mixture source, which never expands X^n and is built in bands as
+    queries read it, else the expanded distribution's list, a class per
+    distinct mass, up to cap atoms."""
     if not model.exact:
         raise InvalidModel("type-class enumeration needs rational source parameters")
     if _has_types(model.variant):
-        den, _, nums, sizes = _types(model.variant, model.n)
-        return _ClassList.build(model.n, den, nums, sizes)
+        return _ClassList.of_types(model.n, *_types(model.variant, model.n, True))
     return expand(model, cap)._classes
 
 

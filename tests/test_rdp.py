@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
+import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -222,6 +225,65 @@ def test_solver_never_repeats_a_multiplier(monkeypatch) -> None:
         value = rd_function_iid((F(3, 4), F(1, 4)), HAMMING2, d)
         assert value == pytest.approx(binary_entropy(0.25) - binary_entropy(float(d)), abs=1e-6)
         assert len(betas) == len(set(betas)) > 2
+
+
+def generator_drift_blahut(p, g, beta, tol, max_iter):
+    """The inner solver with its drift taken by a generator over the
+    (new, old) pairs, the loop `_blahut` ran before it went to C-level maps."""
+    k = len(g[0])
+    active = [a for a in range(len(p)) if p[a] > 0]
+    kernels = [[math.exp(-beta * g[a][b]) for b in range(k)] for a in range(len(p))]
+    q = [1.0 / k] * k
+    drift = math.inf
+    for _ in range(max_iter):
+        new_q = [0.0] * k
+        for a in active:
+            weights = list(map(operator.mul, q, kernels[a]))
+            scale = p[a] / reduce(operator.add, weights, 0.0)
+            for b in range(k):
+                new_q[b] += scale * weights[b]
+        drift = max(abs(nb - ob) for nb, ob in zip(new_q, q))
+        q = new_q
+        if drift < tol:
+            break
+    else:
+        raise NoConvergence(
+            f"output law not stable after max_iter = {max_iter} iterations at "
+            f"beta = {beta!r}: last drift {drift!r}, tolerance {tol!r}"
+        )
+    value = 0.0
+    distortion = 0.0
+    for a in active:
+        weights = list(map(operator.mul, q, kernels[a]))
+        z = reduce(operator.add, weights, 0.0)
+        value -= p[a] * math.log(z)
+        for b in range(k):
+            distortion += p[a] * (weights[b] / z) * g[a][b]
+    return value, distortion
+
+
+def test_blahut_matches_the_generator_drift_loop() -> None:
+    # The drift is the same floats compared in the same order, so every
+    # (value, distortion) and every non-convergence message is equal.
+    from srnglab.rdp import _blahut
+
+    rng = random.Random(1571)
+    checked = 0
+    for _ in range(60):
+        k = rng.randint(2, 4)
+        weights = [rng.randint(1, 9) for _ in range(k)]
+        weights[rng.randrange(k)] = 0
+        p = [w / sum(weights) for w in weights]
+        g = [[0.0 if a == b else rng.randint(1, 5) / 4 for b in range(k)] for a in range(k)]
+        for beta in (0.0, 0.5, 2.0, 6.0):
+            assert _blahut(p, g, beta, 1e-9, 100000) == generator_drift_blahut(p, g, beta, 1e-9, 100000)
+            checked += 1
+        with pytest.raises(NoConvergence) as new:
+            _blahut(p, g, 2.0, 1e-9, 2)
+        with pytest.raises(NoConvergence) as old:
+            generator_drift_blahut(p, g, 2.0, 1e-9, 2)
+        assert str(new.value) == str(old.value)
+    assert checked == 240
 
 
 def test_rd_is_nonincreasing_in_distortion() -> None:

@@ -5,7 +5,9 @@ each had hand-written copies before they went behind one helper apiece,
 the type-class route summed Fraction masses before it moved to integer
 numerators over one shared denominator, and type enumeration called
 math.comb and raised each pmf entry to its count for every type before
-one composition walk carried both.  The copies live on here
+one composition walk carried both, and that walk sized every type and
+the class list sorted them all before the list was built in bands, as
+far as queries read.  The copies live on here
 as test-local references, and the public functions must agree with them
 under ==, with the same result type, on seeded exact and float spectra:
 float masses are summed in one fixed order, so float results are
@@ -16,9 +18,11 @@ from __future__ import annotations
 
 import bisect
 import math
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress, repeat
 
 import pytest
 
@@ -47,8 +51,8 @@ from srnglab import (
     variational,
 )
 from srnglab.divergence import _budget_threshold
-from srnglab.probability import _types, self_information_value
-from srnglab.spectrum import SweepRow, _model_classes, _sweep_pairs
+from srnglab.probability import _ClassList, _common, _powers, _types, self_information_value
+from srnglab.spectrum import SweepRow, _model_classes, _sweep_pairs, _tail_target
 
 F = Fraction
 
@@ -177,6 +181,77 @@ def old_keys(variant, n):
         for counts in old_compositions(n, variant.alphabet_size)
         if sum(w * _iid_type_mass(pmf, counts) for w, pmf in weighted)
     ]
+
+
+def eager_walk(tables, weights, digits, s, rest, key, size, prods, out):
+    """The type walk as it ran before class lists were built in bands: every
+    positive-mass type's key, numerator and class size appended to the
+    three lists of out, a column at a time, sizes by the recurrence."""
+    here = tables[s]
+    if s < len(tables) - 2:
+        for c in range(rest, -1, -1):
+            prefix = [p * t[c] for p, t in zip(prods, here)]
+            eager_walk(tables, weights, digits, s + 1, rest - c, key + c * digits[s], size, prefix, out)
+            size = size * c // (rest - c + 1)
+        return
+    nums = None
+    for w, p, t, u in zip(weights, prods, here, tables[s + 1]):
+        powers = t[rest::-1] if p == 1 else map(operator.mul, repeat(p), t[rest::-1])
+        column = map(operator.mul, powers, u)
+        if w != 1:
+            column = map(operator.mul, repeat(w), column)
+        nums = column if nums is None else map(operator.add, nums, column)
+    nums = list(nums)
+    low, high = digits[s], digits[s + 1]
+    keys = range(key + rest * low, key + rest * high + 1, high - low)
+    top = rest + 1
+    sizes = accumulate(range(rest, 0, -1), lambda size, c: size * c // (top - c), initial=size)
+    if 0 in nums:
+        keys, sizes = compress(keys, nums), compress(sizes, nums)
+        nums = list(compress(nums, nums))
+    for column, values in zip(out, (keys, nums, sizes)):
+        column.extend(values)
+
+
+def eager_types(variant, n):
+    """Shared denominator and three parallel lists over every positive-mass
+    type of a rational source, in walk order: key, numerator, class size."""
+    if isinstance(variant, IID):
+        weights, pmfs = (1,), (variant.pmf,)
+    else:
+        weights, pmfs = variant.weights, [c.pmf for c in variant.components]
+    k = variant.alphabet_size
+    w_den, weights = _common(weights)
+    p_den, flat = _common([p for pmf in pmfs for p in pmf])
+    pmfs = [flat[i * k:(i + 1) * k] for i in range(len(pmfs))]
+    tables = [[_powers(pmf[s], n) for pmf in pmfs] for s in range(k)]
+    if k == 1:
+        return w_den * p_den**n, [n], [sum(w * t[n] for w, t in zip(weights, tables[0]))], [1]
+    out = ([], [], [])
+    eager_walk(tables, weights, [(n + 1) ** s for s in range(k)], 0, n, 0, 1, [1] * len(pmfs), out)
+    return (w_den * p_den**n, *out)
+
+
+def eager_classes(variant, n):
+    """The whole type-class list, sorted once, as it was built before bands."""
+    den, _, nums, sizes = eager_types(variant, n)
+    return _ClassList.build(n, den, nums, sizes)
+
+
+def flat_types(variant, n):
+    """_types' columns read back as the eager walk's three lists: each
+    positive-mass type's key, numerator and class size, the size from its
+    column's end size times C(r, j)."""
+    den, columns = _types(variant, n, True)
+    keys, nums, sizes = [], [], []
+    for column, size, key, step in columns:
+        rest = len(column) - 1
+        for j, num in enumerate(column):
+            if num:
+                keys.append(key + j * step)
+                nums.append(num)
+                sizes.append(size * math.comb(rest, j))
+    return den, keys, nums, sizes
 
 
 def old_typeclass_points(variant, n):
@@ -455,7 +530,7 @@ def test_type_enumeration_matches_the_comb_and_power_loop() -> None:
         variant = random_variant(rng)
         inputs.append((variant, rng.randint(1, 40 if variant.alphabet_size == 2 else 16)))
     for variant, n in inputs:
-        den, keys, nums, sizes = _types(variant, n)
+        den, keys, nums, sizes = flat_types(variant, n)
         old_den, old = old_types(variant, n)
         assert den == old_den
         # Same pairs in the same order, every one a pair of ints.
@@ -487,7 +562,7 @@ def public_sweep_rows(variant, ns, pairs):
 def full_spectrum_crossings(variant, n, keys):
     """For every key, the first value of the whole merged float spectrum
     whose cdf numerator reaches it: every type's value from its Fraction."""
-    den, _, nums, sizes = _types(variant, n)
+    den, _, nums, sizes = eager_types(variant, n)
     acc = {}
     for num, size in zip(nums, sizes):
         value = self_information_value(F(num, den), n)
@@ -524,7 +599,7 @@ def test_type_class_sweep_rows_match_the_public_functions_at_large_n() -> None:
 def exact_order_classes(variant, n):
     """Shared denominator, and the types' numerators by descending mass with
     their running mass numerators (the class boundaries)."""
-    den, _, nums, sizes = _types(variant, n)
+    den, _, nums, sizes = eager_types(variant, n)
     descending = sorted(zip(nums, sizes), reverse=True)
     cdfs = list(accumulate(num * size for num, size in descending))
     return den, [num for num, _ in descending], cdfs
@@ -538,7 +613,7 @@ def exact_order_crossing(den, nums, cdfs, n, key):
 
 def values_rise_strictly(variant, n):
     """Whether the computed values rise strictly as the distinct masses fall."""
-    den, _, nums, _ = _types(variant, n)
+    den, _, nums, _ = eager_types(variant, n)
     masses = sorted(set(nums), reverse=True)
     values = [self_information_value(F(num, den), n) for num in masses]
     return all(a < b for a, b in zip(values, values[1:]))
@@ -713,10 +788,65 @@ def test_running_totals_extend_only_as_far_as_queries_read() -> None:
             got = dict(zip(order, class_answers(classes, [levels[i] for i in order])))
             assert [got[i] for i in range(len(levels))] == want
             assert classes == full
-    # A quantile at a low level reads only the heaviest classes.
+    # A quantile at a low level reads only the heaviest classes, and only
+    # the bands that hold them are emitted.
     classes = _model_classes(SourceModel(IID((F(9, 10), F(1, 10))), 1000))
     classes.value_at(F(1, 10))
-    assert 0 < len(classes._cum) == len(classes._sizes) < len(classes.nums)
+    emitted = len(classes._nums)
+    assert 0 < len(classes._cum) == len(classes._sizes) <= emitted < len(classes.nums) == 1001
+
+
+#: The seven sources the banded lists are checked on: ties within and
+#: across columns, a symbol of mass zero, four symbols, a mixture whose
+#: columns are not monotone, and the lengths of the benchmarks.
+BANDED_SOURCES = (
+    (IID((F(1, 2), F(1, 3), F(1, 6))), 45),
+    (IID((F(1, 3), F(1, 3), F(1, 3))), 30),
+    (IID((F(1, 2), F(1, 2), F(0))), 40),
+    (IID((F(1, 10), F(2, 10), F(3, 10), F(4, 10))), 12),
+    (Mixture((F(1, 2), F(1, 2)), (IID((F(1, 4), F(3, 4))), IID((F(3, 4), F(1, 4))))), 40),
+    (Mixture((F(1, 2), F(1, 2)), (IID((F(9, 10), F(1, 10))), IID((F(1, 5), F(4, 5))))), 300),
+    (IID((F(9, 10), F(1, 10))), 1000),
+)
+
+
+def test_banded_lists_answer_as_the_list_sorted_once() -> None:
+    # A type-class list sorts and sizes its classes in bands, only as far
+    # as queries read.  Asked at every class boundary, one numerator to
+    # each side and mid-class, in ascending, descending and shuffled order,
+    # a fresh list answers as the whole list from the eager walk sorted
+    # once, and read whole it is that list: the same classes in the same
+    # order, totals included.
+    rng = random.Random(7727)
+    for variant, n in BANDED_SOURCES:
+        eager = eager_classes(variant, n)
+        levels = boundary_levels(eager.den, [eager.cum])
+        want = list(zip(levels, class_answers(eager, levels)))
+        shuffled = list(want)
+        rng.shuffle(shuffled)
+        for asked in (want, want[::-1], shuffled):
+            banded = _model_classes(SourceModel(variant, n))
+            assert not banded._nums
+            assert class_answers(banded, [l for l, _ in asked]) == [a for _, a in asked]
+        assert Counter(zip(banded.nums, banded.counts)) == Counter(zip(eager.nums, eager.counts))
+        assert banded == eager
+        assert (banded.cum[-1], banded.sizes[-1]) == (eager.cum[-1], eager.sizes[-1])
+        assert banded.cum[-1] == banded.den
+
+
+def test_sweep_queries_emit_few_more_classes_than_they_read() -> None:
+    # The typeclass-sweep ternary source at its largest n: the sweep's
+    # quantiles and set sizes at thresholds 19/20 and 4/5 read the heaviest
+    # 5 013 of 16 471 classes, and the list emits at most half as many
+    # again.
+    classes = _model_classes(SourceModel(IID((F(1, 2), F(1, 3), F(1, 6))), 180))
+    for threshold in (F(19, 20), F(4, 5)):
+        classes.set_size(_tail_target(1 - threshold, True))
+        classes.value_at(threshold)
+    read = max(classes.reaching(threshold) for threshold in (F(19, 20), F(4, 5))) + 1
+    emitted = len(classes._nums)
+    assert read == 5013
+    assert read <= emitted <= 7520 < len(classes.nums) == 16471
 
 
 #: A mixture whose types c and n - c have one mass.
@@ -733,7 +863,7 @@ def test_classes_of_one_mass_answer_alike_in_any_order() -> None:
     reordered = 0
     for variant, n in cases:
         classes = _model_classes(SourceModel(variant, n))
-        den, _, nums, sizes = _types(variant, n)
+        den, _, nums, sizes = eager_types(variant, n)
         descending = sorted(zip(nums, sizes), reverse=True)
         ref_nums = [num for num, _ in descending]
         ref_cum = list(accumulate(num * size for num, size in descending))
