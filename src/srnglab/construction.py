@@ -419,14 +419,14 @@ def baseline_collapse_mapping(dist: AtomicDistribution, m: int, gamma: Mass) -> 
     """
     order, _, core = _classify(dist, m, gamma)
     core = core or [order[0]]
-    return _encode(len(dist.masses), core, core, (), m)
+    return _encode(len(dist._values), core, core, (), m)
 
 
 def _check_size(dist: AtomicDistribution, mapping: MappingPair) -> None:
     """Reject a mapping whose encoder does not cover the source's outcomes."""
-    if len(mapping.phi) != len(dist.masses):
+    if len(mapping.phi) != len(dist._values):
         raise DimensionMismatch(
-            f"mapping covers {len(mapping.phi)} outcomes, source has {len(dist.masses)}"
+            f"mapping covers {len(mapping.phi)} outcomes, source has {len(dist._values)}"
         )
 
 
@@ -514,7 +514,7 @@ def entropy_mapping_bound(trace: ConstructionTrace, curve: FCurve) -> BoundRepor
     filled = zip(trace.core[: trace.stop_index], trace.allocations)
     head = dist._mass_of(chain.from_iterable((rep, *atoms) for rep, atoms in filled))
     x_stop = trace.core[trace.stop_index]
-    p_stop = dist.masses[x_stop]
+    p_stop = dist.mass(x_stop)
     cond_stop = p_stop / pr_core
     arg = (1.0 - slack) * float(pr_core)
     clamped = arg <= 0

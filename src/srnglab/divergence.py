@@ -20,13 +20,16 @@ so divergences of exact distributions compare exactly.  Logarithmic and
 square-root curves evaluate in floats.
 
 Atoms with the same (P, Q) pair of values, integer numerators in exact
-mode and masses in float mode, contribute the same term, so the term is
-computed once per distinct pair, in either mode or a mix.  The sum then
-replays the atom-by-atom sum: while it is exact (an atom-order prefix of
-exact terms) it adds each pair's term times its count in that prefix, and
-from the first atom whose term is a float on it adds one term per atom in
-atom order, as float additions do not reassociate.  The result is the
-atom-by-atom sum bit for bit, on any curve.
+mode and masses in float mode, contribute the same term, so one counting
+pass over the atoms lists the distinct pairs, in the order of their first
+atoms, and the term is computed once per pair, in either mode or a mix,
+from the pair's masses: one Fraction per exact value of a pair, and no
+per-atom Fraction.  The sum then replays the atom-by-atom sum: while it is
+exact (an atom-order prefix of exact terms) it adds each pair's term times
+its count in that prefix, and from the first atom whose term is a float on
+it adds one term per atom in atom order, as float additions do not
+reassociate.  The result is the atom-by-atom sum bit for bit, on any
+curve.
 
 With zero slope at infinity, the third condition of the paper's subclass,
 an atom off Q's support contributes P(z) * 0, a zero, so the sum runs over
@@ -290,30 +293,29 @@ def divergence(p: AtomicDistribution, q: AtomicDistribution, curve: FCurve) -> M
             f"({p.alphabet_size}**{p.n}) vs ({q.alphabet_size}**{q.n})"
         )
     pv, qv = p._values, q._values
-    ids: Sequence[int] = range(len(pv))
     slope = curve.slope_at_infinity
     if slope == 0 and (p.exact and _is_exact(slope) or not q.exact):
         # Off q's support each term is p * slope, a zero, left out where it
         # cannot move the sum (module docstring).
         ids = q.support()
         pv, qv = list(map(pv.__getitem__, ids)), list(map(qv.__getitem__, ids))
-    size = len(pv)
-    # Each pair's first atom, whose masses its term is computed from; terms
-    # are computed in atom order so the first error or infinity is the same.
-    first = dict(zip(zip(reversed(pv), reversed(qv)), range(size - 1, -1, -1)))
+    # Distinct pairs in first-atom order, so terms are computed in atom
+    # order and the first error or infinity is the same.
+    counts = Counter(zip(pv, qv))
     terms: dict[tuple[Mass, Mass], Mass] = {}
-    cut = size  # the first atom whose term is not exact
-    for pair, x in sorted(first.items(), key=operator.itemgetter(1)):
-        term = _term(curve, p.masses[ids[x]], q.masses[ids[x]])
+    inexact = None  # the pair of the first atom whose term is not exact
+    for pair in counts:
+        term = _term(curve, p._as_mass(pair[0]), q._as_mass(pair[1]))
         if term == math.inf:
             return math.inf
-        if cut == size and not _is_exact(term):
-            cut = x
+        if inexact is None and not _is_exact(term):
+            inexact = pair
         terms[pair] = term
+    if inexact is None:
+        return sum(count * terms[pair] for pair, count in counts.items())
+    cut = operator.indexOf(zip(pv, qv), inexact)
     prefix = Counter(zip(islice(pv, cut), islice(qv, cut)))
     total = sum(count * terms[pair] for pair, count in prefix.items())
-    if cut == size:
-        return total
     # Float plus Fraction adds the Fraction's float, so converting each
     # exact term once leaves every addition of the float suffix unchanged.
     floats = {pair: float(t) if _is_exact(t) else t for pair, t in terms.items()}

@@ -8,11 +8,14 @@ by their symbol strings, so outcome ids double as base-k integers.
 Two arithmetic modes are supported.  In exact mode a distribution holds
 integer numerators over one shared denominator, and all comparisons are
 exact; this is the default whenever the model parameters are rational.
-Its public `masses` are `fractions.Fraction`s derived from those integers,
-one shared object per distinct numerator, so sorting, merging and
-summarizing work on ints while every reader of `masses` sees reduced
-fractions.  In float mode masses are doubles and the usual 1e-12
-normalization tolerance applies.  Exact mode matters because the
+Its public `masses` are `fractions.Fraction`s equal to those integers over
+the denominator.  Built from numerators (`expand`, `apply_mapping`, a
+trace's conditional law), a distribution builds them only when `masses`
+is first read, one shared object per distinct numerator, so sorting,
+merging, summarizing and measuring divergences work on ints and build no
+per-atom `Fraction`, while every reader of `masses` sees reduced
+fractions.  One atom's mass is read without them.  In float mode masses
+are doubles and the usual 1e-12 normalization tolerance applies.  Exact mode matters because the
 downstream mapping constructions compare cumulative masses against
 thresholds, and ties must resolve reproducibly.
 
@@ -367,8 +370,9 @@ class AtomicDistribution:
     over one shared denominator, checked in ints to sum to it, and its
     masses are rationals equal to them.  Built from masses, the numerators
     are derived over the lcm of the mass denominators; built internally
-    from numerators, each mass is one shared reduced Fraction per distinct
-    numerator.
+    from numerators, it stores only those, and `masses` is built when first
+    read, one shared reduced Fraction per distinct numerator.  `mass` reads
+    one atom without building it.
     """
 
     masses: tuple[Mass, ...]
@@ -381,10 +385,11 @@ class AtomicDistribution:
     def __post_init__(self) -> None:
         if self.n < 1 or self.alphabet_size < 1:
             raise InvalidModel("blocklength and alphabet size must be positive")
-        if len(self.masses) != self.alphabet_size**self.n:
+        # Built from numerators, the masses are not there to count.
+        size = len(self.masses if self._nums is None else self._nums)
+        if size != self.alphabet_size**self.n:
             raise InvalidModel(
-                f"mass vector has {len(self.masses)} entries, "
-                f"expected {self.alphabet_size}**{self.n}"
+                f"mass vector has {size} entries, expected {self.alphabet_size}**{self.n}"
             )
         if not self.exact:
             object.__setattr__(self, "masses", tuple(map(float, self.masses)))
@@ -403,6 +408,17 @@ class AtomicDistribution:
         if total != self._den:
             total = Fraction(total, self._den)
             raise InvalidModel(f"mass vector sums to {total}, expected exactly 1")
+
+    def __getattr__(self, name: str):
+        # Reached for masses only on a distribution from _from_values, before
+        # its first read.
+        if name != "masses" or self._nums is None:
+            raise AttributeError(name)
+        den = self._den
+        shared = {num: Fraction(num, den) for num in set(self._nums)}
+        masses = tuple(map(shared.__getitem__, self._nums))
+        object.__setattr__(self, "masses", masses)
+        return masses
 
     @property
     def _values(self) -> tuple[Mass, ...]:
@@ -426,13 +442,10 @@ class AtomicDistribution:
         """The distribution whose _values are values over den, checked."""
         if not exact:
             return cls(values, n, alphabet_size, False)
-        nums = tuple(values)
-        shared = {num: Fraction(num, den) for num in set(nums)}
-        masses = tuple(map(shared.__getitem__, nums))
         dist = cls.__new__(cls)
         for name, value in (
-            ("masses", masses), ("n", n), ("alphabet_size", alphabet_size),
-            ("exact", True), ("_nums", nums), ("_den", den),
+            ("n", n), ("alphabet_size", alphabet_size), ("exact", True),
+            ("_nums", tuple(values)), ("_den", den),
         ):
             object.__setattr__(dist, name, value)
         dist.__post_init__()
@@ -455,7 +468,13 @@ class AtomicDistribution:
         return cls(entries, n, alphabet_size, exact)
 
     def mass(self, oid: int) -> Mass:
-        return self.masses[oid]
+        return self._as_mass(self._values[oid])
+
+    def _as_mass(self, value: Mass) -> Mass:
+        """The mass of an atom whose entry of _values is value, read without
+        `masses`: Fraction(value, _den) in exact mode, value itself in float
+        mode."""
+        return Fraction(value, self._den) if self.exact else value
 
     def outcome(self, oid: int) -> Outcome:
         return outcome_from_id(oid, self.n, self.alphabet_size)
@@ -777,7 +796,7 @@ def self_information_value(mass: Mass, n: int) -> float:
 def self_information(dist: AtomicDistribution, outcome: Outcome | int) -> float:
     """Normalized self-information (1/n) log(1/P(x)) of one outcome, in nats."""
     oid = outcome.id if isinstance(outcome, Outcome) else outcome
-    mass = dist.masses[oid]
+    mass = dist.mass(oid)
     if mass == 0:
         raise ZeroMassOutcome(f"outcome {oid} has probability zero")
     return self_information_value(mass, dist.n)

@@ -98,7 +98,7 @@ def mapping_distortion(
     _check_size(dist, mapping)
     if spec.kind == "additive" and len(spec.entries) != dist.alphabet_size:
         raise DimensionMismatch("additive distortion matrix does not match the alphabet")
-    if spec.kind == "table" and len(spec.entries) != len(dist.masses):
+    if spec.kind == "table" and len(spec.entries) != len(dist._values):
         raise DimensionMismatch("distortion table does not match the outcome space")
     exact = all(map(_is_exact, chain.from_iterable(spec.entries)))
     total = dist._mass_of(()) if exact else 0.0
@@ -106,7 +106,7 @@ def mapping_distortion(
         y = mapping.psi[mapping.phi[x]]
         if y == x:
             continue
-        total = total + dist.masses[x] * spec.block_value(x, y, dist.n, dist.alphabet_size)
+        total = total + dist.mass(x) * spec.block_value(x, y, dist.n, dist.alphabet_size)
     return total / dist.n
 
 

@@ -18,7 +18,9 @@ to be bit-identical, not close.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -36,11 +38,15 @@ from srnglab import (
     apply_mapping,
     baseline_collapse_mapping,
     build_mapping,
+    DistortionSpec,
     build_smooth_entropy_mapping,
+    converse_bound,
     curve_from_name,
     divergence,
     entropy_mapping_bound,
     expand,
+    k_f_rate,
+    mapping_distortion,
     outcome_from_id,
     rate_window,
     self_information,
@@ -465,3 +471,107 @@ def test_float_sums_do_not_depend_on_a_compensated_builtin_sum(monkeypatch) -> N
     for module in (rdp_module, oracle_module, probability_module):
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     assert outputs() == plain
+
+
+# ---------------------------------------------------------------------------
+# masses built on first read
+
+BENCHMARK_SOURCES = SOURCES[:4]
+
+
+def source_id(variant) -> str:
+    return f"{type(variant).__name__.lower()}{SOURCES.index(variant)}"
+
+
+def eager_masses(dist):
+    # The tuple every exact distribution built from numerators held before
+    # masses were built on first read: one reduced Fraction per distinct
+    # numerator, shared by its atoms.
+    shared = {num: F(num, dist._den) for num in set(dist._nums)}
+    return tuple(map(shared.__getitem__, dist._nums))
+
+
+def built_from_numerators(variant, n):
+    """An expanded source, its decoded law and its conditional law, where
+    there is one, with no masses read."""
+    dist = expand(SourceModel(variant, n))
+    mapping, trace = build_mapping(dist, 8, F(1, 2))
+    return [law for law in (dist, apply_mapping(dist, mapping), trace.conditional) if law]
+
+
+def assert_shared_masses(law, want) -> None:
+    assert law.masses == want
+    assert all(type(m) is Fraction for m in law.masses)
+    first = {}
+    for num, mass in zip(law._nums, law.masses):
+        assert first.setdefault(num, mass) is mass
+    assert len(set(map(id, law.masses))) == len(first)
+
+
+@pytest.mark.parametrize("variant", BENCHMARK_SOURCES, ids=source_id)
+def test_masses_built_on_first_read_match_the_eager_build(variant) -> None:
+    for n in range(1, 9):
+        for law in built_from_numerators(variant, n):
+            want = eager_masses(law)
+            ref = AtomicDistribution.from_masses(want, n, law.alphabet_size)
+            for twin in (copy.copy(law), copy.deepcopy(law), pickle.loads(pickle.dumps(law))):
+                assert "masses" not in vars(twin)
+                assert (twin._nums, twin._den) == (law._nums, law._den)
+                assert_shared_masses(twin, want)
+            assert "masses" not in vars(law)
+            # Equality, hash and repr read the masses, and build them once.
+            assert law == ref and hash(law) == hash(ref) and repr(law) == repr(ref)
+            built = law.masses
+            assert "masses" in vars(law) and law.masses is built
+            assert_shared_masses(law, want)
+            for twin in (copy.copy(law), copy.deepcopy(law), pickle.loads(pickle.dumps(law))):
+                assert twin == law and twin.masses == want
+
+
+@pytest.mark.parametrize("variant", BENCHMARK_SOURCES, ids=source_id)
+def test_the_atom_path_never_builds_masses(variant) -> None:
+    n = 10
+    dist = expand(SourceModel(variant, n))
+    summary = spectrum_cdf(dist)
+    curves = list(map(curve_from_name, BOUND_CURVES))
+    mapping, trace = build_mapping(dist, 64, F(1, 20))
+    smooth_mapping, smooth_trace = build_smooth_entropy_mapping(dist, curves[0], F(1, 10), F(1, 20))
+    decoded, smooth_decoded = apply_mapping(dist, mapping), apply_mapping(dist, smooth_mapping)
+    for curve in curves:
+        k_f_rate(summary, curve, F(1, 10))
+        converse_bound(summary, 64, F(1, 20), curve)
+        achievability_bound(trace, curve)
+        entropy_mapping_bound(smooth_trace, curve)
+    for name in CURVES:
+        for law in (decoded, smooth_decoded):
+            divergence(dist, law, curve_from_name(name))
+            divergence(law, dist, curve_from_name(name))
+    baseline_collapse_mapping(dist, 64, F(1, 20))
+    # One atom's mass, its self-information and the distortion read atoms
+    # one at a time.
+    hamming = DistortionSpec("additive", ((0, 1), (1, 0)))
+    halves = DistortionSpec("additive", ((0.0, 0.5), (0.5, 0.0)))
+    heaviest = sort_descending(dist)[0]
+    got = (
+        dist.mass(heaviest),
+        self_information(dist, heaviest),
+        mapping_distortion(dist, mapping, hamming),
+        mapping_distortion(dist, mapping, halves),
+    )
+    for law in (dist, decoded, smooth_decoded):
+        assert "masses" not in vars(law)
+    # The same values, floats bit for bit, as reads of the built masses.
+    masses = dist.masses
+    moved = [x for x in dist.support() if mapping.psi[mapping.phi[x]] != x]
+    want = [
+        masses[heaviest],
+        self_information_value(masses[heaviest], n),
+        F(0),
+        0.0,
+    ]
+    for x in moved:
+        y = mapping.psi[mapping.phi[x]]
+        want[2] = want[2] + masses[x] * hamming.block_value(x, y, n, 2)
+        want[3] = want[3] + masses[x] * halves.block_value(x, y, n, 2)
+    want[2:] = [total / n for total in want[2:]]
+    assert moved and all(same(a, b) for a, b in zip(got, want)), (got, want)

@@ -3,12 +3,16 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from itertools import islice
 
 import pytest
-from test_atom_integer_path import old_divergence, same
+from test_atom_integer_path import SOURCES, old_divergence, same, to_float
 
 from srnglab import (
     IID,
@@ -33,6 +37,8 @@ from srnglab import (
     reverse_kl,
     variational,
 )
+from srnglab.divergence import _term
+from srnglab.probability import _is_exact
 
 F = Fraction
 
@@ -220,6 +226,112 @@ def test_divergence_matches_the_per_atom_loop_on_random_pairs() -> None:
             got = _outcome(divergence, p, q, curve)
             want = _outcome(old_divergence, p.masses, q.masses, curve)
             assert same(got, want), (curve.name, p.masses, q.masses, got, want)
+
+
+def sorted_pairs_divergence(p, q, curve):
+    # The body divergence had before its counting pass: each pair's first
+    # atom from a reversed dict, the pairs sorted by it, terms from the
+    # masses of that atom, and a second count over the exact prefix.
+    pv, qv = p._values, q._values
+    ids = range(len(pv))
+    slope = curve.slope_at_infinity
+    if slope == 0 and (p.exact and _is_exact(slope) or not q.exact):
+        ids = q.support()
+        pv, qv = list(map(pv.__getitem__, ids)), list(map(qv.__getitem__, ids))
+    size = len(pv)
+    first = dict(zip(zip(reversed(pv), reversed(qv)), range(size - 1, -1, -1)))
+    terms = {}
+    cut = size
+    for pair, x in sorted(first.items(), key=operator.itemgetter(1)):
+        term = _term(curve, p.masses[ids[x]], q.masses[ids[x]])
+        if term == math.inf:
+            return math.inf
+        if cut == size and not _is_exact(term):
+            cut = x
+        terms[pair] = term
+    prefix = Counter(zip(islice(pv, cut), islice(qv, cut)))
+    total = sum(count * terms[pair] for pair, count in prefix.items())
+    if cut == size:
+        return total
+    floats = {pair: float(t) if _is_exact(t) else t for pair, t in terms.items()}
+    suffix = zip(islice(pv, cut + 1, None), islice(qv, cut + 1, None))
+    start = total + terms[pv[cut], qv[cut]]
+    return reduce(operator.add, map(floats.__getitem__, suffix), start)
+
+
+def _bits(value):
+    """A result as its type and, for a float, every bit of it."""
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+def _float_from_one(t):
+    # Exact below t = 1 and a float from there, so on exact laws the first
+    # float term can follow exact ones and cut the sum mid-sequence.
+    return 1 - t if t < 1 else float(t - 1)
+
+
+def _infinite_past_two(t):
+    # Finite terms, then an infinite one on the first atom past t = 2.
+    return math.inf if t > 2 else 1 - t
+
+
+COUNTING_CURVES = DIFFERENTIAL_CURVES + (
+    FCurve("float-from-one", _float_from_one, F(1), F(0)),
+    FCurve("infinite-past-two", _infinite_past_two, F(1), F(0)),
+)
+
+
+def _counting_pairs():
+    """Exact, float and mixed pairs: the benchmark sources at n = 6 and
+    their decoded laws, both ways round, and drawn pairs."""
+    for variant in SOURCES[:4]:
+        exact = expand(SourceModel(variant, 6))
+        floats = expand(SourceModel(to_float(variant), 6))
+        mapping, _ = build_mapping(exact, 8, F(1, 2))
+        decoded, float_decoded = apply_mapping(exact, mapping), apply_mapping(floats, mapping)
+        for source in (exact, floats):
+            for law in (decoded, float_decoded):
+                yield source, law
+                yield law, source
+    # Seven atoms of one exact pair before the first float term, whose
+    # float sum rounds otherwise than their exact one: the cut is atom 7
+    # but distinct pair 1.
+    p = AtomicDistribution.from_masses([F(1, 11)] * 7 + [F(4, 11)], 3, 2)
+    q = AtomicDistribution.from_masses([F(1, 9)] * 7 + [F(2, 9)], 3, 2)
+    yield p, q
+    rng = random.Random(33)
+    for _ in range(100):
+        n = rng.choice((2, 3))
+        yield _drawn(rng, n), _drawn(rng, n)
+
+
+def test_counting_pass_matches_the_sorted_pairs_body_bit_for_bit() -> None:
+    compared, infinite, mid_cuts = 0, 0, 0
+    for p, q in _counting_pairs():
+        for curve in COUNTING_CURVES:
+            got = _outcome(divergence, p, q, curve)
+            want = _outcome(sorted_pairs_divergence, p, q, curve)
+            assert _bits(got) == _bits(want), (curve.name, p.masses, q.masses, got, want)
+            compared += 1
+            infinite += got == math.inf
+            if curve.name == "float-from-one" and p.exact and isinstance(got, float):
+                # Zero slope: the sum starts at q's first support atom.
+                x = q.support()[0]
+                mid_cuts += _is_exact(_term(curve, p.masses[x], q.masses[x]))
+    assert compared == 133 * len(COUNTING_CURVES)
+    assert infinite and mid_cuts
+
+
+def test_exact_laws_given_int_masses_answer_in_fractions() -> None:
+    # Integer masses in exact mode: terms come from Fraction(num, den), so
+    # p / q is a Fraction, not int / int true division's float.
+    d = AtomicDistribution((1, 0, 0, 0), 2, 2, True)
+    assert same(divergence(d, d, variational()), F(0))
+    assert same(divergence(d, d, curve_from_name("e_gamma:2")), F(0))
+    assert d.masses == (1, 0, 0, 0) and all(type(m) is int for m in d.masses)
+    assert d == AtomicDistribution((1, 0, 0, 0), 2, 2, True)
+    assert repr(d) == "AtomicDistribution(masses=(1, 0, 0, 0), n=2, alphabet_size=2, exact=True)"
+    assert hash(d) == hash(((1, 0, 0, 0), 2, 2, True))
 
 
 def test_float_mode_given_fractions_answers_in_floats() -> None:
