@@ -24,19 +24,19 @@ mode and masses in float mode, contribute the same term, so one counting
 pass over the atoms lists the distinct pairs, in the order of their first
 atoms, and the term is computed once per pair, in either mode or a mix,
 from the pair's masses: one Fraction per exact value of a pair, and no
-per-atom Fraction.  The sum then replays the atom-by-atom sum: while it is
-exact (an atom-order prefix of exact terms) it adds each pair's term times
-its count in that prefix, and from the first atom whose term is a float on
-it adds one term per atom in atom order, as float additions do not
-reassociate.  The result is the atom-by-atom sum bit for bit, on any
-curve.
+per-atom Fraction.  When every term is exact the sum adds each pair's
+term times its count, as exact sums do not depend on grouping; otherwise
+it is one left fold of the atoms' terms in atom order from 0, as float
+additions do not reassociate, and Fraction plus float, either way round,
+converts the Fraction once.  The result is the atom-by-atom sum bit for
+bit, on any curve.
 
 With zero slope at infinity, the third condition of the paper's subclass,
 an atom off Q's support contributes P(z) * 0, a zero, so the sum runs over
 Q's support alone wherever those zeros cannot move it:
 
     P exact, slope an exact 0:  the zeros are exact, and an exact zero
-                                moves neither the exact prefix nor a float
+                                moves neither an exact total nor a float
     Q in float mode:            Q's masses are floats, so every term on its
                                 support is a float or infinite, the sum
                                 turns float at Q's first support atom, and
@@ -61,7 +61,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import islice
 from typing import Callable, Sequence
 
 from .errors import DimensionMismatch, OutOfRange
@@ -303,25 +302,13 @@ def divergence(p: AtomicDistribution, q: AtomicDistribution, curve: FCurve) -> M
     # order and the first error or infinity is the same.
     counts = Counter(zip(pv, qv))
     terms: dict[tuple[Mass, Mass], Mass] = {}
-    inexact = None  # the pair of the first atom whose term is not exact
     for pair in counts:
-        term = _term(curve, p._as_mass(pair[0]), q._as_mass(pair[1]))
+        term = terms[pair] = _term(curve, p._as_mass(pair[0]), q._as_mass(pair[1]))
         if term == math.inf:
             return math.inf
-        if inexact is None and not _is_exact(term):
-            inexact = pair
-        terms[pair] = term
-    if inexact is None:
+    if all(map(_is_exact, terms.values())):
         return sum(count * terms[pair] for pair, count in counts.items())
-    cut = operator.indexOf(zip(pv, qv), inexact)
-    prefix = Counter(zip(islice(pv, cut), islice(qv, cut)))
-    total = sum(count * terms[pair] for pair, count in prefix.items())
-    # Float plus Fraction adds the Fraction's float, so converting each
-    # exact term once leaves every addition of the float suffix unchanged.
-    floats = {pair: float(t) if _is_exact(t) else t for pair, t in terms.items()}
-    suffix = zip(islice(pv, cut + 1, None), islice(qv, cut + 1, None))
-    start = total + terms[pv[cut], qv[cut]]
-    return reduce(operator.add, map(floats.__getitem__, suffix), start)
+    return reduce(operator.add, map(terms.__getitem__, zip(pv, qv)), 0)
 
 
 def f_inverse(curve: FCurve, T: Mass) -> Mass:

@@ -3,9 +3,9 @@
 A deterministic encoder-decoder pair with at most m decoded values is,
 up to relabeling, a partition of the source support into at most m blocks
 together with one distinct representative per block.  Enumerating those
-partitions through restricted growth strings and the representative
-assignments on top gives the true optimum of the divergence over every
-mapping, which is what the constructions and bounds are tested against.
+partitions and the representative assignments on top gives the true
+optimum of the divergence over every mapping, which is what the
+constructions and bounds are tested against.
 
 Two enumeration modes exist.  For nonincreasing curves with zero slope at
 infinity the uncovered support contributes nothing and a representative is
@@ -17,12 +17,13 @@ kept otherwise unreduced so the reduction itself can be cross-checked on
 tiny instances.
 
 The plans are scanned once, per curve in one arithmetic, and the first
-plan that attains the minimum is the witness.  One restricted-growth walk
+plan that attains the minimum is the witness.  One depth-first walk
 yields the partitions as live block lists together with each block's
 running totals of the atoms' masses (numerators in exact mode), added left
 to right in id order from 0, so a block's mass is its last running total,
-bit for bit the sum a block-by-block evaluation makes; a step moves only
-the items it relabels and their totals.  The terms come from one table
+bit for bit the sum a block-by-block evaluation makes; placing an atom
+appends it and its total to one block, and the walk pops them on its way
+back.  The terms come from one table
 per curve, built before the scan: a row per block mass over the candidate
 representatives, and a stray (uncovered-mass) term per plan, which
 depends on the representatives alone.  Atoms of one mass share a term,
@@ -185,69 +186,48 @@ def _partition_walk(
     additions reduce(operator.add, map(values.__getitem__, block), zero)
     makes, so a block's total is its last running total.
 
-    Restricted growth: item 0 opens block 0 and each later item joins an
-    existing block or opens the next one, so every partition appears
-    exactly once, blocks ordered by first member.  The labels run through
-    their strings in lexicographic order: the last label that can still
-    grow does, and every label after it restarts at block 0.  Blocks list
-    their items in order, so the items from the grown label on are the
-    blocks' last ones, and only they and their running totals move.  The
-    lists are the walk's own: they change at the next step.
+    Depth first: item 0 opens block 0, and each later item joins each open
+    block in turn and then opens a new one while fewer than max_blocks are
+    open, so every partition appears exactly once, blocks ordered by first
+    member and listing their items in order.  The lists are the walk's
+    own: they change at the next step.
 
     The walk places one item at a time.  At every prefix of i placed items,
     0 < i <= len(items), before it places item i or, once all are placed,
     yields the partition, it asks dead(i, runs), with runs as they stand
     for the prefix.  If that is true, it yields no partition that completes
     the prefix, the full one included, and moves the prefix's last item on
-    to its next label instead.  Without dead every partition is yielded.
+    to its next block instead.  Without dead every partition is yielded.
     """
-    n = len(items)
-    if n == 0:
+    return _grow(items, max_blocks, values, zero, dead, [], [], 0) if items else iter(())
+
+
+def _grow(
+    items: Sequence[int], max_blocks: int, values: Sequence[Mass] | dict[int, Mass], zero: Mass,
+    dead: Callable[[int, list[list[Mass]]], bool] | None,
+    blocks: list[list[int]], runs: list[list[Mass]], placed: int,
+) -> Iterator[tuple[list[list[int]], list[list[Mass]]]]:
+    """The walk of _partition_walk below a prefix of placed items, held in
+    blocks and runs, which it leaves as it found them once exhausted."""
+    if placed and dead is not None and dead(placed, runs):
         return
-    labels = [0] * n
-    # limits[i]: the largest label item i can take, that of a new block
-    # after those the items before it opened, at most max_blocks - 1.
-    limits = [0] * n
-    blocks = [[items[0]]]
-    runs = [[zero + values[items[0]]]]
-    placed = 1
-    while True:
-        if dead is None or not dead(placed, runs):
-            if placed == n:
-                yield blocks, runs
-            else:
-                x = items[placed]
-                labels[placed] = 0
-                limits[placed] = min(len(blocks), max_blocks - 1)
-                blocks[0].append(x)
-                runs[0].append(runs[0][-1] + values[x])
-                placed += 1
-                continue
-        # Lift the placed items off, last first, down to the last one that
-        # can still grow; a block emptied this way is the last one.
-        i = placed - 1
-        while i and labels[i] >= limits[i]:
-            label = labels[i]
-            blocks[label].pop()
-            runs[label].pop()
-            if not blocks[label]:
-                blocks.pop()
-                runs.pop()
-            i -= 1
-        if not i:
-            return
-        # Item i is not alone in its block: it did not open it.
-        blocks[labels[i]].pop()
-        runs[labels[i]].pop()
-        label = labels[i] = labels[i] + 1
-        x = items[i]
-        if label == len(blocks):
-            blocks.append([x])
-            runs.append([zero + values[x]])
-        else:
-            blocks[label].append(x)
-            runs[label].append(runs[label][-1] + values[x])
-        placed = i + 1
+    if placed == len(items):
+        yield blocks, runs
+        return
+    x = items[placed]
+    # A deeper level pops every block it opens before this loop moves on.
+    for block, run in zip(blocks, runs):
+        block.append(x)
+        run.append(run[-1] + values[x])
+        yield from _grow(items, max_blocks, values, zero, dead, blocks, runs, placed + 1)
+        block.pop()
+        run.pop()
+    if len(blocks) < max_blocks:
+        blocks.append([x])
+        runs.append([zero + values[x]])
+        yield from _grow(items, max_blocks, values, zero, dead, blocks, runs, placed + 1)
+        blocks.pop()
+        runs.pop()
 
 
 def _set_partitions(
@@ -445,7 +425,6 @@ def _search(
     support = dist.support()
     k_max = min(m, len(support))
     support_mass = dist._mass_of(support)
-    floats = [float(mass) for mass in dist.masses]
     # Block masses are totals of dist._values, as in _mass_of: numerators
     # over den in exact mode, floats over den = 1 in float mode.  With two
     # or more blocks every nonempty subset of the support is a block, and
@@ -484,8 +463,8 @@ def _search(
         """Per block mass, the curve's term for each distinct pool value;
         per uncovered mass, its stray term, where 0, or -0.0 in floats,
         stands for none: adding it leaves every total unchanged."""
-        masses, none = (dist.masses, 0) if exact else (floats, -0.0)
-        atoms = {values[y]: masses[y] for y in pool}
+        none = 0 if exact else -0.0
+        atoms = {values[y]: dist.mass(y) if exact else float(dist.mass(y)) for y in pool}
         rows = {}
         for q in sums:
             q_mass = Fraction(q, den) if exact else q / den
@@ -525,7 +504,7 @@ def _search(
     # and the margin for float rounding, 0 for an integer table.
     skips = None
     if not full:
-        p_max, q_max = floats[pool[0]], max(sums) / den
+        p_max, q_max = float(dist.mass(pool[0])), max(sums) / den
         skips = [
             (
                 {k: min(row) for k, row in strays.items()},

@@ -81,6 +81,54 @@ def recursive_set_partitions(items, max_blocks):
     yield from rec(1, 1)
 
 
+def iterative_partition_walk(items, max_blocks, values, zero, dead=None):
+    """The iterative restricted-growth walk the oracle used before its
+    recursion: a label stack, and a lift-off loop that pops the items past
+    the last label that can still grow."""
+    n = len(items)
+    if n == 0:
+        return
+    labels = [0] * n
+    limits = [0] * n
+    blocks = [[items[0]]]
+    runs = [[zero + values[items[0]]]]
+    placed = 1
+    while True:
+        if dead is None or not dead(placed, runs):
+            if placed == n:
+                yield blocks, runs
+            else:
+                x = items[placed]
+                labels[placed] = 0
+                limits[placed] = min(len(blocks), max_blocks - 1)
+                blocks[0].append(x)
+                runs[0].append(runs[0][-1] + values[x])
+                placed += 1
+                continue
+        i = placed - 1
+        while i and labels[i] >= limits[i]:
+            label = labels[i]
+            blocks[label].pop()
+            runs[label].pop()
+            if not blocks[label]:
+                blocks.pop()
+                runs.pop()
+            i -= 1
+        if not i:
+            return
+        blocks[labels[i]].pop()
+        runs[labels[i]].pop()
+        label = labels[i] = labels[i] + 1
+        x = items[i]
+        if label == len(blocks):
+            blocks.append([x])
+            runs.append([zero + values[x]])
+        else:
+            blocks[label].append(x)
+            runs[label].append(runs[label][-1] + values[x])
+        placed = i + 1
+
+
 def hashed_dead(placed, runs):
     """A deterministic walk hook: prunes some prefixes, chosen from the
     placed count and the blocks' last running totals, so that a walk that
@@ -585,6 +633,11 @@ def test_searches_leave_no_cyclic_garbage() -> None:
         min_fdiv_bruteforce(dist, 4, curves)
         min_fdiv_bruteforce(float_twin(dist), 4, curves)
         min_fdiv_bruteforce_full(small, 3, curves + [kl()])
+        # A walk abandoned after its first partition is closed through its
+        # suspended levels.
+        walk = _partition_walk(list(range(6)), 3, list(range(6)), 0, hashed_dead)
+        next(walk)
+        del walk
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -850,6 +903,60 @@ def test_walk_running_totals_are_the_block_totals() -> None:
                     order_matters += backwards != run[-1]
             assert next(walk, None) is None and next(old, None) is None
     assert order_matters > 0 and pruned > 0
+
+
+def test_walk_asks_and_yields_as_the_iterative_walk_did() -> None:
+    # The scan's live list is left by the hook's last call, so the order
+    # of the calls matters as well as the partitions: every (placed, runs)
+    # the hook is asked and every partition yielded, with its running
+    # totals, must be those of the iterative walk, in the same order.  The
+    # item sets and sources of the two tests above, with hashed_dead, with
+    # a hook that is never true, and with none.
+    cases = []
+    rng = random.Random(27)
+    for size in range(9):
+        items = [3 * i + 1 for i in range(size)]
+        values = {x: rng.randint(1, 9) for x in items}
+        cases += [(items, max_blocks, values, 0) for max_blocks in range(1, 6)]
+    rng = random.Random(19)
+    sources = [expand(SourceModel(IID((F(3, 4), F(1, 4))), 3))]
+    for size in range(1, 9):
+        weights = [rng.choice((1, 3, 7, 10**6, 10**16 + 1)) for _ in range(size)]
+        exact = single_letter(*(F(w, sum(weights)) for w in weights))
+        sources.append(exact)
+        sources.append(AtomicDistribution.from_masses([float(x) for x in exact.masses], 1, size))
+    for dist in sources:
+        zero = 0 if dist.exact else 0.0
+        cases += [(dist.support(), k, dist._values, zero) for k in range(1, 5)]
+
+    def events(walk_fn, args, hook):
+        seen = []
+
+        def asked(placed, runs):
+            seen.append((placed, [tuple(run) for run in runs]))
+            return hook(placed, runs)
+
+        for blocks, runs in walk_fn(*args, asked if hook else None):
+            seen.append(([tuple(b) for b in blocks], [tuple(run) for run in runs]))
+        return seen
+
+    asks = 0
+    for args in cases:
+        for hook in (hashed_dead, lambda placed, runs: False, None):
+            got = events(_partition_walk, args, hook)
+            assert got == events(iterative_partition_walk, args, hook), (args, hook)
+            asks += sum(isinstance(event[0], int) for event in got)
+    assert asks > 0
+
+
+def test_searches_read_only_their_pools_masses() -> None:
+    # The searches read the masses of their candidate atoms one at a time,
+    # so an expanded exact source never builds its masses tuple.
+    curves = [curve_from_name(c) for c in ("variational", "reverse_kl", "hellinger", "e_gamma:2")]
+    for n, search in ((3, min_fdiv_bruteforce), (2, min_fdiv_bruteforce_full)):
+        dist = expand(SourceModel(IID((F(3, 4), F(1, 4))), n))
+        search(dist, 3, curves)
+        assert "masses" not in vars(dist), search
 
 
 def test_search_arguments_out_of_range_are_rejected() -> None:
