@@ -48,11 +48,12 @@ The class list (`_ClassList`) lives here too: classes of equally likely
 atoms by descending mass, each a mass and an atom count, one list per
 distribution (its `_classes`, a class per distinct mass, each a run of its
 descending order) and one per rational (source, n) (a class per type,
-built by the spectrum module from the walk's columns).  A type-class list
-is sorted and sized in bands of descending mass, and its running totals
-of mass and size are computed, only as far as a query reads them.  Its
-`set_size` is the one rule for the smallest set of heaviest outcomes that
-reaches a mass, in both modes.
+built by the spectrum module from the walk's columns, each column read
+as two descending runs of numerators).  A type-class list is sorted and
+sized in bands of descending mass only as far as a query reads, and a
+query extends its running totals of mass and size over every band
+appended.  Its `set_size` is the one rule for the smallest set of
+heaviest outcomes that reaches a mass, in both modes.
 """
 
 from __future__ import annotations
@@ -181,20 +182,22 @@ class _ClassList:
     A type-class list is built in bands of descending mass: band b holds
     the classes at or above floor F_b that no band before it holds.  In a
     column the numerators are convex in the last count (a geometric
-    sequence per mixture component, added), so the classes at or above a
-    floor are the column's two ends: a band moves each column's two fronts
-    inward past them, stepping the class-size recurrence only over the
-    classes it emits, and appends them sorted on the numerator alone.
-    Every class after a band is below its floor, so the list is always a
-    prefix of the whole list sorted once, classes of one mass in the
-    walk's order.
+    sequence per mixture component, added), so a column falls to its last
+    least numerator and strictly rises after it: it is two descending
+    runs, its head and its tail reversed.  A band takes the prefix of each
+    run at or above its floor, stepping one class-size recurrence only
+    over the classes it emits, and appends them sorted on the numerator
+    alone.  Every class after a band is below its floor, so the list is
+    always a prefix of the whole list sorted once; the sort is stable, a
+    head run comes before its tail run and a tail run holds no two equal
+    numerators, so classes of one mass keep the walk's order.
 
     The running totals are computed only as far as they are read: a query
-    at a level extends them, heaviest first and emitting the next band
-    whenever the classes run out, until they reach it.  nums, counts, cum,
-    sizes and equality read the whole list.  Classes of one mass keep the
-    order they were given in: set sizes, quantiles and merged points are
-    the same in any order of them.
+    at a level extends them over the bands appended so far, heaviest
+    first and emitting the next band whenever the classes run out, until
+    they reach it.  nums, counts, cum, sizes and equality read the whole
+    list.  Classes of one mass keep the order they were given in: set
+    sizes, quantiles and merged points are the same in any order of them.
 
     An exact list holds integer numerators.  A float distribution's list
     holds its float masses over den 1 and is read only through nums,
@@ -207,10 +210,10 @@ class _ClassList:
         self._nums, self._counts = nums, counts
         self._cum: list[int | float] = []
         self._sizes: list[int] = []
-        # Per column not yet emitted whole: its numerators, its left and
-        # right fronts and the class sizes there; and the floors of the
-        # bands still to come, ascending.
-        self._fronts: list[list] = []
+        # Per run not yet emitted whole: its numerators, its r, its front
+        # and the class size there; and the floors of the bands still to
+        # come, ascending.
+        self._runs: list[list] = []
         self._floors: list[int] = []
 
     @classmethod
@@ -224,60 +227,57 @@ class _ClassList:
 
     @classmethod
     def of_types(cls, n: int, den: int, columns: Sequence[tuple]) -> _ClassList:
-        """From `_types`' exact columns, emitting no band yet.  A column's
-        ends are its largest numerators."""
+        """From `_types`' exact columns, emitting no band yet.  A column
+        falls to its last least numerator and rises after it, so it is two
+        descending runs: its head up to there, and the rest reversed.  The
+        columns are consumed: each numerator list is cut to its head run,
+        so no column is held twice."""
         classes = cls(n, den, [], [])
         columns = [column for column in columns if any(column[0])]
-        classes._fronts = [[nums, 0, len(nums) - 1, size, size] for nums, size, _, _ in columns]
         top = max(max(nums[0], nums[-1]) for nums, *_ in columns)
         span = top.bit_length() - min(min(filter(None, nums)) for nums, *_ in columns).bit_length()
+        for nums, size, _, _ in columns:
+            cut, r = len(nums) - nums[::-1].index(min(nums)), len(nums) - 1
+            tail = nums[:cut - 1:-1]
+            del nums[cut:]
+            classes._runs += [nums, r, 0, size], [tail, r, 0, size]
         floors = {top >> (span * b // _BANDS) for b in range(1, _BANDS)}
         classes._floors = [1, *sorted(floors - {0, 1})]
         return classes
 
     def _emit(self, floor: int) -> None:
-        """Append the band at floor: every column's classes at or above it
-        that no band before holds, each front's class size stepped from
-        its neighbour's, C(r, c + 1) = C(r, c) * (r - c) // (c + 1) on the
-        left and C(r, c - 1) = C(r, c) * c // (r - c + 1) on the right."""
+        """Append the band at floor: every run's classes at or above it that
+        no band before holds, sorted on the numerator alone.  Class i of a
+        run lies i places from its column's end, so its size is the run's
+        size * C(r, i) on either run, as C(r, j) = C(r, r - j), and steps
+        from the one before by C(r, i + 1) = C(r, i) * (r - i) // (i + 1)."""
         nums: list[int] = []
         counts: list[int] = []
         live = []
-        for front in self._fronts:
-            column, lo, hi, low_size, high_size = front
-            rest, first, last = len(column) - 1, lo, hi
-            while lo <= hi and column[lo] >= floor:
-                counts.append(low_size)
-                low_size = low_size * (rest - lo) // (lo + 1)
-                lo += 1
-            right = []
-            while hi >= lo and column[hi] >= floor:
-                right.append(high_size)
-                high_size = high_size * hi // (rest - hi + 1)
-                hi -= 1
-            nums += column[first:lo]
-            nums += column[hi + 1:last + 1]
-            counts += reversed(right)
-            if lo <= hi:
-                front[1:] = lo, hi, low_size, high_size
-                live.append(front)
-        self._fronts = live
+        for run in self._runs:
+            column, r, i, size = run
+            first = i
+            while i < len(column) and column[i] >= floor:
+                counts.append(size)
+                size = size * (r - i) // (i + 1)
+                i += 1
+            nums += column[first:i]
+            if i < len(column):
+                run[2:] = i, size
+                live.append(run)
+        self._runs = live
         order = sorted(range(len(nums)), key=nums.__getitem__, reverse=True)
         self._nums += map(nums.__getitem__, order)
         self._counts += map(counts.__getitem__, order)
 
-    def _drain(self) -> None:
-        while self._floors:
-            self._emit(self._floors.pop())
-
     @property
     def nums(self) -> list[int | float]:
-        self._drain()
+        self._extend(None)
         return self._nums
 
     @property
     def counts(self) -> list[int]:
-        self._drain()
+        self._extend(None)
         return self._counts
 
     @property
@@ -299,8 +299,8 @@ class _ClassList:
 
     def _extend(self, goal: int | None) -> None:
         """Extend the running totals until the mass total reaches goal, or
-        over every class for None: in chunks that double what is there,
-        each one C-level accumulate per total, emitting the next band
+        over every class for None: over every class appended since the last
+        total, one C-level accumulate per total, emitting the next band
         whenever the classes run out before the goal."""
         cum, nums = self._cum, self._nums
         while goal is None or not cum or cum[-1] < goal:
@@ -308,12 +308,10 @@ class _ClassList:
                 if not self._floors:
                     return
                 self._emit(self._floors.pop())
-                continue
             start = len(cum)
-            stop = len(nums) if goal is None else 2 * start + 64
-            counts = self._counts[start:stop]
+            counts = self._counts[start:]
             for totals, steps in (
-                (cum, map(operator.mul, nums[start:stop], counts)), (self._sizes, counts)
+                (cum, map(operator.mul, nums[start:], counts)), (self._sizes, counts)
             ):
                 running = accumulate(steps, initial=totals[-1] if totals else 0)
                 next(running)

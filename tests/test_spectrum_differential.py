@@ -849,6 +849,45 @@ def test_sweep_queries_emit_few_more_classes_than_they_read() -> None:
     assert read <= emitted <= 7520 < len(classes.nums) == 16471
 
 
+def test_type_columns_are_two_descending_runs() -> None:
+    # The bands take a prefix of each run, so they hold only if every
+    # column falls to its last least numerator and strictly rises after
+    # it, and if the two runs `of_types` cuts it into descend, the tail run
+    # strictly (so classes of one mass keep the walk's order), and hold the
+    # column's (numerator, class size) pairs once each.  Checked on the
+    # banded and enumeration sources and on seeded rational IID and
+    # mixture sources of up to four symbols, some of mass zero.
+    rng = random.Random(3541)
+    sources = list(BANDED_SOURCES + FIXED_ENUMERATION_INPUTS)
+    for _ in range(200):
+        k = rng.randint(2, 4)
+        n = rng.randint(1, {2: 25, 3: 16, 4: 10}[k])
+        if rng.random() < 0.5:
+            sources.append((IID(random_pmf(rng, k, zeros=True)), n))
+        else:
+            parts = rng.randint(2, 3)
+            components = tuple(IID(random_pmf(rng, k, zeros=True)) for _ in range(parts))
+            sources.append((Mixture(random_pmf(rng, parts), components), n))
+    for variant, n in sources:
+        den, columns = _types(variant, n, True)
+        # of_types cuts each column's list to its head run, so it gets copies.
+        runs = _ClassList.of_types(n, den, [(list(nums), *rest) for nums, *rest in columns])._runs
+        kept = [column for column in columns if any(column[0])]
+        assert len(runs) == 2 * len(kept)
+        for (nums, size, _, _), head, tail in zip(kept, runs[::2], runs[1::2]):
+            last = max(j for j, num in enumerate(nums) if num == min(nums))
+            assert all(map(operator.ge, nums[:last], nums[1:last + 1])), (variant, n, nums)
+            assert all(map(operator.lt, nums[last:], nums[last + 1:])), (variant, n, nums)
+            r = len(nums) - 1
+            assert all(map(operator.ge, head[0], head[0][1:]))
+            assert all(map(operator.gt, tail[0], tail[0][1:]))
+            pairs = Counter()
+            for run_nums, run_r, front, run_size in (head, tail):
+                assert (run_r, front, run_size) == (r, 0, size)
+                pairs.update((num, size * math.comb(r, i)) for i, num in enumerate(run_nums))
+            assert pairs == Counter((num, size * math.comb(r, j)) for j, num in enumerate(nums))
+
+
 #: A mixture whose types c and n - c have one mass.
 MIRRORED_MIXTURE = Mixture((F(1, 2), F(1, 2)), (IID((F(1, 4), F(3, 4))), IID((F(3, 4), F(1, 4)))))
 
